@@ -25,23 +25,11 @@
 #                    bests imply ~5.2x); the enforced floor sits at 4.5x
 #                    because sub-second workloads jitter ±15%
 #                    individually and the aggregate ±5% run-to-run.
-#   ci.sh --simd   - same gate, then the datapath equivalence suites at
-#                    depth (scalar vs SoA vs stage-parallel, with and
-#                    without faults, plus the lane-kernel boundary
-#                    properties — 512 cases each) and the wall-clock
-#                    benchmark under the speedup gate. The standard gate
-#                    already runs the suite at the pinned 32-case budget.
-#   ci.sh --sparsity - same gate, then the sparsity-equivalence suites at
-#                    depth (sparsity on/off full-registry bitwise
-#                    identity on zero-seeded nets, with and without
-#                    faults, plus the zero-weight lane-purity kernel
-#                    property — 512 cases, inside simd_equivalence) and
-#                    the sparsity sweep benchmark (BENCH_sparsity.json),
-#                    whose built-in gates require bitwise on/off identity
-#                    at every density point and monotonically growing
-#                    gated lane-cycles / saved pJ as density drops. The
-#                    standard gate already runs the suite at the pinned
-#                    32-case budget.
+#   ci.sh --sparsity - same gate, then the sparsity sweep benchmark
+#                    (BENCH_sparsity.json), whose built-in gates require
+#                    cycles and MAC ops constant across density points
+#                    and monotonically growing gated lane-cycles / saved
+#                    pJ as density drops.
 #   ci.sh --serve  - same gate, then the serving-layer suites at depth
 #                    (scheduler-vs-oracle, determinism, malformed fuzz at
 #                    512 cases each) and the serving load benchmark
@@ -89,10 +77,6 @@ PROPTEST_CASES=64 cargo test -q
 # properties, and the DAG equivalence/differential properties.
 PROPTEST_CASES=32 cargo test -q \
     -p neurocube-integration-tests --test fault_fuzz --test skip_equivalence
-# Datapath equivalence: the SoA lane kernels and the stage-parallel PE
-# tick against the per-lane scalar oracle, full-registry bitwise.
-PROPTEST_CASES=32 cargo test -q \
-    -p neurocube-integration-tests --test simd_equivalence
 PROPTEST_CASES=32 cargo test -q \
     -p neurocube-integration-tests --test graph_equivalence --test graph_differential
 PROPTEST_CASES=32 cargo test -q \
@@ -134,21 +118,8 @@ if [[ "${1:-}" == "--bench" ]]; then
         cargo bench -p neurocube-bench --bench bench_sim
 fi
 
-if [[ "${1:-}" == "--simd" ]]; then
-    echo "== datapath equivalence suites (PROPTEST_CASES=512) =="
-    PROPTEST_CASES=512 cargo test -q --release \
-        -p neurocube-integration-tests --test simd_equivalence
-    PROPTEST_CASES=512 cargo test -q --release -p neurocube-fixed
-    echo "== simulator wall-clock benchmark (gate: 4.5x vs seed baseline) =="
-    NEUROCUBE_BENCH_MIN_SPEEDUP="${NEUROCUBE_BENCH_MIN_SPEEDUP:-4.5}" \
-        cargo bench -p neurocube-bench --bench bench_sim
-fi
-
 if [[ "${1:-}" == "--sparsity" ]]; then
-    echo "== sparsity equivalence suites (PROPTEST_CASES=512) =="
-    PROPTEST_CASES=512 cargo test -q --release \
-        -p neurocube-integration-tests --test simd_equivalence
-    echo "== sparsity sweep (gates: bitwise on/off identity, monotone savings vs density) =="
+    echo "== sparsity sweep (gates: density-blind timing, monotone savings vs density) =="
     cargo bench -p neurocube-bench --bench sparsity_sweep
 fi
 

@@ -18,8 +18,8 @@
 //! below `x` (the `ci.sh --bench` regression guard).
 
 use neurocube_bench::{
-    bench_workloads, header, run_inference_faulty, run_inference_variant,
-    BenchWorkload as Workload, SkipTelemetry,
+    bench_workloads, header, run_inference_faulty, run_inference_mode, BenchWorkload as Workload,
+    SkipTelemetry,
 };
 use neurocube_fault::FaultConfig;
 use std::path::PathBuf;
@@ -46,7 +46,6 @@ struct Row {
     cycles: u64,
     naive_secs: f64,
     skip_secs: f64,
-    scalar_secs: f64,
     telemetry: SkipTelemetry,
 }
 
@@ -57,10 +56,6 @@ impl Row {
 
     fn skip_cps(&self) -> f64 {
         self.cycles as f64 / self.skip_secs
-    }
-
-    fn scalar_cps(&self) -> f64 {
-        self.cycles as f64 / self.scalar_secs
     }
 
     fn speedup_vs_seed(&self) -> f64 {
@@ -81,18 +76,16 @@ fn reps() -> u32 {
     neurocube_sim::env_u64("NEUROCUBE_BENCH_REPS").map_or(3, |v| (v as u32).max(1))
 }
 
-/// Runs `w` at least `reps()` times in one mode (`simd = None` is the
-/// process default, i.e. the SoA path) and returns the fastest wall-clock
-/// time plus the (deterministic, rep-invariant) observables of the last
-/// rep. Short workloads get extra draws: a 0.4 s run needs more samples
-/// than a 20 s run for the minimum to converge, so the loop keeps going
+/// Runs `w` at least `reps()` times in one mode and returns the fastest
+/// wall-clock time plus the (deterministic, rep-invariant) observables of
+/// the last rep. Short workloads get extra draws: a 0.4 s run needs more
+/// samples than a 20 s run for the minimum to converge, so the loop keeps going
 /// until the mode has accumulated ~4 s of measurement (capped at three
 /// times the base rep count) — without this, the sub-second workloads'
 /// skip-vs-naive ratios swing ±15 % between otherwise identical runs.
 fn timed(
     w: &Workload,
     skip: bool,
-    simd: Option<bool>,
 ) -> (
     f64,
     neurocube::RunReport,
@@ -108,7 +101,7 @@ fn timed(
     while done < base || (total < 4.0 && done < cap) {
         let start = Instant::now();
         let (report, stats, telemetry) =
-            run_inference_variant(w.cfg.clone(), &w.spec, w.seed, Some(skip), simd);
+            run_inference_mode(w.cfg.clone(), &w.spec, w.seed, Some(skip));
         let secs = start.elapsed().as_secs_f64();
         best = best.min(secs);
         total += secs;
@@ -137,19 +130,16 @@ fn write_json(rows: &[Row], path: &PathBuf) {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"simulated_cycles\": {}, \"naive_host_secs\": {:.4}, \
              \"skip_host_secs\": {:.4}, \"naive_cycles_per_sec\": {:.0}, \
-             \"scalar_cycles_per_sec\": {:.0}, \
              \"skip_cycles_per_sec\": {:.0}, \"speedup\": {:.2}, \
-             \"soa_speedup\": {:.2}, \"speedup_vs_seed\": {:.2}, \
+             \"speedup_vs_seed\": {:.2}, \
              \"skipped_cycles\": {}, \"horizon_jumps\": {}}}{}\n",
             json_escape_free(r.name),
             r.cycles,
             r.naive_secs,
             r.skip_secs,
             r.cycles as f64 / r.naive_secs,
-            r.scalar_cps(),
             r.skip_cps(),
             r.speedup(),
-            r.skip_cps() / r.scalar_cps(),
             r.speedup_vs_seed(),
             r.telemetry.skipped_cycles,
             r.telemetry.horizon_jumps,
@@ -176,25 +166,20 @@ fn main() {
         "event-horizon fast-forward vs naive per-cycle loop (Fig. 14/15 workloads)",
     );
     println!(
-        "{:<24} {:>12} {:>10} {:>10} {:>12} {:>12} {:>12} {:>8} {:>8}",
+        "{:<24} {:>12} {:>10} {:>10} {:>12} {:>12} {:>8} {:>8}",
         "workload",
         "sim cycles",
         "naive s",
         "skip s",
         "naive c/s",
-        "scalar c/s",
         "skip c/s",
         "speedup",
         "vs seed"
     );
     let mut rows = Vec::new();
     for (i, w) in bench_workloads().iter().enumerate() {
-        let (naive_secs, naive_report, naive_stats, naive_tel) = timed(w, false, None);
-        let (skip_secs, skip_report, skip_stats, skip_tel) = timed(w, true, None);
-        // Scalar column: the per-lane MacUnit oracle (NEUROCUBE_NO_SIMD's
-        // path) through the same skipping loop — the SoA datapath win is
-        // skip_cps / scalar_cps, measured in one binary.
-        let (scalar_secs, scalar_report, scalar_stats, _) = timed(w, true, Some(false));
+        let (naive_secs, naive_report, naive_stats, naive_tel) = timed(w, false);
+        let (skip_secs, skip_report, skip_stats, skip_tel) = timed(w, true);
         assert_eq!(
             naive_tel,
             SkipTelemetry::default(),
@@ -214,16 +199,6 @@ fn main() {
         assert_eq!(
             naive_stats, skip_stats,
             "{}: fast-forward run diverged from the oracle's statistics",
-            w.name
-        );
-        assert_eq!(
-            scalar_report, skip_report,
-            "{}: scalar-datapath run diverged from the SoA report",
-            w.name
-        );
-        assert_eq!(
-            scalar_stats, skip_stats,
-            "{}: scalar-datapath run diverged from the SoA statistics",
             w.name
         );
         if i == 0 {
@@ -256,17 +231,15 @@ fn main() {
             cycles,
             naive_secs,
             skip_secs,
-            scalar_secs,
             telemetry: skip_tel,
         };
         println!(
-            "{:<24} {:>12} {:>10.3} {:>10.3} {:>12.0} {:>12.0} {:>12.0} {:>7.2}x {:>7.2}x",
+            "{:<24} {:>12} {:>10.3} {:>10.3} {:>12.0} {:>12.0} {:>7.2}x {:>7.2}x",
             w.name,
             cycles,
             naive_secs,
             skip_secs,
             cycles as f64 / naive_secs,
-            row.scalar_cps(),
             row.skip_cps(),
             row.speedup(),
             row.speedup_vs_seed()

@@ -8,7 +8,7 @@
 //!     --example profile_one -- fig14_conv_k7_nodup skip
 //! ```
 //!
-//! The second argument is `skip`, `naive`, or omitted (process default).
+//! The second argument is `skip`, `naive`, or omitted (follow `NEUROCUBE_NO_SKIP`).
 //! An optional third argument repeats the run N times and reports the
 //! fastest (wall-clock noise on shared hardware swamps single runs). An
 //! optional fourth argument is a substring filter: every final-registry

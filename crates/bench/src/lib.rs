@@ -69,35 +69,20 @@ pub struct SkipTelemetry {
 
 /// Like [`run_inference_stats`], but with explicit control over
 /// event-horizon fast-forwarding: `Some(true)` forces skipping on,
-/// `Some(false)` forces the naive per-cycle oracle, `None` inherits the
-/// `NEUROCUBE_NO_SKIP` process default. Returns the run's fast-forward
-/// telemetry alongside the report — the wall-clock benchmark uses this to
-/// compare both modes and prove they agree bitwise.
+/// `Some(false)` forces the naive per-cycle oracle, `None` follows
+/// `NEUROCUBE_NO_SKIP` as it reads when the run's cycle loop is built.
+/// Returns the run's fast-forward telemetry alongside the report — the
+/// wall-clock benchmark uses this to compare both modes and prove they
+/// agree bitwise.
 pub fn run_inference_mode(
     cfg: SystemConfig,
     spec: &NetworkSpec,
     seed: u64,
     skip: Option<bool>,
 ) -> (RunReport, StatsRegistry, SkipTelemetry) {
-    run_inference_variant(cfg, spec, seed, skip, None)
-}
-
-/// [`run_inference_mode`] with the PE datapath also pinned: `simd =
-/// Some(false)` forces the per-lane scalar `MacUnit` oracle, `Some(true)`
-/// the SoA lane kernels, `None` the process default. The benchmark uses
-/// this to time the scalar column and to assert it is bitwise identical
-/// to the SoA run it reports.
-pub fn run_inference_variant(
-    cfg: SystemConfig,
-    spec: &NetworkSpec,
-    seed: u64,
-    skip: Option<bool>,
-    simd: Option<bool>,
-) -> (RunReport, StatsRegistry, SkipTelemetry) {
     let params = spec.init_params(seed, 0.25);
     let mut cube = Neurocube::new(cfg);
     cube.set_cycle_skip(skip);
-    cube.set_simd(simd);
     let loaded = cube.load(spec.clone(), params);
     let input = ramp_input(spec);
     let (_, report) = cube.run_inference(&loaded, &input);
@@ -109,40 +94,19 @@ pub fn run_inference_variant(
     (report, stats, telemetry)
 }
 
-/// One sparsity-pinned run (see the `sparsity_sweep` bench): output,
-/// report and final registry.
-pub struct SparsityRun {
-    /// The inference output tensor.
-    pub output: Tensor,
-    /// The run's report.
-    pub report: RunReport,
-    /// Final registry snapshot (includes the `sparsity.*` rollup).
-    pub stats: StatsRegistry,
-}
-
-/// Like [`run_inference_variant`], but the caller supplies the parameter
-/// image and input tensor (to control operand density) and pins the PE
-/// zero-operand fast paths: `Some(false)` forces the dense kernels,
-/// `Some(true)` enables skipping, `None` inherits `NEUROCUBE_NO_SPARSITY`.
-/// Both settings are bitwise identical in every observable (DESIGN.md
-/// §13); the sweep asserts that before reporting anything.
+/// Like [`run_inference_stats`], but the caller supplies the parameter
+/// image and input tensor, to control operand density (the
+/// `sparsity_sweep` bench).
 pub fn run_inference_sparsity(
     cfg: SystemConfig,
     spec: &NetworkSpec,
     params: Vec<Vec<Q88>>,
     input: &Tensor,
-    sparsity: Option<bool>,
-) -> SparsityRun {
+) -> (RunReport, StatsRegistry) {
     let mut cube = Neurocube::new(cfg);
-    cube.set_sparsity(sparsity);
     let loaded = cube.load(spec.clone(), params);
-    let (output, report) = cube.run_inference(&loaded, input);
-    let stats = cube.stats_registry();
-    SparsityRun {
-        output,
-        report,
-        stats,
-    }
+    let (_, report) = cube.run_inference(&loaded, input);
+    (report, cube.stats_registry())
 }
 
 /// One workload of the simulator wall-clock benchmark (`bench_sim`):

@@ -12,10 +12,7 @@ use neurocube_pe::ProcessingElement;
 use neurocube_png::layout::NetworkLayout;
 use neurocube_png::{compile_graph, compile_layer, graph_load_weights, LayerProgram, Png};
 use neurocube_png::{program, CompileError, MultiLayerProgram, PngHookup};
-use neurocube_sim::{
-    simd_default, sparsity_default, stage_par_default, Clocked, CycleLoop, StatSource,
-    StatsRegistry,
-};
+use neurocube_sim::{Clocked, CycleLoop, StatSource, StatsRegistry};
 use std::sync::Arc;
 
 /// A network loaded into the cube: its placement, parameters and compiled
@@ -107,11 +104,8 @@ pub struct Neurocube {
     /// exactly one copy of the credit state. Initialized to `u64::MAX`
     /// per node — the "no progress seen" value that never gates.
     progress: Vec<u64>,
-    /// Stage-parallel PE ticking: resolved from `NEUROCUBE_STAGE_PAR` at
-    /// construction, overridable per cube via [`Neurocube::set_stage_par`].
-    stage_par: bool,
-    /// Per-cube override of the fast-forward default (`NEUROCUBE_NO_SKIP`);
-    /// `None` inherits the process default.
+    /// Per-cube override of the fast-forward default; `None` follows
+    /// `NEUROCUBE_NO_SKIP` as it reads when each pass's cycle loop is built.
     skip_override: Option<bool>,
     /// Cumulative fast-forward jumps across all passes run on this cube.
     horizon_jumps: u64,
@@ -202,7 +196,6 @@ impl Neurocube {
             attach_groups,
             now: 0,
             progress: vec![u64::MAX; nodes],
-            stage_par: stage_par_default(),
             skip_override: None,
             horizon_jumps: 0,
             skipped_cycles: 0,
@@ -297,73 +290,14 @@ impl Neurocube {
         self.now
     }
 
-    /// Overrides the process-default fast-forward setting for this cube:
-    /// `Some(true)` forces event-horizon skipping on, `Some(false)` forces
-    /// the naive per-cycle loop (the differential oracle), `None` inherits
-    /// the `NEUROCUBE_NO_SKIP` environment default. Both modes produce
-    /// bitwise-identical cycle counts and statistics.
+    /// Overrides the fast-forward setting for this cube: `Some(true)`
+    /// forces event-horizon skipping on, `Some(false)` forces the naive
+    /// per-cycle loop (the differential oracle), `None` follows
+    /// `NEUROCUBE_NO_SKIP`, re-read each time a pass builds its cycle
+    /// loop. Both modes produce bitwise-identical cycle counts and
+    /// statistics.
     pub fn set_cycle_skip(&mut self, enabled: Option<bool>) {
         self.skip_override = enabled;
-    }
-
-    /// Selects every PE's MAC arithmetic path: `Some(true)` forces the SoA
-    /// batch kernels, `Some(false)` forces the per-lane scalar `MacUnit`
-    /// oracle, `None` re-reads the `NEUROCUBE_NO_SIMD` environment default
-    /// fresh (never a cached value, so tests that restore the variable get
-    /// the restored behaviour). Both paths are bitwise identical in every
-    /// observable — the equivalence suite runs the same workload down each
-    /// and compares full registries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any PE is mid-layer (call between runs, not during one).
-    pub fn set_simd(&mut self, simd: Option<bool>) {
-        for pe in &mut self.pes {
-            pe.set_simd(simd);
-        }
-    }
-
-    /// Whether the PEs currently use the SoA batch kernels.
-    pub fn simd(&self) -> bool {
-        self.pes
-            .first()
-            .map_or_else(simd_default, ProcessingElement::simd)
-    }
-
-    /// Selects every PE's zero-operand fast paths: `Some(true)` lets a PE
-    /// skip host work for gated lanes, `Some(false)` forces the dense
-    /// kernels, `None` re-reads the `NEUROCUBE_NO_SPARSITY` environment
-    /// default fresh. The modes are bitwise identical in every observable
-    /// — gated lanes still charge full architectural cost and zero
-    /// operands are the MAC's additive identity (DESIGN.md §13) — so this
-    /// knob only changes host throughput.
-    pub fn set_sparsity(&mut self, sparsity: Option<bool>) {
-        for pe in &mut self.pes {
-            pe.set_sparsity(sparsity);
-        }
-    }
-
-    /// Whether the PEs currently use the zero-operand fast paths.
-    pub fn sparsity(&self) -> bool {
-        self.pes
-            .first()
-            .map_or_else(sparsity_default, ProcessingElement::sparsity)
-    }
-
-    /// Overrides the stage-parallel setting for this cube: `Some(true)`
-    /// ticks the PEs from a scoped thread pool each cycle, `Some(false)`
-    /// forces the serial loop, `None` re-reads the `NEUROCUBE_STAGE_PAR`
-    /// environment default fresh (never a cached value). Both modes are
-    /// bitwise identical (the PEs are mutually independent within a tick);
-    /// the parallel mode exists to *prove* that claim under the
-    /// equivalence suite, and is off by default.
-    pub fn set_stage_par(&mut self, enabled: Option<bool>) {
-        self.stage_par = enabled.unwrap_or_else(stage_par_default);
-    }
-
-    /// Whether this cube ticks its PEs from a scoped thread pool.
-    pub fn stage_par(&self) -> bool {
-        self.stage_par
     }
 
     /// Fast-forward jumps taken across every pass run on this cube.
@@ -392,9 +326,9 @@ impl Neurocube {
         self.mem.report(&mut reg.scoped("mem"));
         // Always-on sparsity rollup (DESIGN.md §13): zero-operand
         // classification summed across components. Present in every
-        // registry — with or without the fast paths enabled — because it
-        // is pure classification; `neurocube_power::gating` prices these
-        // counters into would-be energy savings after the fact.
+        // registry because it is pure classification;
+        // `neurocube_power::gating` prices these counters into would-be
+        // energy savings after the fact.
         {
             let mut s = reg.scoped("sparsity");
             s.counter(
@@ -1311,72 +1245,8 @@ impl Clocked<Neurocube> for NocTick {
 /// PEs: operand delivery, firing, result injection.
 struct PeTick;
 
-impl PeTick {
-    /// Stage-parallel variant of the PE tick. The serial loop fuses three
-    /// per-PE steps (accept → compute → inject); here they become three
-    /// phases so the compute step — the only one that needs no NoC access
-    /// — can fan out across a scoped thread pool.
-    ///
-    /// Bitwise equivalence to the serial loop rests on two facts. First,
-    /// each PE's own accept → compute → inject order is preserved: phase 1
-    /// completes every accept before any compute, phase 3 injects after
-    /// every compute. Second, the cross-PE reorderings the phase split
-    /// introduces only commute operations on *disjoint* state: accepts
-    /// pop from per-node PE-port *output* queues while injects push to
-    /// per-node PE-port *input* queues, `ProcessingElement::tick` touches
-    /// only that PE, and the NoC counters both paths bump are sums —
-    /// order within a cycle cannot change their totals. Each serial phase
-    /// walks nodes in ascending order, so even per-queue effects land in
-    /// a deterministic sequence.
-    fn tick_parallel(now: u64, cube: &mut Neurocube) {
-        // Phase 1 (serial): operand acceptance from the NoC.
-        for p in 0..cube.cfg.nodes() as u8 {
-            let pe = &mut cube.pes[usize::from(p)];
-            if !pe.layer_done() {
-                if let Some(&pkt) = cube.net.peek_for_pe(p, now) {
-                    if pe.try_accept(pkt) {
-                        let _ = cube.net.pop_for_pe(p, now);
-                    }
-                }
-            }
-        }
-        // Phase 2 (parallel): compute. PEs are mutually independent
-        // within a tick, so disjoint chunks may run concurrently.
-        let shards = std::thread::available_parallelism()
-            .map_or(1, usize::from)
-            .clamp(1, cube.pes.len());
-        let chunk = cube.pes.len().div_ceil(shards);
-        std::thread::scope(|s| {
-            for slice in cube.pes.chunks_mut(chunk) {
-                s.spawn(move || {
-                    for pe in slice {
-                        if !pe.layer_done() {
-                            pe.tick(now);
-                        }
-                    }
-                });
-            }
-        });
-        // Phase 3 (serial): result injection.
-        for p in 0..cube.cfg.nodes() as u8 {
-            let pe = &mut cube.pes[usize::from(p)];
-            if let Some(&r) = pe.peek_result() {
-                let mut phys = r;
-                phys.dst = cube.cfg.attach[usize::from(r.dst)];
-                if cube.net.try_inject_from_pe(p, phys, now) {
-                    pe.pop_result();
-                }
-            }
-        }
-    }
-}
-
 impl Clocked<Neurocube> for PeTick {
     fn tick(&mut self, now: u64, cube: &mut Neurocube) {
-        if cube.stage_par {
-            Self::tick_parallel(now, cube);
-            return;
-        }
         for p in 0..cube.cfg.nodes() as u8 {
             let pe = &mut cube.pes[usize::from(p)];
             if !pe.layer_done() {
@@ -1678,28 +1548,6 @@ mod tests {
             stats_fast.counters().any(|(k, _)| k.starts_with("fault.")),
             "fault scope missing from the registry"
         );
-    }
-
-    /// Stage-parallel PE ticking must be invisible in every observable:
-    /// same outputs, reports, cycle counters and statistics registries as
-    /// the serial loop — the direct test of the phase-split argument on
-    /// [`PeTick::tick_parallel`].
-    #[test]
-    fn stage_parallel_pe_tick_matches_serial_bitwise() {
-        let (spec, params, input) = tiny_net();
-        let run = |par: bool| {
-            let mut cube = Neurocube::new(SystemConfig::paper(true));
-            cube.set_stage_par(Some(par));
-            let loaded = cube.load(spec.clone(), params.clone());
-            let (out, report) = cube.run_inference(&loaded, &input);
-            (out, report, cube.now(), cube.stats_registry())
-        };
-        let (out_par, rep_par, now_par, stats_par) = run(true);
-        let (out_ser, rep_ser, now_ser, stats_ser) = run(false);
-        assert_eq!(out_par.as_slice(), out_ser.as_slice(), "outputs diverge");
-        assert_eq!(rep_par, rep_ser, "reports diverge");
-        assert_eq!(now_par, now_ser, "cycle counters diverge");
-        assert_eq!(stats_par, stats_ser, "registries diverge");
     }
 
     /// The same configured layer on the full pipeline completes without

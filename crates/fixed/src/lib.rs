@@ -37,11 +37,7 @@ mod lut;
 mod mac;
 mod q88;
 
-pub use lanes::{
-    accumulate_narrow_broadcast_state, accumulate_narrow_broadcast_weight, accumulate_narrow_lanes,
-    accumulate_narrow_masked, accumulate_wide_broadcast_state, accumulate_wide_broadcast_weight,
-    accumulate_wide_lanes, accumulate_wide_masked, wide_result_bits, LaneSrc,
-};
+pub use lanes::{accumulate_narrow_lanes, accumulate_wide_lanes, wide_result_bits};
 pub use lut::{Activation, ActivationLut, LUT_ENTRIES};
 pub use mac::{dot, AccumulatorWidth, MacUnit};
 pub use q88::{ParseQ88Error, Q88};

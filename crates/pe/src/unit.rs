@@ -4,38 +4,30 @@
 //! buffer is a pair of packed `i16` lane arrays with fill bitmasks (one bit
 //! per MAC) instead of `Vec<Option<Q88>>`, and the MAC accumulators are
 //! flat `i32`/`i16` lane banks fed by the branch-free batch kernels in
-//! `neurocube_fixed::lanes`. A fire gathers the active lanes into two
-//! scratch rows, applies any transient-fault upsets as a sparse pass over
-//! the state row (same lens-call order as the scalar loop, so `fault`
-//! determinism is untouched), and accumulates all lanes in one pass.
+//! `neurocube_fixed::lanes`. There is one fire path: gather the active
+//! lanes into two scratch rows (broadcasting a `Local` weight or `Shared`
+//! state), apply any transient-fault upsets as a sparse lane-ascending
+//! pass over the state row, and accumulate all lanes in one kernel call.
+//! The kernels are pinned bit-for-bit against the scalar
+//! [`MacUnit`](neurocube_fixed::MacUnit) — the functional executor's
+//! arithmetic — by the lane-boundary proptests and `bit_exactness.rs`.
 //!
-//! The original scalar path — per-lane [`MacUnit`] accumulation — survives
-//! behind `NEUROCUBE_NO_SIMD=1` (or [`ProcessingElement::set_simd`]) as
-//! the differential oracle; both paths are asserted bitwise identical by
-//! the integration equivalence suite.
-//!
-//! **Sparsity.** Every fire classifies its operand lanes: a lane whose
-//! weight or state operand is exactly `0` contributes nothing to its
+//! **Sparsity.** Every fire classifies its gathered operand lanes: a lane
+//! whose weight or state operand is exactly `0` contributes nothing to its
 //! accumulator in either `Q1.7.8` width (`0·x = 0`, and adding `0` is the
 //! identity under both wrapping and saturating accumulation), so a
 //! gated-update MAC array could clock-gate it. The PE counts those lanes
-//! (`lanes_gated`) on every fire, and — on the SoA path with no fault
-//! lens attached — skips or mask-iterates them on the host, which is
-//! bitwise invisible by construction. `NEUROCUBE_NO_SPARSITY=1` (or
-//! [`ProcessingElement::set_sparsity`]) disables the host fast paths
-//! while leaving the classification counters on.
+//! (`lanes_gated`) from the post-upset operands — what the multiplier
+//! sees — and `neurocube_power::gating` prices them after the fact.
 
 use crate::cache::PacketCache;
 use crate::config::{PeLayerConfig, StateMode, WeightMode};
 use neurocube_fault::{FaultConfig, PeFaultCounts, PeFaults};
 use neurocube_fixed::{
-    accumulate_narrow_broadcast_state, accumulate_narrow_broadcast_weight, accumulate_narrow_lanes,
-    accumulate_narrow_masked, accumulate_wide_broadcast_state, accumulate_wide_broadcast_weight,
-    accumulate_wide_lanes, accumulate_wide_masked, wide_result_bits, AccumulatorWidth, LaneSrc,
-    MacUnit, Q88,
+    accumulate_narrow_lanes, accumulate_wide_lanes, wide_result_bits, AccumulatorWidth, Q88,
 };
 use neurocube_noc::{NodeId, Packet, PacketKind};
-use neurocube_sim::{simd_default, sparsity_default, ScopedStats, StatSource};
+use neurocube_sim::{ScopedStats, StatSource};
 use std::collections::VecDeque;
 
 /// Lifetime/layer counters exposed by a PE.
@@ -55,8 +47,8 @@ pub struct PeStats {
     pub cached_packets: u64,
     /// MAC lane-cycles whose weight or state operand was exactly zero —
     /// the lanes a gated-update MAC array would have clock-gated. Always
-    /// counted (independent of the host fast paths); a subset of
-    /// `mac_ops`, which keeps charging the full architectural op count.
+    /// counted; a subset of `mac_ops`, which keeps charging the full
+    /// architectural op count.
     pub lanes_gated: u64,
 }
 
@@ -81,18 +73,11 @@ pub struct ProcessingElement {
     weight_bits: Vec<i16>,
     state_mask: u64,
     weight_mask: u64,
-    /// Zero-operand bitmasks, maintained alongside the fill bitmasks: bit
-    /// `m` tracks whether lane `m`'s most recent operand was exactly zero
-    /// (meaningful only while the corresponding fill bit is set).
-    state_zero_mask: u64,
-    weight_zero_mask: u64,
     shared_state: Option<Q88>,
-    /// MAC accumulator banks for the batch path (one of the two is live,
-    /// by configured [`AccumulatorWidth`]).
+    /// MAC accumulator banks (one of the two is live, by configured
+    /// [`AccumulatorWidth`]).
     acc_wide: Vec<i32>,
     acc_narrow: Vec<i16>,
-    /// Scalar-oracle MAC units; populated only when `simd` is off.
-    macs: Vec<MacUnit>,
     /// Gather rows reused by every firing (keeps the fire path
     /// allocation-free).
     w_lanes: Vec<i16>,
@@ -107,11 +92,6 @@ pub struct ProcessingElement {
     next_fire_at: u64,
     results: VecDeque<Packet>,
     done: bool,
-    simd: bool,
-    /// Host fast paths for zero-operand lanes (skip / masked iteration).
-    /// Never changes any observable — classification counters stay on
-    /// either way.
-    sparsity: bool,
     stats: PeStats,
     /// Optional transient-MAC-fault lens. MAC faults strike only fires
     /// that were about to happen, so no event-horizon clamping is needed.
@@ -150,12 +130,9 @@ impl ProcessingElement {
             weight_bits: Vec::new(),
             state_mask: 0,
             weight_mask: 0,
-            state_zero_mask: 0,
-            weight_zero_mask: 0,
             shared_state: None,
             acc_wide: Vec::new(),
             acc_narrow: Vec::new(),
-            macs: Vec::new(),
             w_lanes: Vec::new(),
             x_lanes: Vec::new(),
             hits_scratch: Vec::new(),
@@ -165,8 +142,6 @@ impl ProcessingElement {
             next_fire_at: 0,
             results: VecDeque::new(),
             done: true,
-            simd: simd_default(),
-            sparsity: sparsity_default(),
             stats: PeStats::default(),
             faults: None,
             lenient: false,
@@ -178,44 +153,6 @@ impl ProcessingElement {
     /// The mesh node this PE sits at.
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// Selects the MAC arithmetic path: `Some(true)` forces the SoA batch
-    /// kernels, `Some(false)` forces the per-lane scalar [`MacUnit`]
-    /// oracle, `None` re-resolves the environment default
-    /// (`NEUROCUBE_NO_SIMD`, read fresh — never cached). Both paths are
-    /// bitwise identical in every observable; the scalar path exists as
-    /// the differential oracle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called in the middle of an active layer (the accumulator
-    /// banks live in different representations per path).
-    pub fn set_simd(&mut self, simd: Option<bool>) {
-        assert!(
-            self.done,
-            "set_simd must not switch arithmetic paths mid-layer"
-        );
-        self.simd = simd.unwrap_or_else(simd_default);
-    }
-
-    /// The arithmetic path currently selected (`true` = SoA batch).
-    pub fn simd(&self) -> bool {
-        self.simd
-    }
-
-    /// Enables/disables the zero-operand host fast paths: `Some(..)`
-    /// forces, `None` re-resolves the environment default
-    /// (`NEUROCUBE_NO_SPARSITY`, read fresh — never cached). Safe at any
-    /// time, including mid-layer: the fast paths are stateless and every
-    /// observable (results, counters, timing) is identical either way.
-    pub fn set_sparsity(&mut self, sparsity: Option<bool>) {
-        self.sparsity = sparsity.unwrap_or_else(sparsity_default);
-    }
-
-    /// Whether the zero-operand host fast paths are enabled.
-    pub fn sparsity(&self) -> bool {
-        self.sparsity
     }
 
     /// Attaches (or detaches) the transient-MAC-fault lens. Attaching also
@@ -271,16 +208,9 @@ impl ProcessingElement {
         self.weight_bits = vec![0; n];
         self.state_mask = 0;
         self.weight_mask = 0;
-        self.state_zero_mask = 0;
-        self.weight_zero_mask = 0;
         self.shared_state = None;
         self.acc_wide = vec![0; n];
         self.acc_narrow = vec![0; n];
-        self.macs = if self.simd {
-            Vec::new()
-        } else {
-            (0..n).map(|_| MacUnit::new(self.accumulator)).collect()
-        };
         self.w_lanes = vec![0; n];
         self.x_lanes = vec![0; n];
         self.group = 0;
@@ -349,11 +279,6 @@ impl ProcessingElement {
                 if self.state_mask & bit == 0 {
                     self.state_bits[mac] = pkt.data as i16;
                     self.state_mask |= bit;
-                    if pkt.data == 0 {
-                        self.state_zero_mask |= bit;
-                    } else {
-                        self.state_zero_mask &= !bit;
-                    }
                     return true;
                 }
             }
@@ -368,11 +293,6 @@ impl ProcessingElement {
                 if self.weight_mask & bit == 0 {
                     self.weight_bits[mac] = pkt.data as i16;
                     self.weight_mask |= bit;
-                    if pkt.data == 0 {
-                        self.weight_zero_mask |= bit;
-                    } else {
-                        self.weight_zero_mask &= !bit;
-                    }
                     return true;
                 }
             }
@@ -460,8 +380,8 @@ impl ProcessingElement {
     }
 
     /// Gathers this firing's weight and state operands into the scratch
-    /// lane rows and applies any transient-fault upsets to the state row —
-    /// lane-ascending, the same lens-call order as the scalar loop.
+    /// lane rows and applies any transient-fault upsets to the state row,
+    /// lane-ascending (the lens-call order `fault` determinism is keyed on).
     fn gather_lanes(&mut self, cfg: &PeLayerConfig, active: usize, now: u64) {
         match cfg.weights {
             WeightMode::Local {
@@ -511,146 +431,19 @@ impl ProcessingElement {
         }
 
         // Fire: one multiply-accumulate per active MAC, all lanes in one
-        // batch pass (or through the per-lane scalar oracle units). Every
-        // path first classifies the zero-operand lanes (the gated-update
-        // model); only the batch-without-faults path may then exploit the
-        // classification on the host.
-        let need = lane_mask(active);
+        // batch pass. The zero-operand lanes (the gated-update model) are
+        // classified from the post-upset operands — an upset can turn a
+        // zero state nonzero, and the model must see what the multiplier
+        // sees.
         let active = active as usize;
-        if self.simd && self.faults.is_none() {
-            // Batch path, no fault lens: classify straight from the slot
-            // state (no gather copies) and fire on the slot arrays
-            // themselves; the broadcast kernel variants splat Local
-            // weights / Shared states without filling a scratch row.
-            let w_splat = match cfg.weights {
-                WeightMode::Local {
-                    weights_per_neuron, ..
-                } => {
-                    let row = cfg.weight_row(self.group);
-                    let idx = (row * weights_per_neuron + self.op) as usize;
-                    Some(self.local_weights[idx].to_bits())
-                }
-                WeightMode::Stream => None,
-            };
-            let x_splat = match cfg.states {
-                StateMode::PerMac => None,
-                StateMode::Shared => Some(self.shared_state.expect("checked complete").to_bits()),
-            };
-            let wz = match w_splat {
-                Some(0) => need,
-                Some(_) => 0,
-                None => self.weight_zero_mask & need,
-            };
-            let xz = match x_splat {
-                Some(0) => need,
-                Some(_) => 0,
-                None => self.state_zero_mask & need,
-            };
-            let gated = wz | xz;
-            self.stats.lanes_gated += u64::from(gated.count_ones());
-            if self.sparsity && gated == need {
-                // Every lane holds a zero operand: the fire is an
-                // arithmetic no-op in both accumulator widths.
-            } else if self.sparsity && gated != 0 {
-                let live = need & !gated;
-                let w = match w_splat {
-                    Some(w) => LaneSrc::Splat(w),
-                    None => LaneSrc::Lanes(&self.weight_bits[..active]),
-                };
-                let x = match x_splat {
-                    Some(x) => LaneSrc::Splat(x),
-                    None => LaneSrc::Lanes(&self.state_bits[..active]),
-                };
-                match self.accumulator {
-                    AccumulatorWidth::Wide32 => {
-                        accumulate_wide_masked(&mut self.acc_wide[..active], w, x, live);
-                    }
-                    AccumulatorWidth::Narrow16 => {
-                        accumulate_narrow_masked(&mut self.acc_narrow[..active], w, x, live);
-                    }
-                }
-            } else {
-                match (self.accumulator, w_splat, x_splat) {
-                    (AccumulatorWidth::Wide32, Some(w), None) => accumulate_wide_broadcast_weight(
-                        &mut self.acc_wide[..active],
-                        w,
-                        &self.state_bits[..active],
-                    ),
-                    (AccumulatorWidth::Wide32, None, Some(x)) => accumulate_wide_broadcast_state(
-                        &mut self.acc_wide[..active],
-                        &self.weight_bits[..active],
-                        x,
-                    ),
-                    (AccumulatorWidth::Wide32, None, None) => accumulate_wide_lanes(
-                        &mut self.acc_wide[..active],
-                        &self.weight_bits[..active],
-                        &self.state_bits[..active],
-                    ),
-                    (AccumulatorWidth::Wide32, Some(w), Some(x)) => accumulate_wide_masked(
-                        &mut self.acc_wide[..active],
-                        LaneSrc::Splat(w),
-                        LaneSrc::Splat(x),
-                        need,
-                    ),
-                    (AccumulatorWidth::Narrow16, Some(w), None) => {
-                        accumulate_narrow_broadcast_weight(
-                            &mut self.acc_narrow[..active],
-                            w,
-                            &self.state_bits[..active],
-                        );
-                    }
-                    (AccumulatorWidth::Narrow16, None, Some(x)) => {
-                        accumulate_narrow_broadcast_state(
-                            &mut self.acc_narrow[..active],
-                            &self.weight_bits[..active],
-                            x,
-                        );
-                    }
-                    (AccumulatorWidth::Narrow16, None, None) => accumulate_narrow_lanes(
-                        &mut self.acc_narrow[..active],
-                        &self.weight_bits[..active],
-                        &self.state_bits[..active],
-                    ),
-                    (AccumulatorWidth::Narrow16, Some(w), Some(x)) => accumulate_narrow_masked(
-                        &mut self.acc_narrow[..active],
-                        LaneSrc::Splat(w),
-                        LaneSrc::Splat(x),
-                        need,
-                    ),
-                }
-            }
-        } else {
-            // Scalar oracle and/or fault lens: gather into the scratch
-            // rows (the lens is consulted once per lane, in fire order)
-            // and classify from the post-upset operands — an upset can
-            // turn a zero state nonzero, so the gated-update model must
-            // see what the multiplier sees. No host fast paths here.
-            self.gather_lanes(&cfg, active, now);
-            let mut gated = 0u32;
-            for m in 0..active {
-                gated += u32::from(self.w_lanes[m] == 0 || self.x_lanes[m] == 0);
-            }
-            self.stats.lanes_gated += u64::from(gated);
-            if self.simd {
-                match self.accumulator {
-                    AccumulatorWidth::Wide32 => accumulate_wide_lanes(
-                        &mut self.acc_wide[..active],
-                        &self.w_lanes[..active],
-                        &self.x_lanes[..active],
-                    ),
-                    AccumulatorWidth::Narrow16 => accumulate_narrow_lanes(
-                        &mut self.acc_narrow[..active],
-                        &self.w_lanes[..active],
-                        &self.x_lanes[..active],
-                    ),
-                }
-            } else {
-                for m in 0..active {
-                    self.macs[m].accumulate(
-                        Q88::from_bits(self.w_lanes[m]),
-                        Q88::from_bits(self.x_lanes[m]),
-                    );
-                }
+        self.gather_lanes(&cfg, active, now);
+        let (w, x) = (&self.w_lanes[..active], &self.x_lanes[..active]);
+        let gated = w.iter().zip(x).filter(|&(&w, &x)| w == 0 || x == 0).count();
+        self.stats.lanes_gated += gated as u64;
+        match self.accumulator {
+            AccumulatorWidth::Wide32 => accumulate_wide_lanes(&mut self.acc_wide[..active], w, x),
+            AccumulatorWidth::Narrow16 => {
+                accumulate_narrow_lanes(&mut self.acc_narrow[..active], w, x);
             }
         }
         self.shared_state = None;
@@ -664,13 +457,9 @@ impl ProcessingElement {
         if self.op == cfg.conns_per_neuron {
             // Neuron group complete: write back one result per active MAC.
             for m in 0..active {
-                let bits = if self.simd {
-                    match self.accumulator {
-                        AccumulatorWidth::Wide32 => wide_result_bits(self.acc_wide[m]),
-                        AccumulatorWidth::Narrow16 => self.acc_narrow[m],
-                    }
-                } else {
-                    self.macs[m].result().to_bits()
+                let bits = match self.accumulator {
+                    AccumulatorWidth::Wide32 => wide_result_bits(self.acc_wide[m]),
+                    AccumulatorWidth::Narrow16 => self.acc_narrow[m],
                 };
                 self.results.push_back(Packet {
                     dst: self.node,
@@ -684,7 +473,6 @@ impl ProcessingElement {
             }
             self.acc_wide.fill(0);
             self.acc_narrow.fill(0);
-            self.macs.iter_mut().for_each(MacUnit::clear);
             self.stats.groups_done += 1;
             self.op = 0;
             self.group += 1;
@@ -966,52 +754,6 @@ mod tests {
         assert_eq!(pe.stats().mac_ops, 20);
     }
 
-    /// Lane-masking check: a partially-active group must accumulate only
-    /// its active lanes, and the batch path must agree with the scalar
-    /// oracle packet-for-packet and counter-for-counter on it.
-    #[test]
-    fn partial_groups_match_scalar_oracle_bitwise() {
-        let run = |simd: bool| {
-            let mut pe = ProcessingElement::new(0, AccumulatorWidth::Wide32);
-            pe.set_simd(Some(simd));
-            // 21 neurons per map, 2 maps: groups of 16/5/16/5 active lanes.
-            pe.configure(
-                conv_cfg(21, 2, 3),
-                vec![
-                    Q88::from_f64(0.5),
-                    Q88::from_f64(-1.0),
-                    Q88::from_f64(2.0),
-                    Q88::from_f64(1.5),
-                    Q88::from_f64(0.25),
-                    Q88::from_f64(-0.5),
-                ],
-            );
-            let mut pkts = Vec::new();
-            let mut global_op = 0u64;
-            for g in 0..4u64 {
-                let active = if g % 2 == 0 { 16 } else { 5 };
-                for _ in 0..3u32 {
-                    for mac in 0..active as u8 {
-                        pkts.push(state(
-                            mac,
-                            (global_op % 256) as u8,
-                            f64::from(mac) - 113.0 / 32.0,
-                        ));
-                    }
-                    global_op += 1;
-                }
-            }
-            let out = run_to_completion(&mut pe, pkts, 100_000);
-            (out, *pe.stats())
-        };
-        let (soa, soa_stats) = run(true);
-        let (scalar, scalar_stats) = run(false);
-        assert_eq!(soa, scalar, "batch path diverged from the scalar oracle");
-        assert_eq!(soa_stats, scalar_stats);
-        assert_eq!(soa.len(), 42);
-        assert_eq!(soa_stats.mac_ops, (16 + 5) * 2 * 3);
-    }
-
     #[test]
     fn weight_rows_advance_with_output_maps() {
         let mut pe = ProcessingElement::new(0, AccumulatorWidth::Wide32);
@@ -1086,14 +828,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mid-layer")]
-    fn simd_switch_rejected_mid_layer() {
-        let mut pe = ProcessingElement::new(0, AccumulatorWidth::Wide32);
-        pe.configure(conv_cfg(16, 1, 1), vec![Q88::ONE]);
-        pe.set_simd(Some(false));
-    }
-
-    #[test]
     fn lenient_mode_counts_drops_instead_of_panicking() {
         let mut pe = ProcessingElement::new(2, AccumulatorWidth::Wide32);
         pe.set_lenient(true);
@@ -1120,9 +854,8 @@ mod tests {
 
     #[test]
     fn mac_faults_are_deterministic_and_perturb_results() {
-        let run = |rate: f64, seed: u64, simd: bool| {
+        let run = |rate: f64, seed: u64| {
             let mut pe = ProcessingElement::new(0, AccumulatorWidth::Wide32);
-            pe.set_simd(Some(simd));
             let cfg = neurocube_fault::FaultConfig {
                 seed,
                 pe_mac_rate: rate,
@@ -1142,20 +875,16 @@ mod tests {
                 .collect();
             (out, pe.fault_counts())
         };
-        let (clean, c0) = run(0.0, 1, true);
+        let (clean, c0) = run(0.0, 1);
         assert_eq!(c0, PeFaultCounts::default());
-        let (a, ca) = run(0.25, 1, true);
-        let (b, cb) = run(0.25, 1, true);
+        let (a, ca) = run(0.25, 1);
+        let (b, cb) = run(0.25, 1);
         assert_eq!(a, b, "same seed must reproduce bitwise");
         assert_eq!(ca, cb);
         assert!(ca.mac_faults > 0, "no MAC faults fired at rate 0.25");
         assert_ne!(a, clean, "faults left every result untouched");
-        let (c, _) = run(0.25, 2, true);
+        let (c, _) = run(0.25, 2);
         assert_ne!(a, c, "different seeds produced identical faulty runs");
-        // The sparse upset pass must reproduce the scalar loop exactly.
-        let (s, cs) = run(0.25, 1, false);
-        assert_eq!(a, s, "faulty batch path diverged from the scalar oracle");
-        assert_eq!(ca, cs);
     }
 
     #[test]

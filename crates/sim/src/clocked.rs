@@ -7,10 +7,9 @@
 //! the earliest such horizon, letting each stage bulk-charge the skipped
 //! cycles ([`Clocked::skip`]) so that every counter a run reports is
 //! bitwise identical to the naive cycle-by-cycle loop. Setting
-//! `NEUROCUBE_NO_SKIP=1` in the environment disables fast-forward
-//! process-wide, keeping the naive loop alive as a differential oracle.
-
-use std::sync::OnceLock;
+//! `NEUROCUBE_NO_SKIP=1` in the environment disables fast-forward for
+//! every loop built while it is set, keeping the naive loop alive as a
+//! differential oracle.
 
 /// One pipeline stage of a cycle-level simulator.
 ///
@@ -111,24 +110,6 @@ pub struct JumpRecord {
     pub stage: &'static str,
 }
 
-/// True unless the `NEUROCUBE_NO_SKIP` flag is on (see [`crate::env`] for
-/// the one truthiness rule all `NEUROCUBE_*` flags share). Read once per
-/// process: tests that need both modes in one process must use
-/// [`CycleLoop::with_skip`] instead of mutating the environment.
-fn env_skip_enabled() -> bool {
-    static DISABLED: OnceLock<bool> = OnceLock::new();
-    !*DISABLED.get_or_init(|| crate::env::env_flag("NEUROCUBE_NO_SKIP"))
-}
-
-/// True when the `NEUROCUBE_STAGE_PROFILE` flag is on (same rule): every
-/// [`CycleLoop::run`] then accumulates per-stage wall-clock time and
-/// prints a breakdown to stderr when it completes. Costs one `Instant`
-/// pair per stage per cycle while on; a single branch per cycle while off.
-fn stage_profile_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| crate::env::env_flag("NEUROCUBE_STAGE_PROFILE"))
-}
-
 /// Drives a set of [`Clocked`] stages until a completion predicate holds.
 ///
 /// The loop owns the three pieces of bookkeeping every hand-rolled cycle
@@ -148,6 +129,11 @@ pub struct CycleLoop<B: ?Sized> {
     stages: Vec<Box<dyn Clocked<B>>>,
     watchdog: Watchdog,
     skip: bool,
+    /// `NEUROCUBE_STAGE_PROFILE`: [`CycleLoop::run`] accumulates per-stage
+    /// wall-clock time and prints a breakdown to stderr when it completes.
+    /// Costs one `Instant` pair per stage per cycle while on; a single
+    /// branch per cycle while off.
+    profile: bool,
     /// Index the next horizon probe starts from. Move-to-front heuristic:
     /// the stage that vetoed the last jump is probed first, so an actively
     /// busy stage (usually the NoC) rejects fast-forward in O(1) per cycle.
@@ -181,13 +167,18 @@ impl<B: ?Sized> Default for CycleLoop<B> {
 }
 
 impl<B: ?Sized> CycleLoop<B> {
-    /// Creates an empty loop with the default [`Watchdog`] and the
-    /// process-default fast-forward setting (`NEUROCUBE_NO_SKIP`).
+    /// Creates an empty loop with the default [`Watchdog`]. The
+    /// `NEUROCUBE_NO_SKIP` and `NEUROCUBE_STAGE_PROFILE` flags (see
+    /// [`crate::env`] for the one truthiness rule all `NEUROCUBE_*` flags
+    /// share) are resolved here, once per loop and never cached across
+    /// loops, so a loop built after either variable changes sees the new
+    /// value.
     pub fn new() -> Self {
         CycleLoop {
             stages: Vec::new(),
             watchdog: Watchdog::default(),
-            skip: env_skip_enabled(),
+            skip: !crate::env::env_flag("NEUROCUBE_NO_SKIP"),
+            profile: crate::env::env_flag("NEUROCUBE_STAGE_PROFILE"),
             probe_from: 0,
             veto_counts: Vec::new(),
             jumps: 0,
@@ -341,7 +332,7 @@ impl<B: ?Sized> CycleLoop<B> {
         let mut idle_cycles: u64 = 0;
         let mut ticked_since_check: u64 = 0;
         let mut flat_since = start;
-        let profile = stage_profile_enabled();
+        let profile = self.profile;
         let mut stage_nanos = vec![0u64; self.stages.len()];
         let mut probe_nanos = 0u64;
         let mut skip_nanos = 0u64;

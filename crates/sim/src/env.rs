@@ -16,11 +16,7 @@
 //!   to the caller.
 //!
 //! Known variables routed through here: `NEUROCUBE_NO_SKIP`,
-//! `NEUROCUBE_STAGE_PROFILE`, `NEUROCUBE_FAULT_ECC`,
-//! `NEUROCUBE_NO_SIMD` (scalar `MacUnit` oracle instead of the SoA batch
-//! kernels), `NEUROCUBE_STAGE_PAR` (stage-parallel PE ticking),
-//! `NEUROCUBE_NO_SPARSITY` (disable the zero-operand host fast paths)
-//! (flags);
+//! `NEUROCUBE_STAGE_PROFILE`, `NEUROCUBE_FAULT_ECC` (flags);
 //! `NEUROCUBE_FAULT_SEED`, `NEUROCUBE_SERVE_SEED`,
 //! `NEUROCUBE_SERVE_MAX_BATCH`, `NEUROCUBE_SERVE_MAX_DELAY`,
 //! `NEUROCUBE_SERVE_POOL` (u64); `NEUROCUBE_FAULT_RATE`,
@@ -74,38 +70,6 @@ pub fn env_u64(name: &str) -> Option<u64> {
 #[must_use]
 pub fn env_f64(name: &str) -> Option<f64> {
     env_str(name)?.trim().parse().ok()
-}
-
-/// `NEUROCUBE_NO_SIMD`: when ON, components default to the scalar
-/// `MacUnit` oracle instead of the SoA batch kernels.
-///
-/// Deliberately **not cached**: each simulator instance resolves the
-/// flag at construction (and again on `set_simd(None)`), so tests and
-/// serve runs that flip the variable between constructions observe the
-/// current value and an `EnvGuard` restore-on-drop actually restores
-/// behaviour. Explicit `set_simd(Some(..))` overrides stay authoritative.
-#[must_use]
-pub fn simd_default() -> bool {
-    !env_flag("NEUROCUBE_NO_SIMD")
-}
-
-/// `NEUROCUBE_STAGE_PAR`: when ON, `NeurocubeSystem`s default to
-/// stage-parallel PE ticking. Same per-construction (uncached)
-/// resolution contract as [`simd_default`]; `set_stage_par(Some(..))`
-/// overrides stay authoritative.
-#[must_use]
-pub fn stage_par_default() -> bool {
-    env_flag("NEUROCUBE_STAGE_PAR")
-}
-
-/// `NEUROCUBE_NO_SPARSITY`: when ON, the PE zero-operand host fast
-/// paths are disabled and every fire runs the dense kernels. Sparsity
-/// classification *counters* stay on either way — the knob only selects
-/// the (bitwise-identical) host execution strategy. Same uncached
-/// resolution contract as [`simd_default`].
-#[must_use]
-pub fn sparsity_default() -> bool {
-    !env_flag("NEUROCUBE_NO_SPARSITY")
 }
 
 /// `NEUROCUBE_SERVE_SEED`: the serving layer's trace seed (u64 rules —

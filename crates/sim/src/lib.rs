@@ -35,6 +35,6 @@ pub use clocked::{Clocked, CycleLoop, JumpRecord, Watchdog, EVENT_LOOP_LEASH};
 pub use env::{
     cluster_link_gbps, cluster_link_ns, cluster_pj_bit, cluster_topology, env_f64, env_flag,
     env_str, env_u64, serve_audit_rate, serve_load, serve_max_batch, serve_max_delay, serve_pool,
-    serve_scenario, serve_seed, simd_default, sparsity_default, stage_par_default,
+    serve_scenario, serve_seed,
 };
 pub use stats::{Histogram, ScopedStats, StatSource, StatsRegistry};

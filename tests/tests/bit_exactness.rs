@@ -1,10 +1,10 @@
 //! The reproduction's central invariant, exercised with randomized network
 //! geometries: the cycle-level Neurocube simulator computes **bit-for-bit**
 //! the same values as the functional fixed-point reference, under every
-//! mapping and memory configuration.
+//! mapping, memory configuration and MAC accumulator width.
 
 use neurocube::{Neurocube, SystemConfig};
-use neurocube_fixed::{Activation, Q88};
+use neurocube_fixed::{AccumulatorWidth, Activation, Q88};
 use neurocube_nn::{ConvConnectivity, Executor, LayerSpec, NetworkSpec, Shape, Tensor};
 use proptest::prelude::*;
 
@@ -72,9 +72,19 @@ fn input_for(spec: &NetworkSpec, seed: i32) -> Tensor {
     )
 }
 
+/// The paper cube with the per-step-saturating 16-bit accumulator: the
+/// lane kernels' other width, against the executor's `MacUnit` in the
+/// same width.
+fn narrow_cfg() -> SystemConfig {
+    SystemConfig {
+        accumulator: AccumulatorWidth::Narrow16,
+        ..SystemConfig::paper(true)
+    }
+}
+
 fn check(cfg: SystemConfig, spec: &NetworkSpec, seed: u64) {
     let params = spec.init_params(seed, 0.3);
-    let reference = Executor::new(spec.clone(), params.clone());
+    let reference = Executor::with_accumulator(spec.clone(), params.clone(), cfg.accumulator);
     let input = input_for(spec, seed as i32);
     let expected = reference.forward(&input);
 
@@ -119,6 +129,14 @@ proptest! {
     ) {
         check(SystemConfig::fully_connected_noc(true), &spec, seed);
     }
+
+    #[test]
+    fn random_networks_bit_exact_with_narrow_accumulator(
+        spec in network_strategy(),
+        seed in 0u64..1000,
+    ) {
+        check(narrow_cfg(), &spec, seed);
+    }
 }
 
 #[test]
@@ -151,4 +169,5 @@ fn deep_conv_stack_bit_exact() {
     )
     .unwrap();
     check(SystemConfig::paper(true), &spec, 79);
+    check(narrow_cfg(), &spec, 79);
 }

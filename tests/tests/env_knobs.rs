@@ -1,10 +1,8 @@
 //! The environment-knob contract: every `NEUROCUBE_SERVE_*` knob follows
 //! `sim::env`'s documented rules — unset, empty, or unparseable reads as
 //! `None` (the caller's default applies) and bad values return typed
-//! errors or defaults, never a panic — and the construction flags
-//! (`NEUROCUBE_NO_SIMD`, `NEUROCUBE_STAGE_PAR`, `NEUROCUBE_NO_SPARSITY`)
-//! are resolved fresh per [`Neurocube`] construction, never cached
-//! process-wide.
+//! errors or defaults, never a panic — and `NEUROCUBE_NO_SKIP` is
+//! resolved fresh per cycle loop, never cached process-wide.
 //!
 //! These accessors read fixed process-global variable names, so every
 //! test here runs behind the shared [`common::EnvGuard`] mutex: the
@@ -15,13 +13,13 @@
 mod common;
 
 use common::EnvGuard;
-use neurocube::{Neurocube, SystemConfig};
+use neurocube::SystemConfig;
+use neurocube_bench::run_inference_mode;
 use neurocube_cluster::{ClusterTopology, LinkConfig};
 use neurocube_serve::{AuditSampler, LoadProfile, Scenario, ServeConfig, TwoSpeedConfig};
 use neurocube_sim::{
     cluster_link_gbps, cluster_link_ns, cluster_pj_bit, cluster_topology, serve_audit_rate,
     serve_load, serve_max_batch, serve_max_delay, serve_pool, serve_scenario, serve_seed,
-    simd_default, sparsity_default, stage_par_default,
 };
 
 /// A u64 far past `u64::MAX` — overflow must read as `None`, not wrap
@@ -183,88 +181,24 @@ fn twospeed_config_from_env_overrides_defaults() {
     assert_eq!((cfg.audit_seed, cfg.audit_rate), (7, 0.02));
 }
 
+/// The stale-cache regression: `NEUROCUBE_NO_SKIP` used to be resolved
+/// once per process through a `OnceLock`, so a run started after the
+/// environment changed (or after an `EnvGuard` restore) silently kept the
+/// first-ever value. Resolution is now per cycle loop.
 #[test]
-fn construction_flag_defaults_follow_env_flag_rules() {
-    let g = EnvGuard::capture(&[
-        "NEUROCUBE_NO_SIMD",
-        "NEUROCUBE_STAGE_PAR",
-        "NEUROCUBE_NO_SPARSITY",
-    ]);
-    // Clean slate: SoA and sparsity on, stage-par off.
-    assert!(simd_default());
-    assert!(!stage_par_default());
-    assert!(sparsity_default());
-    for (name, read, on_value) in [
-        ("NEUROCUBE_NO_SIMD", simd_default as fn() -> bool, false),
-        ("NEUROCUBE_STAGE_PAR", stage_par_default, true),
-        ("NEUROCUBE_NO_SPARSITY", sparsity_default, false),
-    ] {
-        g.set(name, "1");
-        assert_eq!(read(), on_value, "{name}=1 flips the default");
-        // Flag rules: "0" and empty read as unset, anything else is on.
-        g.set(name, "0");
-        assert_eq!(read(), !on_value, "{name}=0 reads as unset");
-        g.set(name, "");
-        assert_eq!(read(), !on_value, "{name}= (empty) reads as unset");
-        g.set(name, "yes");
-        assert_eq!(read(), on_value, "{name}=yes reads as set");
-        g.unset(name);
-        assert_eq!(read(), !on_value, "{name} unset restores the default");
-    }
-}
-
-/// The PR 9 stale-cache regression: the construction knobs used to be
-/// resolved once per process through `OnceLock`, so a cube built after
-/// the environment changed (or after an `EnvGuard` restore) silently kept
-/// the first-ever value. Resolution is now per construction — each
-/// `Neurocube::new` and each `set_*(None)` re-reads the environment
-/// fresh — with explicit `set_*(Some(..))` overrides authoritative.
-#[test]
-fn construction_knobs_resolve_fresh_per_cube_never_cached() {
-    let g = EnvGuard::capture(&[
-        "NEUROCUBE_NO_SIMD",
-        "NEUROCUBE_STAGE_PAR",
-        "NEUROCUBE_NO_SPARSITY",
-    ]);
-    let cfg = SystemConfig::paper(true);
-    // Prime any would-be cache with the clean-slate defaults.
-    let first = Neurocube::new(cfg.clone());
-    assert!(first.simd() && !first.stage_par() && first.sparsity());
-
-    g.set("NEUROCUBE_NO_SIMD", "1");
-    g.set("NEUROCUBE_STAGE_PAR", "1");
-    g.set("NEUROCUBE_NO_SPARSITY", "1");
-    // Cubes built before the change keep their resolved values...
-    assert!(first.simd() && !first.stage_par() && first.sparsity());
-    // ...and a cube built after it sees the new values, not a cache.
-    let mut second = Neurocube::new(cfg.clone());
-    assert!(!second.simd() && second.stage_par() && !second.sparsity());
-
-    // Explicit overrides are authoritative regardless of the environment.
-    second.set_simd(Some(true));
-    second.set_stage_par(Some(false));
-    second.set_sparsity(Some(true));
-    assert!(second.simd() && !second.stage_par() && second.sparsity());
-
-    // set_*(None) re-reads the environment fresh — it does not restore a
-    // construction-time snapshot.
-    g.unset("NEUROCUBE_NO_SIMD");
-    g.unset("NEUROCUBE_STAGE_PAR");
-    g.unset("NEUROCUBE_NO_SPARSITY");
-    let mut third = Neurocube::new(cfg);
-    third.set_simd(Some(false));
-    third.set_stage_par(Some(true));
-    third.set_sparsity(Some(false));
-    g.set("NEUROCUBE_NO_SIMD", "1");
-    g.set("NEUROCUBE_STAGE_PAR", "1");
-    g.set("NEUROCUBE_NO_SPARSITY", "1");
-    third.set_simd(None);
-    third.set_stage_par(None);
-    third.set_sparsity(None);
-    assert!(
-        !third.simd() && third.stage_par() && !third.sparsity(),
-        "set_*(None) must re-read the live environment"
-    );
+fn no_skip_resolves_fresh_per_cycle_loop_never_cached() {
+    let g = EnvGuard::capture(&["NEUROCUBE_NO_SKIP"]);
+    let spec = neurocube_nn::workloads::mnist_mlp(64);
+    let skipped = || {
+        let (_, _, telemetry) = run_inference_mode(SystemConfig::paper(true), &spec, 3, None);
+        telemetry.skipped_cycles
+    };
+    // Prime any would-be cache with the clean-slate default.
+    assert!(skipped() > 0, "fast-forward is on by default");
+    g.set("NEUROCUBE_NO_SKIP", "1");
+    assert_eq!(skipped(), 0, "a run after the flag is set ticks naively");
+    g.unset("NEUROCUBE_NO_SKIP");
+    assert!(skipped() > 0, "a run after the flag is cleared skips again");
 }
 
 #[test]

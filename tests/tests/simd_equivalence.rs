@@ -1,182 +1,41 @@
-//! Differential properties for the struct-of-arrays datapath: the batch
-//! lane kernels (`NEUROCUBE_NO_SIMD=0`, the default) and the stage-parallel
-//! PE tick (`NEUROCUBE_STAGE_PAR=1`, off by default) must be
-//! *observationally invisible* — for random multi-layer networks the full
-//! statistics registry, output tensor and cycle counts are compared
-//! bitwise against the per-lane scalar oracle, with and without fault
-//! injection.
-//!
-//! The modes are selected through [`Neurocube::set_simd`] and
-//! [`Neurocube::set_stage_par`], not the environment variables: the env
-//! defaults are read once per process and tests run multithreaded, so
-//! mutating them mid-run would race other suites.
-//!
-//! The kernel-level half of the contract rides in the same binary: the
-//! lane kernels are driven against [`MacUnit`] step-for-step across the
-//! saturation and rounding boundaries pinned by `q88_boundary.rs`
-//! (representable midpoints, `>> 8` truncation direction, both clamp
-//! edges), and the `..active` lane masking the PE relies on is checked to
-//! leave parked lanes untouched.
+//! The lane-kernel half of the cube == `Executor` contract: the PE's one
+//! fire path accumulates through `neurocube_fixed`'s batch lane kernels,
+//! while the functional executor accumulates through the scalar
+//! [`MacUnit`]. Here the kernels are driven against [`MacUnit`]
+//! step-for-step across the saturation and rounding boundaries pinned by
+//! `q88_boundary.rs` (representable midpoints, `>> 8` truncation
+//! direction, both clamp edges), the `..active` lane masking the PE relies
+//! on is checked to leave parked lanes untouched, and zero-operand lanes —
+//! the ones `pe.lanes_gated` counts and `power::gating` prices — are
+//! checked to leave every accumulator bit alone. The system-level half is
+//! `bit_exactness.rs`.
 
-mod common;
-
-use common::{diff_case, DiffCase};
-use neurocube::{Neurocube, SystemConfig};
-use neurocube_fault::FaultConfig;
+use neurocube::SystemConfig;
 use neurocube_fixed::{
-    accumulate_narrow_lanes, accumulate_narrow_masked, accumulate_wide_lanes,
-    accumulate_wide_masked, wide_result_bits, AccumulatorWidth, LaneSrc, MacUnit, Q88,
+    accumulate_narrow_lanes, accumulate_wide_lanes, wide_result_bits, AccumulatorWidth, MacUnit,
+    Q88,
 };
-use neurocube_sim::StatsRegistry;
 use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
 
-/// One observable world: everything two datapath variants must agree on.
-struct Observables {
-    layer_cycles: Vec<u64>,
-    final_cycle: u64,
-    output: Vec<Q88>,
-    stats: StatsRegistry,
-}
-
-/// Runs `case` with the given datapath selection. `simd = false` is the
-/// per-lane scalar oracle; `stage_par = true` ticks the PEs from scoped
-/// threads. Skipping stays on process default — the skip/naive axis has
-/// its own suite (`skip_equivalence.rs`).
-fn run_variant(
-    case: &DiffCase,
-    simd: bool,
-    stage_par: bool,
-    fault: Option<FaultConfig>,
-) -> Observables {
-    let cfg = SystemConfig::paper(case.dup);
-    let params = case.net.init_params(case.seed, 0.25);
-    let mut cube = Neurocube::new(cfg);
-    cube.set_simd(Some(simd));
-    cube.set_stage_par(Some(stage_par));
-    cube.set_fault_config(fault);
-    let loaded = cube.load(case.net.clone(), params);
-    let input = neurocube_bench::ramp_input(&case.net);
-    let (output, report) = cube.run_inference(&loaded, &input);
-    Observables {
-        layer_cycles: report.layers.iter().map(|l| l.cycles).collect(),
-        final_cycle: cube.now(),
-        output: output.as_slice().to_vec(),
-        stats: cube.stats_registry(),
-    }
-}
-
-/// Asserts two variant runs agree on every observable, naming the first
-/// diverging statistic on failure.
-fn assert_identical(a: &Observables, b: &Observables, what: &str) -> Result<(), TestCaseError> {
-    prop_assert_eq!(
-        &a.layer_cycles,
-        &b.layer_cycles,
-        "per-layer cycle counts diverge ({})",
-        what
-    );
-    prop_assert_eq!(
-        a.final_cycle,
-        b.final_cycle,
-        "final cycle counters diverge ({})",
-        what
-    );
-    prop_assert_eq!(&a.output, &b.output, "output tensors diverge ({})", what);
-    if let Some(delta) = a.stats.first_difference(&b.stats) {
-        return Err(TestCaseError::fail(format!(
-            "statistics diverge at {delta} ({what})"
-        )));
-    }
-    Ok(())
-}
-
-/// Case budget: `PROPTEST_CASES` when set (`ci.sh` pins 32 for the
-/// standard gate, 512 for `--simd`), otherwise `default`.
+/// Case budget: `PROPTEST_CASES` when set (`ci.sh` pins 64 for the
+/// standard gate, 512 for `--fuzz`), otherwise `default`.
 fn cases(default: u32) -> u32 {
     neurocube_sim::env_u64("PROPTEST_CASES").map_or(default, |v| v as u32)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(12)))]
-
-    /// The SoA batch kernels are bitwise identical to the scalar MacUnit
-    /// oracle over whole inferences: same registry, same tensor, same
-    /// cycle counts, for random networks.
-    #[test]
-    fn soa_path_matches_scalar_oracle(case in diff_case()) {
-        let soa = run_variant(&case, true, false, None);
-        let scalar = run_variant(&case, false, false, None);
-        assert_identical(&soa, &scalar, &format!(
-            "SoA vs scalar, dup={}, seed={}", case.dup, case.seed
-        ))?;
-    }
-
-    /// Stage-parallel PE ticking is bitwise identical to the serial loop —
-    /// the PEs really are independent within a tick. Runs on the SoA path
-    /// (the default the parallel mode would ship with).
-    #[test]
-    fn stage_parallel_matches_serial(case in diff_case()) {
-        let par = run_variant(&case, true, true, None);
-        let serial = run_variant(&case, true, false, None);
-        assert_identical(&par, &serial, &format!(
-            "stage-par vs serial, dup={}, seed={}", case.dup, case.seed
-        ))?;
-    }
-
-    /// The equivalences survive fault injection: with a deterministic
-    /// injector attached at the same seed, all three variants (scalar,
-    /// SoA, SoA + stage-par) still agree on every observable, including
-    /// the fault counters inside the registry.
-    #[test]
-    fn variants_agree_under_faults(
-        case in diff_case(),
-        rate_exp in 4u32..7, // uniform rate 1e-6 .. 1e-3
-        fault_seed in 0u64..1 << 32,
-    ) {
-        let cfg = FaultConfig::uniform(fault_seed, 10f64.powi(-(rate_exp as i32)));
-        let scalar = run_variant(&case, false, false, Some(cfg.clone()));
-        let soa = run_variant(&case, true, false, Some(cfg.clone()));
-        let par = run_variant(&case, true, true, Some(cfg));
-        assert_identical(&soa, &scalar, &format!(
-            "SoA vs scalar under faults, dup={}, seeds={}/{}",
-            case.dup, case.seed, fault_seed
-        ))?;
-        assert_identical(&par, &soa, &format!(
-            "stage-par vs serial under faults, dup={}, seeds={}/{}",
-            case.dup, case.seed, fault_seed
-        ))?;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sparsity fast paths: zero-operand skipping is observationally invisible.
-// ---------------------------------------------------------------------------
-
-/// Like [`run_variant`], but with the PE zero-operand fast paths pinned
-/// and the operand stream seeded with real zeros: every third weight and
-/// every other input pixel are zeroed, so the zero-lane classification
-/// and skip paths genuinely fire on every case.
-fn run_sparsity_variant(
-    case: &DiffCase,
-    simd: bool,
-    sparsity: bool,
-    fault: Option<FaultConfig>,
-) -> Observables {
-    let cfg = SystemConfig::paper(case.dup);
-    let mut params = case.net.init_params(case.seed, 0.25);
+/// Deterministic anchor: a workload seeded with real zeros (every third
+/// weight, every other input pixel) classifies gated lanes, and not every
+/// lane — the always-on `sparsity.*` counters are live.
+#[test]
+fn sparsity_classification_is_not_vacuous() {
+    let net = neurocube_nn::workloads::mnist_mlp(64);
+    let mut params = net.init_params(11, 0.25);
     for layer in &mut params {
-        for (i, w) in layer.iter_mut().enumerate() {
-            if i % 3 == 0 {
-                *w = Q88::ZERO;
-            }
+        for w in layer.iter_mut().step_by(3) {
+            *w = Q88::ZERO;
         }
     }
-    let mut cube = Neurocube::new(cfg);
-    cube.set_simd(Some(simd));
-    cube.set_sparsity(Some(sparsity));
-    cube.set_fault_config(fault);
-    let loaded = cube.load(case.net.clone(), params);
-    let s = case.net.input_shape();
+    let s = net.input_shape();
     let data = (0..s.len())
         .map(|i| {
             if i % 2 == 0 {
@@ -187,84 +46,11 @@ fn run_sparsity_variant(
         })
         .collect();
     let input = neurocube_nn::Tensor::from_vec(s.channels, s.height, s.width, data);
-    let (output, report) = cube.run_inference(&loaded, &input);
-    Observables {
-        layer_cycles: report.layers.iter().map(|l| l.cycles).collect(),
-        final_cycle: cube.now(),
-        output: output.as_slice().to_vec(),
-        stats: cube.stats_registry(),
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(12)))]
-
-    /// Sparsity on vs off is bitwise identical in every observable —
-    /// full registry included — on random nets whose operand streams are
-    /// dense with real zeros, across both datapaths. Zero-skipping is a
-    /// host fast path, not a model change (DESIGN.md §13).
-    #[test]
-    fn sparsity_fast_paths_are_bitwise_invisible(case in diff_case()) {
-        let on = run_sparsity_variant(&case, true, true, None);
-        let off = run_sparsity_variant(&case, true, false, None);
-        let scalar = run_sparsity_variant(&case, false, true, None);
-        assert_identical(&on, &off, &format!(
-            "sparsity on vs off (SoA), dup={}, seed={}", case.dup, case.seed
-        ))?;
-        assert_identical(&on, &scalar, &format!(
-            "sparsity SoA vs scalar, dup={}, seed={}", case.dup, case.seed
-        ))?;
-    }
-
-    /// The invisibility survives fault injection: with a lens attached
-    /// the fast paths stand down (per-lane upset order is part of the
-    /// observable world), and classification still agrees bitwise.
-    #[test]
-    fn sparsity_fast_paths_survive_fault_injection(
-        case in diff_case(),
-        rate_exp in 4u32..7,
-        fault_seed in 0u64..1 << 32,
-    ) {
-        let fcfg = FaultConfig::uniform(fault_seed, 10f64.powi(-(rate_exp as i32)));
-        let on = run_sparsity_variant(&case, true, true, Some(fcfg.clone()));
-        let off = run_sparsity_variant(&case, true, false, Some(fcfg.clone()));
-        let scalar = run_sparsity_variant(&case, false, true, Some(fcfg));
-        assert_identical(&on, &off, &format!(
-            "sparsity on vs off under faults, dup={}, seeds={}/{}",
-            case.dup, case.seed, fault_seed
-        ))?;
-        assert_identical(&on, &scalar, &format!(
-            "sparsity SoA vs scalar under faults, dup={}, seeds={}/{}",
-            case.dup, case.seed, fault_seed
-        ))?;
-    }
-}
-
-/// Deterministic anchor: the zeroed workload actually classifies gated
-/// lanes (a sweep that never fires the skip paths would prove nothing),
-/// and the classification is identical whether or not skipping is on.
-#[test]
-fn sparsity_classification_is_not_vacuous() {
-    let case = DiffCase {
-        net: neurocube_nn::workloads::mnist_mlp(64),
-        dup: true,
-        seed: 11,
-    };
-    let on = run_sparsity_variant(&case, true, true, None);
-    let off = run_sparsity_variant(&case, true, false, None);
-    let gated = on.stats.counter("sparsity.pe.lanes_gated");
-    assert!(
-        gated > 0,
-        "zeroed weights/input fired no gated lanes; the sparsity suite is vacuous"
-    );
-    assert_eq!(
-        off.stats.counter("sparsity.pe.lanes_gated"),
-        gated,
-        "classification differs between skip and dense modes"
-    );
-    let mac_ops: u64 = (0..16)
-        .map(|i| on.stats.counter(&format!("pe{i}.mac_ops")))
-        .sum();
+    let (_, stats) =
+        neurocube_bench::run_inference_sparsity(SystemConfig::paper(true), &net, params, &input);
+    let gated = stats.counter("sparsity.pe.lanes_gated");
+    assert!(gated > 0, "zeroed weights/input fired no gated lanes");
+    let mac_ops = stats.sum_suffix(".mac_ops");
     assert!(
         gated < mac_ops,
         "every MAC lane gated — the workload degenerated to all-zero"
@@ -390,9 +176,10 @@ proptest! {
 
     /// Zero-weight lane purity: a lane whose weight operand is zero never
     /// perturbs any accumulator bit, no matter what its state operand
-    /// holds — so skipping such lanes (the masked kernels) is bitwise
-    /// identical to grinding through them (the dense kernels), at both
-    /// accumulator widths and from any starting accumulator value.
+    /// holds — so counting such lanes as gated (and pricing the MACs a
+    /// gated-update array would not have clocked) describes the same
+    /// arithmetic, at both accumulator widths and from any starting
+    /// accumulator value.
     #[test]
     fn zero_weight_lanes_never_perturb_accumulator_bits(
         weights in proptest::collection::vec(boundary_operand(), 16),
@@ -402,84 +189,27 @@ proptest! {
         steps in 1usize..6,
     ) {
         let mut w = weights.clone();
-        for m in 0..16 {
+        for (m, w) in w.iter_mut().enumerate() {
             if zero_mask >> m & 1 == 1 {
-                w[m] = 0;
+                *w = 0;
             }
         }
-        let live: u64 = u64::from(!zero_mask);
-        let mut dense: Vec<i32> = start.clone();
-        let mut masked: Vec<i32> = start.clone();
+        let mut wide: Vec<i32> = start.clone();
+        let start16: Vec<i16> = start.iter().map(|&v| v as i16).collect();
+        let mut narrow = start16.clone();
         for _ in 0..steps {
-            accumulate_wide_lanes(&mut dense, &w, &states);
-            accumulate_wide_masked(
-                &mut masked,
-                LaneSrc::Lanes(&w),
-                LaneSrc::Lanes(&states),
-                live,
-            );
+            accumulate_wide_lanes(&mut wide, &w, &states);
+            accumulate_narrow_lanes(&mut narrow, &w, &states);
         }
-        prop_assert_eq!(&dense, &masked, "wide: skipping zero-weight lanes changed bits");
         for m in (0..16).filter(|m| zero_mask >> m & 1 == 1) {
             prop_assert_eq!(
-                dense[m], start[m],
+                wide[m], start[m],
                 "wide: zero-weight lane {} perturbed its accumulator", m
             );
-        }
-        let start16: Vec<i16> = start.iter().map(|&v| v as i16).collect();
-        let mut dense16 = start16.clone();
-        let mut masked16 = start16.clone();
-        for _ in 0..steps {
-            accumulate_narrow_lanes(&mut dense16, &w, &states);
-            accumulate_narrow_masked(
-                &mut masked16,
-                LaneSrc::Lanes(&w),
-                LaneSrc::Lanes(&states),
-                live,
-            );
-        }
-        prop_assert_eq!(&dense16, &masked16, "narrow: skipping zero-weight lanes changed bits");
-        for m in (0..16).filter(|m| zero_mask >> m & 1 == 1) {
             prop_assert_eq!(
-                dense16[m], start16[m],
+                narrow[m], start16[m],
                 "narrow: zero-weight lane {} perturbed its accumulator", m
             );
         }
     }
-}
-
-/// Deterministic anchor: on a paper-style workload all three datapath
-/// variants produce identical registries, and the run actually exercises
-/// MACs (a vacuously-idle workload would prove nothing).
-#[test]
-fn all_variants_agree_on_paper_workload() {
-    let case = DiffCase {
-        net: neurocube_nn::workloads::mnist_mlp(64),
-        dup: true,
-        seed: 7,
-    };
-    let scalar = run_variant(&case, false, false, None);
-    let soa = run_variant(&case, true, false, None);
-    let par = run_variant(&case, true, true, None);
-    let macs: u64 = (0..16)
-        .map(|i| scalar.stats.counter(&format!("pe{i}.mac_ops")))
-        .sum();
-    assert!(
-        macs > 0,
-        "mnist_mlp no longer fires any MACs; the anchor is vacuous"
-    );
-    assert_eq!(
-        scalar.stats.first_difference(&soa.stats),
-        None,
-        "SoA registry diverges from scalar on mnist_mlp"
-    );
-    assert_eq!(
-        soa.stats.first_difference(&par.stats),
-        None,
-        "stage-par registry diverges from serial on mnist_mlp"
-    );
-    assert_eq!(scalar.output, soa.output);
-    assert_eq!(soa.output, par.output);
-    assert_eq!(scalar.final_cycle, soa.final_cycle);
-    assert_eq!(soa.final_cycle, par.final_cycle);
 }

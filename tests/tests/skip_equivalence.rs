@@ -6,9 +6,9 @@
 //! the entire statistics registry.
 //!
 //! The modes are selected through [`Neurocube::set_cycle_skip`], not the
-//! `NEUROCUBE_NO_SKIP` environment variable: the env default is read once
-//! per process and tests run multithreaded, so mutating it mid-run would
-//! race other suites.
+//! `NEUROCUBE_NO_SKIP` environment variable: every cycle loop re-reads the
+//! variable when it is built and tests run multithreaded, so mutating it
+//! mid-run would race the other cases in this binary.
 
 mod common;
 
