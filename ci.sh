@@ -57,9 +57,12 @@
 #                    replay. The standard gate already runs the audit
 #                    property suite at the pinned 32-case budget.
 #   ci.sh --cluster - same gate, then the cluster suites at depth (the
-#                    sharded-vs-single-cube / skip-vs-naive / certified
-#                    link-bound properties at 512 cases, plus the cluster
-#                    and serve unit suites) and the 16-64 cube scaling
+#                    sharded-vs-single-cube / skip-vs-naive on a fresh
+#                    and on a warm cluster / certified link-bound
+#                    properties at 512 cases, plus the cluster and serve
+#                    unit suites, which pin the private-member-clock
+#                    executor to the registry of the tick-every-member
+#                    one it replaced) and the 16-64 cube scaling
 #                    study (BENCH_cluster.json), whose built-in gates
 #                    require pipelined batch throughput strictly above
 #                    the single big cube on every multi-stage point and
@@ -87,7 +90,8 @@ PROPTEST_CASES=32 cargo test -q \
 PROPTEST_CASES=32 cargo test -q \
     -p neurocube-integration-tests --test twospeed_audit --test env_knobs
 # Cluster sharding properties: sharded == single-big-cube bitwise,
-# cluster-wide skip == naive, certified link-aware cycle bounds.
+# skip == naive with every member cube on its private clock (fresh and
+# warm clusters), certified link-aware cycle bounds.
 PROPTEST_CASES=32 cargo test -q \
     -p neurocube-integration-tests --test cluster_sharding
 cargo fmt --check

@@ -1,33 +1,45 @@
-//! The cluster executor: member cubes in lockstep virtual time, joined by
-//! clocked SerDes link stages.
+//! The cluster executor: member cubes on private clocks, joined by clocked
+//! SerDes link stages.
 //!
-//! A [`Cluster`] owns one [`Neurocube`] per planned cube and drives them
-//! through a single [`CycleLoop`] whose bus is the cluster itself:
+//! A [`Cluster`] owns one [`Neurocube`] per planned cube. Between the
+//! cycle a stage is armed on a cube and the cycle its output is read, the
+//! cube shares no state with the rest of the fabric, so it needs no shared
+//! clock: arming a stage runs its part cubes to completion there and then,
+//! each on its own clock, and only the *events* that couple cubes — link
+//! arrivals and stage completions — are sequenced by the cluster's
+//! [`CycleLoop`], whose bus is the cluster itself:
 //!
 //! ```text
-//! Ingress → Member(0) … Member(n−1) → Egress → AdvanceClusterClock
+//! Ingress → Egress → AdvanceClusterClock
 //! ```
 //!
 //! * **Ingress** delivers link transfers whose arrival cycle has come and
 //!   starts a stage when its full input has been assembled and every part
-//!   cube is free (inputs are written untimed, host-style, and the run is
-//!   armed with [`Neurocube::begin_graph_run`]).
-//! * **Member(i)** delegates to the cube's own pipeline via
-//!   [`Neurocube::lockstep_tick`] — the exact stage sequence its private
-//!   `CycleLoop` would run, so member behaviour is bitwise identical to a
-//!   standalone run of the same subprogram.
-//! * **Egress** harvests stages whose parts have all completed, gathers
-//!   the part slices into the stage output value, and enqueues the onward
-//!   transfers: one per (source part, destination part) pair, serialized
-//!   on the source cube's egress link and charged cycles
+//!   cube is free. Each part cube is caught up to the cluster's cycle
+//!   ([`Neurocube::catch_up`]: idle windows crossed by the cube's own
+//!   event horizon, refreshes ticked), gets its input written untimed,
+//!   host-style, is armed with [`Neurocube::begin_graph_run`] and driven
+//!   by [`Neurocube::run_armed_graph`] — the cube's own pipeline, so
+//!   member behaviour is bitwise identical to a standalone run of the
+//!   same subprogram — which returns the exact cycle the part completed.
+//!   The stage completes at the latest of those cycles.
+//! * **Egress** harvests a stage at exactly its completion cycle `c` (a
+//!   horizon event of the loop): catches the part cubes up to `c + 1`,
+//!   gathers the part slices into the stage output value, and enqueues
+//!   the onward transfers: one per (source part, destination part) pair,
+//!   serialized on the source cube's egress link and charged cycles
 //!   ([`LinkConfig::transfer_cycles`]) and Joules
 //!   ([`LinkConfig::transfer_j`]) as it leaves.
 //!
-//! Every stage honours the event-horizon contract: when all members are
-//! quiescent and only transfers are in flight, the loop jumps straight to
-//! the next arrival, and `skip` replays nothing because no per-cycle
-//! counter changes in the window — so skip and naive runs are bitwise
-//! identical, including every `cluster.*` stat.
+//! The loop therefore jumps from link arrival to stage completion; an
+//! idle cube costs its events, not its cycles, and a running cube skips
+//! its own quiescent windows without waiting for the others. Every cube
+//! still sees every cycle of `[0, now)` exactly once, ticked or skipped
+//! under the null-tick contract, and [`Cluster::run_batch`] returns with
+//! every member clock at [`Cluster::now`]. With fast-forward off every
+//! member is ticked through every cycle and the loop takes no jump — the
+//! oracle the fast run is bitwise identical to, including every
+//! `cluster.*` and member stat.
 
 use crate::link::LinkConfig;
 use crate::shard::ShardedGraph;
@@ -60,8 +72,8 @@ struct Transfer {
     arrive_at: u64,
 }
 
-/// A model sharded across a set of lockstepped Neurocubes — the executor
-/// for a [`ShardedGraph`] plan.
+/// A model sharded across a set of Neurocubes on private clocks — the
+/// executor for a [`ShardedGraph`] plan.
 pub struct Cluster {
     plan: ShardedGraph,
     cubes: Vec<Neurocube>,
@@ -70,6 +82,10 @@ pub struct Cluster {
     jobs: Vec<Job>,
     /// Job currently occupying each stage.
     stage_busy: Vec<Option<usize>>,
+    /// Cycle each stage's latest job completed (or will complete) on its
+    /// slowest part cube; Egress harvests a busy stage at exactly this
+    /// cycle.
+    stage_done_at: Vec<u64>,
     transfers: Vec<Transfer>,
     /// Cycle each cube's egress serializer frees up.
     link_free_at: Vec<u64>,
@@ -125,6 +141,7 @@ impl Cluster {
             now: 0,
             jobs: Vec::new(),
             stage_busy: vec![None; stages],
+            stage_done_at: vec![0; stages],
             transfers: Vec::new(),
             link_free_at: vec![0; n],
             skip_override: None,
@@ -142,15 +159,20 @@ impl Cluster {
         &self.plan
     }
 
-    /// Cluster virtual time (every member cube's clock agrees).
+    /// Cluster virtual time. Between runs every member cube's clock
+    /// agrees with it.
     pub fn now(&self) -> u64 {
         self.now
     }
 
-    /// Forces event-horizon fast-forward on or off for subsequent runs
-    /// (otherwise the `NEUROCUBE_NO_SKIP` environment default applies).
+    /// Forces event-horizon fast-forward on or off for subsequent runs,
+    /// in the cluster loop and in every member cube alike (otherwise the
+    /// `NEUROCUBE_NO_SKIP` environment default applies to both).
     pub fn set_cycle_skip(&mut self, enabled: bool) {
         self.skip_override = Some(enabled);
+        for cube in &mut self.cubes {
+            cube.set_cycle_skip(Some(enabled));
+        }
     }
 
     /// Runs one inference through the pipeline.
@@ -192,13 +214,18 @@ impl Cluster {
             self,
             start,
             |c: &Cluster| c.jobs.iter().all(|j| j.result.is_some()),
+            // A started stage already ran to a known completion cycle
+            // (under its members' own watchdogs), so the clock closing in
+            // on that cycle is the progress a running stage makes.
             |c: &Cluster| {
-                c.deliveries
-                    + c.jobs_done
-                    + c.cubes.iter().map(Neurocube::total_mac_ops).sum::<u64>()
+                let staged: u64 = c.stage_done_at.iter().map(|&at| at.min(c.now)).sum();
+                c.deliveries + c.jobs_done + staged
             },
             |c: &Cluster, idle| c.stall_diagnostic(idle),
         );
+        for cube in &mut self.cubes {
+            cube.catch_up(end);
+        }
         let outputs = self
             .jobs
             .iter_mut()
@@ -253,11 +280,7 @@ impl Cluster {
         if let Some(skip) = self.skip_override {
             l = l.with_skip(skip);
         }
-        l = l.stage(Ingress);
-        for i in 0..self.cubes.len() {
-            l = l.stage(Member(i));
-        }
-        l.stage(Egress).stage(AdvanceClusterClock)
+        l.stage(Ingress).stage(Egress).stage(AdvanceClusterClock)
     }
 
     /// Whether job `j` can enter stage `s` right now (input complete,
@@ -271,31 +294,44 @@ impl Cluster {
             && self.stage_busy[s].is_none()
     }
 
-    /// Arms stage `s` with job `j`: untimed host-style input writes on
-    /// every part cube, then [`Neurocube::begin_graph_run`].
-    fn start_stage(&mut self, j: usize, s: usize) {
+    /// Starts stage `s` on job `j` at cluster cycle `now` and runs it to
+    /// completion on its part cubes' private clocks: each part is caught
+    /// up to `now`, gets its input (untimed host-style writes), is armed
+    /// and driven until its sequencer reports complete. Records the cycle
+    /// the slowest part finished for Egress to harvest at.
+    fn start_stage(&mut self, j: usize, s: usize, now: u64) {
         self.stage_busy[s] = Some(j);
         self.jobs[j].running = true;
         let pending = std::mem::take(&mut self.jobs[j].pending);
+        let mut done_at = now;
         for part in &self.plan.stages[s].parts {
             let shape = part.graph.input_shape();
             let t = Tensor::from_vec(shape.channels, shape.height, shape.width, pending.clone());
-            self.cubes[part.cube].set_graph_input(&self.loaded[part.cube], &t);
-            self.cubes[part.cube].begin_graph_run(&self.loaded[part.cube]);
+            let (cube, loaded) = (&mut self.cubes[part.cube], &self.loaded[part.cube]);
+            cube.catch_up(now);
+            cube.set_graph_input(loaded, &t);
+            cube.begin_graph_run(loaded);
+            let who = format!("cluster cube {}, stage {s}", part.cube);
+            done_at = done_at.max(cube.run_armed_graph(&who));
         }
+        self.stage_done_at[s] = done_at;
     }
 
-    /// Harvests completed stage `s` (owner job `j`): gather the part
-    /// slices, release the cubes, and either finish the job or launch the
-    /// hand-off transfers toward stage `s + 1`.
+    /// Harvests stage `s` (owner job `j`) at its completion cycle `now`:
+    /// bring every part cube to `now + 1` (a part that finished early
+    /// idles until the slowest one does), gather the part slices, release
+    /// the cubes, and either finish the job or launch the hand-off
+    /// transfers toward stage `s + 1`.
     fn harvest_stage(&mut self, j: usize, s: usize, now: u64) {
         let stage = &self.plan.stages[s];
         let mut out = vec![Q88::default(); stage.out_shape.len()];
         for part in &stage.parts {
+            let cube = &mut self.cubes[part.cube];
+            cube.catch_up(now + 1);
             let sink = part.graph.output_node();
-            let vol = self.cubes[part.cube].read_node_volume(&self.loaded[part.cube], sink);
+            let vol = cube.read_node_volume(&self.loaded[part.cube], sink);
             out[part.out_lo..part.out_lo + part.out_len].copy_from_slice(vol.as_slice());
-            self.cubes[part.cube].end_graph_run();
+            cube.end_graph_run();
         }
         self.stage_busy[s] = None;
         self.jobs[j].running = false;
@@ -355,10 +391,12 @@ impl Cluster {
             .collect();
         format!(
             "cluster stalled at cycle {} after {} idle cycles\n\
-             stage occupancy: {:?}\n{}\ntransfers in flight: {} (next arrival {:?})",
+             stage occupancy: {:?} (completion cycles {:?})\n{}\n\
+             transfers in flight: {} (next arrival {:?})",
             self.now,
             idle_cycles,
             self.stage_busy,
+            self.stage_done_at,
             jobs.join("\n"),
             self.transfers.len(),
             self.transfers.iter().map(|t| t.arrive_at).min(),
@@ -388,7 +426,7 @@ impl Clocked<Cluster> for Ingress {
         for s in 0..c.plan.stages.len() {
             for j in 0..c.jobs.len() {
                 if c.startable(j, s) {
-                    c.start_stage(j, s);
+                    c.start_stage(j, s, now);
                     break; // one job per stage
                 }
             }
@@ -418,59 +456,33 @@ impl Clocked<Cluster> for Ingress {
     }
 }
 
-/// One member cube's full pipeline, delegated to its lockstep API.
-struct Member(usize);
-
-impl Clocked<Cluster> for Member {
-    fn tick(&mut self, now: u64, c: &mut Cluster) {
-        c.cubes[self.0].lockstep_tick(now);
-    }
-
-    fn next_event(&self, now: u64, c: &Cluster) -> Option<u64> {
-        c.cubes[self.0].lockstep_next_event(now)
-    }
-
-    fn skip(&mut self, from: u64, to: u64, c: &mut Cluster) {
-        c.cubes[self.0].lockstep_skip(from, to);
-    }
-
-    fn name(&self) -> &'static str {
-        "cluster member"
-    }
-}
-
-/// Harvests completed stages and launches their hand-off transfers.
+/// Harvests stages at their completion cycle and launches their hand-off
+/// transfers.
 struct Egress;
 
 impl Clocked<Cluster> for Egress {
     fn tick(&mut self, now: u64, c: &mut Cluster) {
         for s in 0..c.plan.stages.len() {
             let Some(j) = c.stage_busy[s] else { continue };
-            let complete = c.plan.stages[s]
-                .parts
-                .iter()
-                .all(|p| c.cubes[p.cube].graph_run_complete());
-            if complete {
+            if c.stage_done_at[s] == now {
                 c.harvest_stage(j, s, now);
             }
         }
     }
 
-    fn next_event(&self, _now: u64, c: &Cluster) -> Option<u64> {
-        // A harvestable stage demands a tick; otherwise this stage only
-        // reacts to members finishing, and a running member vetoes every
-        // skip window itself.
-        for s in 0..c.plan.stages.len() {
-            if c.stage_busy[s].is_some()
-                && c.plan.stages[s]
-                    .parts
-                    .iter()
-                    .all(|p| c.cubes[p.cube].graph_run_complete())
-            {
-                return None;
+    fn next_event(&self, now: u64, c: &Cluster) -> Option<u64> {
+        // The completion cycle of every running stage is known from the
+        // moment it started, so it is this stage's event.
+        let mut horizon = u64::MAX;
+        for (busy, &done_at) in c.stage_busy.iter().zip(&c.stage_done_at) {
+            if busy.is_some() {
+                if done_at <= now {
+                    return None;
+                }
+                horizon = horizon.min(done_at);
             }
         }
-        Some(u64::MAX)
+        Some(horizon)
     }
 
     fn name(&self) -> &'static str {
@@ -478,7 +490,7 @@ impl Clocked<Cluster> for Egress {
     }
 }
 
-/// Advances cluster virtual time (mirrors the member cubes' own clocks).
+/// Advances cluster virtual time.
 struct AdvanceClusterClock;
 
 impl Clocked<Cluster> for AdvanceClusterClock {
@@ -584,6 +596,133 @@ mod tests {
                 r4.cycles,
                 4 * r1.cycles
             );
+        }
+    }
+
+    /// 64-bit FNV-1a fold of every key and value of a registry.
+    fn registry_digest(reg: &StatsRegistry) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        for (k, v) in reg.counters() {
+            fold(k.as_bytes());
+            fold(&v.to_le_bytes());
+        }
+        for (k, v) in reg.metrics().chain(reg.gauges()) {
+            fold(k.as_bytes());
+            fold(&v.to_bits().to_le_bytes());
+        }
+        for (k, hist) in reg.histograms() {
+            fold(k.as_bytes());
+            for (value, count) in hist.buckets() {
+                fold(&value.to_le_bytes());
+                fold(&count.to_le_bytes());
+            }
+        }
+        h
+    }
+
+    /// Private member clocks must reproduce the executor they replaced.
+    /// The constants were recorded at commit a361c65 (PR 12), the last
+    /// one whose `Cluster` ticked every member on every cluster cycle: one
+    /// `run` then one `run_batch` of 4 on the same cluster, so the second
+    /// run starts at a non-zero cycle on warm cubes.
+    #[test]
+    fn run_ahead_reproduces_the_lockstep_executor_bit_for_bit() {
+        let (cfg, plan, input) = sharded_setup();
+        let mut cluster = Cluster::new(&cfg, plan).unwrap();
+        let (_, r1) = cluster.run(&input);
+        let inputs: Vec<Tensor> = (0..4).map(|_| input.clone()).collect();
+        let (_, r4) = cluster.run_batch(&inputs);
+        assert_eq!((r1.cycles, r4.cycles), (9536, 22464));
+        assert_eq!(cluster.now(), 32000);
+        let reg = cluster.stats_registry();
+        assert_eq!(reg.counter("cluster.transfers"), 15);
+        assert_eq!(reg.counter("cluster.bytes"), 2560);
+        assert_eq!(reg.counter("cluster.deliveries"), 15);
+        assert_eq!(reg.counter("cluster.jobs"), 5);
+        assert_eq!(reg.counter("cluster.link_busy_cycles"), 330);
+        assert_eq!(
+            reg.metric("cluster.energy_j").to_bits(),
+            0x3e92_4eab_1696_2fdd
+        );
+        // All 1366 series of the 4-cube registry.
+        assert_eq!(registry_digest(&reg), 0xcd44_eef7_6cbc_4c49);
+    }
+
+    /// A member that can never finish must trip *its own* watchdog, naming
+    /// the cube and stage and carrying that cube's stall dump — the
+    /// cluster loop does not see member progress, so nothing else would.
+    /// The wedge: stage 0's cube is swapped for one whose DRAM command
+    /// queues hold nothing, so its PNGs can never issue a read.
+    #[test]
+    fn a_wedged_member_trips_its_own_watchdog_in_both_modes() {
+        for skip in [true, false] {
+            let (cfg, plan, input) = sharded_setup();
+            let mut cluster = Cluster::new(&cfg, plan).unwrap();
+            let part = &cluster.plan.stages[0].parts[0];
+            let mut wedged_cfg = cfg.clone();
+            wedged_cfg.memory.channel.queue_capacity = 0;
+            let mut wedged = Neurocube::new(wedged_cfg);
+            cluster.loaded[part.cube] =
+                wedged.load_graph(&part.graph, part.params.clone()).unwrap();
+            let victim = part.cube;
+            cluster.cubes[victim] = wedged;
+            cluster.set_cycle_skip(skip);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                cluster.run(&input);
+            }))
+            .expect_err("a wedged member must trip the watchdog");
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("watchdog panics with a formatted message");
+            assert!(
+                msg.starts_with(&format!(
+                    "cluster cube {victim}, stage 0: deadlock in layer 0"
+                )),
+                "skip={skip}, got: {msg}"
+            );
+            assert!(
+                msg.contains("queue_stalls"),
+                "diagnostic must carry the cube's stats dump, got: {msg}"
+            );
+        }
+    }
+
+    /// Member clocks are private only inside a run: after every
+    /// `run_batch` each one agrees with the cluster's. A spare cube that
+    /// hosts no part shows what catch-up alone costs: the naive run ticks
+    /// it through every cycle (no jump on any member), the fast run crosses
+    /// its idle stretch on its own event horizon.
+    #[test]
+    fn member_clocks_agree_with_the_cluster_after_every_batch() {
+        for skip in [true, false] {
+            let (cfg, plan, input) = sharded_setup();
+            let mut cluster = Cluster::new(&cfg, plan).unwrap();
+            cluster.cubes.push(Neurocube::new(cfg.clone()));
+            cluster.set_cycle_skip(skip);
+            let spare = cluster.cubes.len() - 1;
+            for batch in [1, 3, 2] {
+                let inputs: Vec<Tensor> = (0..batch).map(|_| input.clone()).collect();
+                cluster.run_batch(&inputs);
+                for (i, cube) in cluster.cubes.iter().enumerate() {
+                    assert_eq!(cube.now(), cluster.now(), "cube {i}, skip={skip}");
+                }
+            }
+            let spare_cube = &cluster.cubes[spare];
+            if skip {
+                assert!(spare_cube.horizon_jumps() > 0);
+                assert!(spare_cube.skipped_cycles() > 0);
+                assert!(spare_cube.skipped_cycles() <= cluster.now());
+            } else {
+                for (i, cube) in cluster.cubes.iter().enumerate() {
+                    assert_eq!(cube.horizon_jumps(), 0, "cube {i}");
+                    assert_eq!(cube.skipped_cycles(), 0, "cube {i}");
+                }
+            }
         }
     }
 

@@ -14,11 +14,13 @@
 //!   [`GraphSpec`](neurocube_nn::GraphSpec) into pipeline stages and
 //!   tensor-parallel bands, costed with certified per-stage lower bounds
 //!   plus link terms, and returns the cheapest feasible [`ShardedGraph`].
-//! * [`exec`] — the executor: a [`Cluster`] drives one member cube per
-//!   planned part through a single `CycleLoop` in lockstep virtual time,
-//!   with transfers as explicit clocked link stages that honour the
-//!   event-horizon contract (skip and naive runs are bitwise identical,
-//!   output values match the single-big-cube reference exactly).
+//! * [`exec`] — the executor: a [`Cluster`] runs each stage to
+//!   completion on its part cubes' private clocks and sequences only what
+//!   couples cubes — link arrivals and stage completions — through one
+//!   `CycleLoop`, with transfers as explicit clocked link stages that
+//!   honour the event-horizon contract (skip and naive runs are bitwise
+//!   identical, output values match the single-big-cube reference
+//!   exactly).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -183,7 +183,7 @@ fn segment_graph(
 }
 
 /// Σ certified lower bounds for a compiled subgraph under `cfg` (which
-/// must charge no programming phase — lockstep runs are armed untimed).
+/// must charge no programming phase — cluster stages are armed untimed).
 fn segment_lower(cfg: &SystemConfig, seg: &GraphSpec) -> Result<u64, CompileError> {
     let prog = compile_graph(seg, cfg.mapping(), &cfg.memory.address_map())?;
     Ok(multi_layer_bounds(cfg, &prog)
@@ -347,7 +347,7 @@ struct Prefix {
 /// Splits `graph` across the cluster described by `link`, choosing the
 /// cheapest certified placement (pipeline cuts plus banded widths) that
 /// fits `link.topology.cubes()` cubes. `cfg` describes each member cube;
-/// its programming model is ignored (lockstep runs are armed untimed, and
+/// its programming model is ignored (cluster stages are armed untimed, and
 /// `serve` charges reprogramming separately).
 ///
 /// # Errors

@@ -48,13 +48,20 @@ impl LinkModel {
         }
     }
 
-    /// Reference cycles to move `bytes` over the link.
+    /// Reference cycles to move `bytes` over the link: pacing and flight
+    /// ceiled independently in per-ns units (GB/s = bytes/ns), the form of
+    /// `neurocube_golden::timing::link_transfer_cycles` at one hop.
+    /// Ceiling their float sum instead charged a cycle too many whenever
+    /// the sum's rounding error crossed an integer (8 B at 40 GB/s + 100 ns
+    /// is 1 + 500 cycles, not 502).
     pub fn transfer_cycles(&self, bytes: u64) -> u64 {
         if bytes == 0 {
             return 0;
         }
-        let seconds = bytes as f64 / (self.bandwidth_gbps * 1e9) + self.latency_ns * 1e-9;
-        (seconds * REF_CLOCK_HZ).ceil() as u64
+        let cycles_per_ns = REF_CLOCK_HZ / 1e9;
+        let pacing = (bytes as f64 * cycles_per_ns / self.bandwidth_gbps).ceil() as u64;
+        let flight = (self.latency_ns * cycles_per_ns).ceil() as u64;
+        pacing + flight
     }
 }
 

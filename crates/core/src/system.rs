@@ -543,20 +543,15 @@ impl Neurocube {
         // The data-driven execution phase: the per-cycle pipeline, in
         // dependency order. The kernel's CycleLoop owns the completion
         // check and the stalled-simulation watchdog.
-        let exec_start = self.now;
-        let mut pipeline = Self::pipeline();
-        if let Some(enabled) = self.skip_override {
-            pipeline = pipeline.with_skip(enabled);
-        }
-        pipeline.run(
-            self,
-            exec_start,
-            Neurocube::layer_complete,
-            Neurocube::total_mac_ops,
-            |cube, idle| cube.stall_diagnostic(layer_index, idle),
-        );
-        self.horizon_jumps += pipeline.jumps();
-        self.skipped_cycles += pipeline.skipped_cycles();
+        self.with_pipeline(|pipeline, cube| {
+            pipeline.run(
+                cube,
+                cube.now,
+                Neurocube::layer_complete,
+                Neurocube::total_mac_ops,
+                |cube, idle| cube.stall_diagnostic(layer_index, idle),
+            )
+        });
 
         let delta = self.stats_registry().diff(&before);
         let delivered = delta.counter("noc.delivered");
@@ -595,6 +590,24 @@ impl Neurocube {
             .stage(AdvanceClock)
     }
 
+    /// Builds the pipeline with this cube's fast-forward setting, hands it
+    /// and the cube to `drive`, and folds the jumps it took into the
+    /// cube's cumulative telemetry — the one way any run enters the cycle
+    /// loop.
+    fn with_pipeline<R>(
+        &mut self,
+        drive: impl FnOnce(&mut CycleLoop<Neurocube>, &mut Neurocube) -> R,
+    ) -> R {
+        let mut pipeline = Self::pipeline();
+        if let Some(enabled) = self.skip_override {
+            pipeline = pipeline.with_skip(enabled);
+        }
+        let out = drive(&mut pipeline, self);
+        self.horizon_jumps += pipeline.jumps();
+        self.skipped_cycles += pipeline.skipped_cycles();
+        out
+    }
+
     /// Completion predicate for one layer/pass: every PE and PNG reports
     /// done and the fabric has drained.
     fn layer_complete(&self) -> bool {
@@ -604,9 +617,7 @@ impl Neurocube {
     }
 
     /// The watchdog's progress measure: useful arithmetic performed.
-    /// Public so multi-cube drivers (the cluster executor) can fold every
-    /// member's progress into one watchdog measure.
-    pub fn total_mac_ops(&self) -> u64 {
+    fn total_mac_ops(&self) -> u64 {
         self.pes.iter().map(|p| p.stats().mac_ops).sum()
     }
 
@@ -846,20 +857,15 @@ impl Neurocube {
         }
         let before = self.stats_registry();
 
-        let exec_start = self.now;
-        let mut pipeline = Self::pipeline();
-        if let Some(enabled) = self.skip_override {
-            pipeline = pipeline.with_skip(enabled);
-        }
-        pipeline.run(
-            self,
-            exec_start,
-            Neurocube::graph_done,
-            Neurocube::total_mac_ops,
-            |cube, idle| cube.graph_stall_diagnostic(idle),
-        );
-        self.horizon_jumps += pipeline.jumps();
-        self.skipped_cycles += pipeline.skipped_cycles();
+        self.with_pipeline(|pipeline, cube| {
+            pipeline.run(
+                cube,
+                cube.now,
+                Neurocube::graph_done,
+                Neurocube::total_mac_ops,
+                |cube, idle| cube.graph_stall_diagnostic(idle),
+            )
+        });
 
         let run = self.graph_run.take().expect("graph run in progress");
         let final_stats = self.stats_registry();
@@ -942,12 +948,11 @@ impl Neurocube {
     /// Arms a compiled-graph run without driving the cycle loop: builds
     /// every phase's weight image, configures phase 0 (untimed host
     /// register writes) and hands the phase sequence to the graph
-    /// sequencer. External drivers — the cluster executor ticking
-    /// member cubes in lockstep virtual time — then step the run with
-    /// [`Neurocube::lockstep_tick`] until
-    /// [`Neurocube::graph_run_complete`] and release the cube with
-    /// [`Neurocube::end_graph_run`]. No programming phase is charged; the
-    /// caller owns the clock.
+    /// sequencer. External drivers — the cluster executor, which owns the
+    /// fabric's clock and lets each member cube keep a private one — then
+    /// drive the run with [`Neurocube::run_armed_graph`] and release the
+    /// cube with [`Neurocube::end_graph_run`]. No programming phase is
+    /// charged.
     pub fn begin_graph_run(&mut self, loaded: &LoadedGraph) {
         let prog = &loaded.program;
         let n = prog.phases.len();
@@ -966,12 +971,6 @@ impl Neurocube {
         });
     }
 
-    /// Whether the armed graph run has executed all its phases. `false`
-    /// when no run is armed.
-    pub fn graph_run_complete(&self) -> bool {
-        self.graph_done()
-    }
-
     /// Releases a completed (or abandoned) graph run armed with
     /// [`Neurocube::begin_graph_run`]. Read results out with
     /// [`Neurocube::read_node_volume`] first — the DRAM image survives.
@@ -979,56 +978,55 @@ impl Neurocube {
         self.graph_run = None;
     }
 
-    /// One full pipeline tick at external virtual time `now` — exactly the
-    /// stage sequence (sequencer → credit return → DRAM → ejection →
-    /// injection → NoC → PEs → clock) the cube's own [`CycleLoop`] runs,
-    /// exposed so a multi-cube driver can interleave member cubes in
-    /// lockstep. The caller must keep `now` monotone and aligned with
-    /// [`Neurocube::now`] (tick a fresh cube from 0, or
-    /// [`Neurocube::lockstep_skip`] it forward); a fresh or completed cube
-    /// null-ticks, so idle members stay bitwise inert.
-    pub fn lockstep_tick(&mut self, now: u64) {
-        GraphSequencer.tick(now, self);
-        PngCreditReturn.tick(now, self);
-        DramChannels.tick(now, self);
-        MemPortEjection.tick(now, self);
-        PngInjection.tick(now, self);
-        NocTick.tick(now, self);
-        PeTick.tick(now, self);
-        AdvanceClock.tick(now, self);
+    /// Drives the run armed by [`Neurocube::begin_graph_run`] on the
+    /// cube's private clock until the graph sequencer marks it complete,
+    /// and returns the cycle `c` of the tick that did — exactly, with
+    /// [`Neurocube::now`] `== c + 1`: not one null tick is simulated past
+    /// completion, so the caller may re-arm the cube at `c + 1`. `who`
+    /// names the cube for the watchdog, which enforces the usual idle
+    /// budget here because no outer loop sees this cube's progress.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `who` and the graph stall diagnostic when the run
+    /// stalls, or if no run is armed.
+    pub fn run_armed_graph(&mut self, who: &str) -> u64 {
+        assert!(
+            self.graph_run.as_ref().is_some_and(|r| !r.complete),
+            "{who}: no graph run is armed"
+        );
+        let end = self.with_pipeline(|pipeline, cube| {
+            pipeline.run_until(
+                cube,
+                cube.now,
+                Neurocube::graph_done,
+                Neurocube::total_mac_ops,
+                |cube, idle| format!("{who}: {}", cube.graph_stall_diagnostic(idle)),
+            )
+        });
+        end - 1
     }
 
-    /// The cube's composite event horizon at `now`: `None` when any stage
-    /// must tick, otherwise the earliest cycle at which any stage could
-    /// act — the same fold [`CycleLoop::run`] computes over the stage
-    /// list. A multi-cube driver folds this across members (and its own
-    /// link stages) to fast-forward the whole cluster, with the identical
-    /// null-tick promise: skipping `[now, horizon)` is bitwise invisible.
-    pub fn lockstep_next_event(&self, now: u64) -> Option<u64> {
-        let mut horizon = GraphSequencer.next_event(now, self)?;
-        horizon = horizon.min(PngCreditReturn.next_event(now, self)?);
-        horizon = horizon.min(DramChannels.next_event(now, self)?);
-        horizon = horizon.min(MemPortEjection.next_event(now, self)?);
-        horizon = horizon.min(PngInjection.next_event(now, self)?);
-        horizon = horizon.min(NocTick.next_event(now, self)?);
-        horizon = horizon.min(PeTick.next_event(now, self)?);
-        horizon = horizon.min(AdvanceClock.next_event(now, self)?);
-        Some(horizon)
-    }
-
-    /// Fast-forwards the cube across the null-tick window `[from, to)` —
-    /// each stage's `skip` in pipeline order, advancing `now` by `to -
-    /// from`. Only sound when [`Neurocube::lockstep_next_event`] promised
-    /// a horizon ≥ `to` for every cycle in the window.
-    pub fn lockstep_skip(&mut self, from: u64, to: u64) {
-        GraphSequencer.skip(from, to, self);
-        PngCreditReturn.skip(from, to, self);
-        DramChannels.skip(from, to, self);
-        MemPortEjection.skip(from, to, self);
-        PngInjection.skip(from, to, self);
-        NocTick.skip(from, to, self);
-        PeTick.skip(from, to, self);
-        AdvanceClock.skip(from, to, self);
+    /// Catches the cube's private clock up to cycle `to` (a no-op when it
+    /// is already there) through the same pipeline every run uses: null
+    /// windows are crossed by the cube's own event horizon and every
+    /// non-null cycle — a refresh, a scheduled upset — is ticked, so the
+    /// cube ends in the state `to - now` consecutive ticks would leave,
+    /// at the cost of its events. How a multi-cube driver brings a member
+    /// that sat idle (or finished early) back to the fabric's time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` lies in the cube's past.
+    pub fn catch_up(&mut self, to: u64) {
+        assert!(
+            to >= self.now,
+            "cannot catch up to cycle {to} from {}",
+            self.now
+        );
+        if to > self.now {
+            self.with_pipeline(|pipeline, cube| pipeline.advance(cube, cube.now, to));
+        }
     }
 }
 
@@ -1681,6 +1679,66 @@ mod tests {
         assert_eq!(cyc_fast, cyc_ref, "per-phase cycle counts diverge");
         assert_eq!(out_fast.as_slice(), out_ref.as_slice());
         assert_eq!(stats_fast, stats_ref, "registries diverge");
+    }
+
+    /// The private-clock drive a multi-cube driver uses: `catch_up`
+    /// replays idle time through the cube's own pipeline (refreshes are
+    /// events it must tick, the stretches between them are skipped), and
+    /// `run_armed_graph` stops on the very tick the sequencer completes.
+    /// Skip and naive agree on every cycle and the full registry, and the
+    /// values are those of an ordinary graph run.
+    #[test]
+    fn private_clock_drive_is_exact_and_skip_matches_naive() {
+        let graph = neurocube_nn::workloads::residual_toy();
+        let params = graph.init_params(11, 0.25);
+        let input = graph_input();
+        let mut cfg = SystemConfig::paper(true);
+        cfg.memory.channel.refresh = Some(neurocube_dram::RefreshModel {
+            interval: 3_000,
+            duration: 150,
+        });
+        let run = |skip: bool| {
+            let mut cube = Neurocube::new(cfg.clone());
+            cube.set_cycle_skip(Some(skip));
+            let loaded = cube.load_graph(&graph, params.clone()).unwrap();
+            cube.catch_up(20_000);
+            assert_eq!(cube.now(), 20_000);
+            let idle_jumps = cube.horizon_jumps();
+            cube.set_graph_input(&loaded, &input);
+            cube.begin_graph_run(&loaded);
+            let done = cube.run_armed_graph("test cube");
+            assert_eq!(cube.now(), done + 1, "stopped past the completing tick");
+            cube.catch_up(done + 1); // already there
+            cube.catch_up(done + 10_001);
+            let out = cube.read_node_volume(&loaded, graph.output_node());
+            cube.end_graph_run();
+            (
+                done,
+                out,
+                cube.now(),
+                cube.stats_registry(),
+                idle_jumps,
+                cube.horizon_jumps(),
+            )
+        };
+        let (done_fast, out_fast, now_fast, stats_fast, idle_jumps, jumps) = run(true);
+        let (done_ref, out_ref, now_ref, stats_ref, idle_jumps_ref, jumps_ref) = run(false);
+        assert_eq!((idle_jumps_ref, jumps_ref), (0, 0), "the oracle must tick");
+        // Six refreshes in 20 000 idle cycles: a handful of jumps, not one
+        // per 64-cycle check window.
+        assert!(
+            (6..40).contains(&idle_jumps),
+            "idle catch-up took {idle_jumps} jumps"
+        );
+        assert!(jumps > idle_jumps);
+        assert_eq!((done_fast, now_fast), (done_ref, now_ref));
+        assert_eq!(out_fast.as_slice(), out_ref.as_slice());
+        assert_eq!(stats_fast, stats_ref, "registries diverge");
+
+        let mut plain = Neurocube::new(cfg.clone());
+        let loaded = plain.load_graph(&graph, params).unwrap();
+        let (reference, _) = plain.run_graph_inference(&loaded, &input);
+        assert_eq!(out_fast.as_slice(), reference.as_slice());
     }
 
     /// A linear chain expressed as a graph must produce exactly the values

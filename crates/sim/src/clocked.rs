@@ -129,8 +129,9 @@ pub struct CycleLoop<B: ?Sized> {
     stages: Vec<Box<dyn Clocked<B>>>,
     watchdog: Watchdog,
     skip: bool,
-    /// `NEUROCUBE_STAGE_PROFILE`: [`CycleLoop::run`] accumulates per-stage
-    /// wall-clock time and prints a breakdown to stderr when it completes.
+    /// `NEUROCUBE_STAGE_PROFILE`: [`CycleLoop::run`] and
+    /// [`CycleLoop::run_until`] accumulate per-stage wall-clock time and
+    /// print a breakdown to stderr when they complete.
     /// Costs one `Instant` pair per stage per cycle while on; a single
     /// branch per cycle while off.
     profile: bool,
@@ -219,7 +220,7 @@ impl<B: ?Sized> CycleLoop<B> {
         self.stages.iter().map(|s| s.name()).collect()
     }
 
-    /// Number of horizon jumps taken so far by [`CycleLoop::run`].
+    /// Number of horizon jumps taken so far, over every drive of this loop.
     pub fn jumps(&self) -> u64 {
         self.jumps
     }
@@ -235,12 +236,13 @@ impl<B: ?Sized> CycleLoop<B> {
     }
 
     /// Probes every stage for its event horizon. Returns the jump target
-    /// (already capped at the next check boundary) and the name of
-    /// whatever bounded it, or `None` if any stage demands a tick, any
-    /// horizon is non-future (a contract violation, tolerated as "tick"),
-    /// or every stage reported `u64::MAX` (a dead machine must fall back
-    /// to naive ticking so the watchdog sees it exactly like the oracle).
-    fn horizon(&mut self, now: u64, bus: &B) -> Option<(u64, &'static str)> {
+    /// (already capped at `cap`) and the name of whatever bounded it, or
+    /// `None` if any stage demands a tick or any horizon is non-future (a
+    /// contract violation, tolerated as "tick"). When every stage reports
+    /// `u64::MAX`, a drive capped at a check boundary gets `None` (a dead
+    /// machine must fall back to naive ticking so the watchdog sees it
+    /// exactly like the oracle), and a bounded drive jumps to its bound.
+    fn horizon(&mut self, now: u64, bus: &B, cap: JumpCap) -> Option<(u64, &'static str)> {
         let n = self.stages.len();
         let mut best = u64::MAX;
         let mut who = usize::MAX;
@@ -268,14 +270,15 @@ impl<B: ?Sized> CycleLoop<B> {
                 }
             }
         }
-        if best == u64::MAX {
-            return None;
-        }
-        let cap = (now / self.watchdog.check_interval + 1) * self.watchdog.check_interval;
-        if best <= cap {
+        let (limit, limit_name) = match cap {
+            JumpCap::CheckBoundary(_) if best == u64::MAX => return None,
+            JumpCap::CheckBoundary(at) => (at, "check boundary"),
+            JumpCap::Bound(at) => (at, "drive bound"),
+        };
+        if best <= limit {
             Some((best, self.stages[who].name()))
         } else {
-            Some((cap, "check boundary"))
+            Some((limit, limit_name))
         }
     }
 
@@ -314,12 +317,118 @@ impl<B: ?Sized> CycleLoop<B> {
         bus: &mut B,
         start: u64,
         mut done: impl FnMut(&B) -> bool,
-        mut progress: impl FnMut(&B) -> u64,
+        progress: impl FnMut(&B) -> u64,
         diagnose: impl FnOnce(&B, u64) -> String,
     ) -> u64 {
         if done(bus) {
             return start;
         }
+        self.drive(bus, start, |_| false, done, progress, diagnose)
+    }
+
+    /// [`CycleLoop::run`] with an exact stop: `stop` is evaluated after
+    /// every ticked cycle, not at the next check boundary, and the loop
+    /// returns the cycle after the one whose tick made it hold (the bus
+    /// clock should then equal that value) — no null tick is simulated
+    /// past the event. For a driver that must hand the bus to someone
+    /// else at a precise cycle. `stop` must be cheap and must depend only
+    /// on state that null ticks leave alone, so a jump can never cross
+    /// it; the horizon probe keeps its veto back-off, and `progress` and
+    /// `diagnose` feed the same watchdog as in `run`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the `diagnose` text when the watchdog trips.
+    pub fn run_until(
+        &mut self,
+        bus: &mut B,
+        start: u64,
+        stop: impl FnMut(&B) -> bool,
+        progress: impl FnMut(&B) -> u64,
+        diagnose: impl FnOnce(&B, u64) -> String,
+    ) -> u64 {
+        self.drive(bus, start, stop, |_| false, progress, diagnose)
+    }
+
+    /// Advances the bus from cycle `start` to exactly cycle `to`: jumps
+    /// are capped at `to` instead of at check boundaries, and a machine
+    /// with no scheduled event crosses the whole stretch in one jump.
+    /// Nothing is sampled — a bounded drive cannot hang — so an idle bus
+    /// costs its events, not its cycles. With fast-forward off every
+    /// cycle of `[start, to)` is ticked.
+    pub fn advance(&mut self, bus: &mut B, start: u64, to: u64) {
+        let mut pace = Pace::new(self.profile, self.stages.len());
+        let mut now = start;
+        while now < to {
+            now = self.step(bus, now, JumpCap::Bound(to), &mut pace).0;
+        }
+    }
+
+    /// One iteration of a drive at cycle `now`: a horizon jump capped at
+    /// `cap` when fast-forward is on, the probe is not held off and every
+    /// stage allows it; otherwise one tick of every stage. Returns the new
+    /// cycle and whether the stages were ticked.
+    #[inline]
+    fn step(&mut self, bus: &mut B, now: u64, cap: JumpCap, pace: &mut Pace) -> (u64, bool) {
+        if self.skip && pace.probe_holdoff == 0 {
+            let probe_start = self.profile.then(std::time::Instant::now);
+            let jump = self.horizon(now, bus, cap);
+            if let Some(t0) = probe_start {
+                pace.probe_nanos += t0.elapsed().as_nanos() as u64;
+            }
+            if let Some((target, stage)) = jump {
+                pace.veto_streak = 0;
+                let skip_start = self.profile.then(std::time::Instant::now);
+                for s in &mut self.stages {
+                    s.skip(now, target, bus);
+                }
+                if let Some(t0) = skip_start {
+                    pace.skip_nanos += t0.elapsed().as_nanos() as u64;
+                }
+                self.jumps += 1;
+                self.skipped_cycles += target - now;
+                self.last_jump = Some(JumpRecord {
+                    from: now,
+                    to: target,
+                    stage,
+                });
+                return (target, false);
+            }
+            pace.veto_streak = pace.veto_streak.saturating_add(1);
+            if pace.veto_streak >= VETO_BACKOFF_AFTER {
+                pace.probe_holdoff =
+                    u64::from(pace.veto_streak / VETO_BACKOFF_AFTER).min(MAX_PROBE_HOLDOFF);
+            }
+        } else {
+            pace.probe_holdoff = pace.probe_holdoff.saturating_sub(1);
+        }
+        if self.profile {
+            for (i, stage) in self.stages.iter_mut().enumerate() {
+                let t0 = std::time::Instant::now();
+                stage.tick(now, bus);
+                pace.stage_nanos[i] += t0.elapsed().as_nanos() as u64;
+            }
+        } else {
+            for stage in &mut self.stages {
+                stage.tick(now, bus);
+            }
+        }
+        pace.ticked += 1;
+        (now + 1, true)
+    }
+
+    /// The watchdog-supervised drive behind [`CycleLoop::run`] (`done`
+    /// sampled at check boundaries) and [`CycleLoop::run_until`] (`stop`
+    /// evaluated after every tick).
+    fn drive(
+        &mut self,
+        bus: &mut B,
+        start: u64,
+        mut stop: impl FnMut(&B) -> bool,
+        mut done: impl FnMut(&B) -> bool,
+        mut progress: impl FnMut(&B) -> u64,
+        diagnose: impl FnOnce(&B, u64) -> String,
+    ) -> u64 {
         let mut now = start;
         let mut last_progress = progress(bus);
         // Checks land on absolute multiples of the interval, so the first
@@ -329,26 +438,25 @@ impl<B: ?Sized> CycleLoop<B> {
         // crossed purely by horizon jumps charge nothing (the jump proves
         // an event is scheduled), with `flat_since` as the leashed backstop
         // against no-progress event loops.
+        let interval = self.watchdog.check_interval;
+        let mut next_check = (start / interval + 1) * interval;
         let mut idle_cycles: u64 = 0;
         let mut ticked_since_check: u64 = 0;
         let mut flat_since = start;
-        let profile = self.profile;
-        let mut stage_nanos = vec![0u64; self.stages.len()];
-        let mut probe_nanos = 0u64;
-        let mut skip_nanos = 0u64;
-        let mut ticked: u64 = 0;
-        // Veto-streak probe backoff (see [`VETO_BACKOFF_AFTER`]): on long
-        // saturated stretches the probe is spaced out and the loop just
-        // ticks — bitwise identical by the tick/skip contract, minus the
-        // per-cycle probe sweep.
-        let mut veto_streak: u32 = 0;
-        let mut probe_holdoff: u64 = 0;
-        // Label passed explicitly: labels are hygienic in macro_rules, so
-        // the macro cannot name the loop's label directly.
-        macro_rules! sample {
-            ($exit:lifetime) => {
+        let mut pace = Pace::new(self.profile, self.stages.len());
+        let end = loop {
+            let (next, ticked) = self.step(bus, now, JumpCap::CheckBoundary(next_check), &mut pace);
+            now = next;
+            if ticked {
+                ticked_since_check += 1;
+                if stop(bus) {
+                    break now;
+                }
+            }
+            if now == next_check {
+                next_check += interval;
                 if done(bus) {
-                    break $exit now;
+                    break now;
                 }
                 let p = progress(bus);
                 if p != last_progress {
@@ -367,91 +475,80 @@ impl<B: ?Sized> CycleLoop<B> {
                     }
                 }
                 ticked_since_check = 0;
-            };
-        }
-        let end = 'run: loop {
-            if self.skip && probe_holdoff == 0 {
-                let probe_start = profile.then(std::time::Instant::now);
-                let jump = self.horizon(now, bus);
-                if let Some(t0) = probe_start {
-                    probe_nanos += t0.elapsed().as_nanos() as u64;
-                }
-                if let Some((target, stage)) = jump {
-                    veto_streak = 0;
-                    let skip_start = profile.then(std::time::Instant::now);
-                    for s in &mut self.stages {
-                        s.skip(now, target, bus);
-                    }
-                    if let Some(t0) = skip_start {
-                        skip_nanos += t0.elapsed().as_nanos() as u64;
-                    }
-                    self.jumps += 1;
-                    self.skipped_cycles += target - now;
-                    self.last_jump = Some(JumpRecord {
-                        from: now,
-                        to: target,
-                        stage,
-                    });
-                    now = target;
-                    if now.is_multiple_of(self.watchdog.check_interval) {
-                        sample!('run);
-                    }
-                    continue;
-                }
-                veto_streak = veto_streak.saturating_add(1);
-                if veto_streak >= VETO_BACKOFF_AFTER {
-                    probe_holdoff =
-                        u64::from(veto_streak / VETO_BACKOFF_AFTER).min(MAX_PROBE_HOLDOFF);
-                }
-            } else {
-                probe_holdoff = probe_holdoff.saturating_sub(1);
-            }
-            if profile {
-                for (i, stage) in self.stages.iter_mut().enumerate() {
-                    let t0 = std::time::Instant::now();
-                    stage.tick(now, bus);
-                    stage_nanos[i] += t0.elapsed().as_nanos() as u64;
-                }
-                ticked += 1;
-            } else {
-                for stage in &mut self.stages {
-                    stage.tick(now, bus);
-                }
-            }
-            now += 1;
-            ticked_since_check += 1;
-            if now.is_multiple_of(self.watchdog.check_interval) {
-                sample!('run);
             }
         };
-        if profile {
-            let total: u64 = stage_nanos.iter().sum();
-            eprintln!(
-                "[stage profile] {} cycles ({} ticked, {} skipped in {} jumps), \
-                 {:.1} ms staged + {:.1} ms horizon probes + {:.1} ms skip charges",
-                end - start,
-                ticked,
-                self.skipped_cycles,
-                self.jumps,
-                total as f64 / 1e6,
-                probe_nanos as f64 / 1e6,
-                skip_nanos as f64 / 1e6,
-            );
-            for (i, stage) in self.stages.iter().enumerate() {
-                eprintln!(
-                    "[stage profile]   {:<20} {:>10.1} ms  {:>5.1}%  \
-                     ({:.0} ns/tick over {} ticks, {} jumps, {} probe vetoes)",
-                    stage.name(),
-                    stage_nanos[i] as f64 / 1e6,
-                    100.0 * stage_nanos[i] as f64 / total.max(1) as f64,
-                    stage_nanos[i] as f64 / ticked.max(1) as f64,
-                    ticked,
-                    self.jumps,
-                    self.veto_counts[i],
-                );
-            }
+        if self.profile {
+            self.print_profile(&pace, end - start);
         }
         end
+    }
+
+    /// The `NEUROCUBE_STAGE_PROFILE` breakdown of one finished drive.
+    fn print_profile(&self, pace: &Pace, cycles: u64) {
+        let total: u64 = pace.stage_nanos.iter().sum();
+        eprintln!(
+            "[stage profile] {} cycles ({} ticked, {} skipped in {} jumps), \
+             {:.1} ms staged + {:.1} ms horizon probes + {:.1} ms skip charges",
+            cycles,
+            pace.ticked,
+            self.skipped_cycles,
+            self.jumps,
+            total as f64 / 1e6,
+            pace.probe_nanos as f64 / 1e6,
+            pace.skip_nanos as f64 / 1e6,
+        );
+        for (i, stage) in self.stages.iter().enumerate() {
+            eprintln!(
+                "[stage profile]   {:<20} {:>10.1} ms  {:>5.1}%  \
+                 ({:.0} ns/tick over {} ticks, {} jumps, {} probe vetoes)",
+                stage.name(),
+                pace.stage_nanos[i] as f64 / 1e6,
+                100.0 * pace.stage_nanos[i] as f64 / total.max(1) as f64,
+                pace.stage_nanos[i] as f64 / pace.ticked.max(1) as f64,
+                pace.ticked,
+                self.jumps,
+                self.veto_counts[i],
+            );
+        }
+    }
+}
+
+/// How far one horizon jump of a drive may reach.
+#[derive(Clone, Copy)]
+enum JumpCap {
+    /// The next watchdog sample point of [`CycleLoop::run`] /
+    /// [`CycleLoop::run_until`], so completion and progress are sampled at
+    /// the same absolute cycles as the naive loop.
+    CheckBoundary(u64),
+    /// The end of a bounded [`CycleLoop::advance`].
+    Bound(u64),
+}
+
+/// Per-drive state of [`CycleLoop::step`]: the veto-streak probe back-off
+/// (see [`VETO_BACKOFF_AFTER`] — on long saturated stretches the probe is
+/// spaced out and the loop just ticks, bitwise identical by the tick/skip
+/// contract, minus the per-cycle probe sweep) and the stage-profile
+/// accumulators.
+struct Pace {
+    veto_streak: u32,
+    probe_holdoff: u64,
+    ticked: u64,
+    /// Per-stage wall-clock, filled only while profiling.
+    stage_nanos: Vec<u64>,
+    probe_nanos: u64,
+    skip_nanos: u64,
+}
+
+impl Pace {
+    fn new(profile: bool, stages: usize) -> Pace {
+        Pace {
+            veto_streak: 0,
+            probe_holdoff: 0,
+            ticked: 0,
+            stage_nanos: vec![0; if profile { stages } else { 0 }],
+            probe_nanos: 0,
+            skip_nanos: 0,
+        }
     }
 }
 
@@ -789,6 +886,114 @@ mod tests {
         assert_eq!(run(true), 1004);
         let naive = std::panic::catch_unwind(|| run(false));
         assert!(naive.is_err(), "naive loop must trip the watchdog");
+    }
+
+    #[test]
+    fn run_until_stops_on_the_tick_the_event_happens() {
+        // Period 97 against the 64-cycle check interval: `run` would report
+        // the third event at cycle 320, the next boundary; `run_until`
+        // must return 3 × 97 + 1 with not one idle tick charged past it.
+        let run = |skip: bool| {
+            let mut bus = EventBus::default();
+            let mut cl = CycleLoop::new()
+                .with_skip(skip)
+                .stage(Periodic { period: 97 })
+                .stage(BusClock);
+            let end = cl.run_until(
+                &mut bus,
+                0,
+                |b| b.events >= 3,
+                |b| b.events,
+                |_, idle| format!("stalled for {idle}"),
+            );
+            (end, bus, cl.jumps())
+        };
+        let (naive_end, naive_bus, naive_jumps) = run(false);
+        let (skip_end, skip_bus, skip_jumps) = run(true);
+        assert_eq!(naive_end, 3 * 97 + 1);
+        assert_eq!(naive_bus.clock, naive_end);
+        assert_eq!(naive_bus.idle_ticks, naive_end - 3);
+        assert_eq!((skip_end, &skip_bus), (naive_end, &naive_bus));
+        assert_eq!(naive_jumps, 0);
+        assert!(skip_jumps > 0, "fast-forward must actually engage");
+    }
+
+    #[test]
+    #[should_panic(expected = "stalled for 128")]
+    fn run_until_enforces_the_watchdog() {
+        let mut bus = EventBus::default();
+        let mut cl = CycleLoop::new()
+            .with_skip(false)
+            .with_watchdog(Watchdog {
+                check_interval: 64,
+                idle_budget: 128,
+            })
+            .stage(BusClock);
+        cl.run_until(
+            &mut bus,
+            0,
+            |_| false,
+            |b| b.events,
+            |_, idle| format!("stalled for {idle}"),
+        );
+    }
+
+    #[test]
+    fn advance_stops_at_its_bound_and_costs_events_not_cycles() {
+        let run = |skip: bool| {
+            let mut bus = EventBus::default();
+            let mut cl = CycleLoop::new()
+                .with_skip(skip)
+                .stage(Periodic { period: 1000 })
+                .stage(BusClock);
+            cl.advance(&mut bus, 0, 2500);
+            cl.advance(&mut bus, 2500, 2500); // already there: nothing runs
+            (bus, cl.jumps(), cl.skipped_cycles())
+        };
+        let (naive_bus, naive_jumps, _) = run(false);
+        let (skip_bus, skip_jumps, skipped) = run(true);
+        assert_eq!(naive_bus.clock, 2500);
+        assert_eq!(naive_bus.events, 2);
+        assert_eq!(skip_bus, naive_bus);
+        assert_eq!(naive_jumps, 0);
+        // 0 → 1000, tick, → 2000, tick, → 2500: jumps are capped by the
+        // bound, never by a check boundary.
+        assert_eq!((skip_jumps, skipped), (3, 2498));
+
+        // A machine with no event of its own crosses the stretch in one
+        // jump — the case `run` must tick through for its watchdog's sake.
+        let mut bus = EventBus::default();
+        let mut cl = CycleLoop::new().with_skip(true).stage(BusClock);
+        cl.advance(&mut bus, 0, 1_000_000);
+        assert_eq!(bus.clock, 1_000_000);
+        assert_eq!((cl.jumps(), cl.skipped_cycles()), (1, 1_000_000));
+    }
+
+    #[test]
+    fn a_loop_with_skip_off_never_probes_or_skips() {
+        struct TickOnly;
+        impl Clocked<EventBus> for TickOnly {
+            fn tick(&mut self, _now: u64, bus: &mut EventBus) {
+                bus.clock += 1;
+            }
+            fn next_event(&self, _now: u64, _bus: &EventBus) -> Option<u64> {
+                panic!("the naive loop probed a horizon");
+            }
+            fn skip(&mut self, _from: u64, _to: u64, _bus: &mut EventBus) {
+                panic!("the naive loop skipped");
+            }
+        }
+        let mut bus = EventBus::default();
+        let mut cl = CycleLoop::new().with_skip(false).stage(TickOnly);
+        cl.advance(&mut bus, 0, 300);
+        let end = cl.run_until(
+            &mut bus,
+            300,
+            |b| b.clock >= 500,
+            |b| b.clock,
+            |_, _| String::new(),
+        );
+        assert_eq!((end, bus.clock), (500, 500));
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //! 3. The measured run lands inside the plan's end-to-end envelope and
 //!    at or above its certified lower bound; multi-stage plans carry a
 //!    non-zero link share that is part of that bound.
+//! 4. Property 2 also holds on a warm cluster: a pipelined batch of 3
+//!    and then a second run on the same cluster, which starts at a
+//!    non-zero cycle on member clocks that each stopped somewhere else.
 
 mod common;
 
@@ -229,6 +232,48 @@ proptest! {
                 "a {} -stage plan must carry a link share in its bound", stages
             );
             prop_assert!(lower > link_lower, "compute share must be non-zero");
+        }
+    }
+
+    /// Property 4: fast-forward stays invisible past the first run. A
+    /// batch of 3 pipelines jobs through the stages (a cube is re-armed
+    /// the cycle after its previous job is harvested), and the run after
+    /// it starts from a non-zero cycle with every member caught up from
+    /// wherever its last stage left it. Outputs, both cycle counts and
+    /// the full registry agree between skip and naive.
+    #[test]
+    fn warm_cluster_fast_forward_is_observationally_invisible(case in cluster_case()) {
+        let (cfg, plan, input) = plan_case(&case)?;
+        let batch = vec![input.clone(), input.clone(), input.clone()];
+        let run = |skip: bool| {
+            let mut cluster = Cluster::new(&cfg, plan.clone()).expect("certified plan loads");
+            cluster.set_cycle_skip(skip);
+            let (batch_outs, batch_report) = cluster.run_batch(&batch);
+            let (out, report) = cluster.run(&input);
+            (cluster, batch_outs, batch_report, out, report)
+        };
+        let (fast, fast_batch, fast_batch_report, fast_out, fast_report) = run(true);
+        let (naive, naive_batch, naive_batch_report, naive_out, naive_report) = run(false);
+
+        prop_assert_eq!(
+            (naive_batch_report.jumps, naive_report.jumps), (0, 0),
+            "the naive oracle must not fast-forward"
+        );
+        for (f, n) in fast_batch.iter().zip(&naive_batch) {
+            prop_assert_eq!(f.as_slice(), n.as_slice(), "batch outputs diverge");
+            prop_assert_eq!(f.as_slice(), fast_out.as_slice(), "equal inputs, unequal outputs");
+        }
+        prop_assert_eq!(fast_out.as_slice(), naive_out.as_slice(), "second-run outputs diverge");
+        prop_assert_eq!(
+            (fast_batch_report.cycles, fast_report.cycles),
+            (naive_batch_report.cycles, naive_report.cycles),
+            "cycle counts diverge ({:?})", case
+        );
+        prop_assert_eq!(fast.now(), naive.now());
+        if let Some(delta) = fast.stats_registry().first_difference(&naive.stats_registry()) {
+            return Err(TestCaseError::fail(format!(
+                "statistics diverge at {delta} after a batch and a second run ({case:?})"
+            )));
         }
     }
 }
