@@ -60,15 +60,21 @@
 #                    sharded-vs-single-cube / skip-vs-naive on a fresh
 #                    and on a warm cluster / certified link-bound
 #                    properties at 512 cases, plus the cluster and serve
-#                    unit suites, which pin the private-member-clock
-#                    executor to the registry of the tick-every-member
-#                    one it replaced) and the 16-64 cube scaling
+#                    unit suites, which pin the executor - member cubes
+#                    on private clocks, a stage's part cubes on host
+#                    threads - to the registry of the serial
+#                    tick-every-member one it replaced, one worker
+#                    against four, and the planner to the plans of the
+#                    prefix-cloning one) and the 16-64 cube scaling
 #                    study (BENCH_cluster.json), whose built-in gates
 #                    require pipelined batch throughput strictly above
 #                    the single big cube on every multi-stage point and
 #                    weak-scaling plans that grow with the fabric. The
 #                    standard gate already runs the property suite at the
-#                    pinned 32-case budget.
+#                    pinned 32-case budget. Both run the cluster suites
+#                    twice where `taskset` exists: on every core, and
+#                    pinned to one, where the host thread count is 1 and
+#                    every part runs inline on the calling thread.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -94,6 +100,15 @@ PROPTEST_CASES=32 cargo test -q \
 # warm clusters), certified link-aware cycle bounds.
 PROPTEST_CASES=32 cargo test -q \
     -p neurocube-integration-tests --test cluster_sharding
+# The cluster executor sizes its fork-join from the host: pinned to one
+# core it has one worker, the calling thread. No knob selects that path.
+one_core=()
+if command -v taskset >/dev/null; then
+    one_core=(taskset -c 0)
+    "${one_core[@]}" cargo test -q -p neurocube-cluster
+    PROPTEST_CASES=32 "${one_core[@]}" cargo test -q \
+        -p neurocube-integration-tests --test cluster_sharding
+fi
 cargo fmt --check
 cargo clippy --workspace -- -D warnings
 # Doc gate over our own crates (the vendored dev-deps are exempt).
@@ -159,6 +174,12 @@ if [[ "${1:-}" == "--cluster" ]]; then
     PROPTEST_CASES=512 cargo test -q --release \
         -p neurocube-integration-tests --test cluster_sharding
     cargo test -q --release -p neurocube-cluster -p neurocube-serve
+    if (( ${#one_core[@]} )); then
+        echo "== the same on one core (one worker, every part inline) =="
+        "${one_core[@]}" cargo test -q --release -p neurocube-cluster
+        PROPTEST_CASES=512 "${one_core[@]}" cargo test -q --release \
+            -p neurocube-integration-tests --test cluster_sharding
+    fi
     echo "== cluster scaling study (gates: pipelined > single cube, plans grow with fabric) =="
     cargo bench -p neurocube-bench --bench scaling_multicube
 fi

@@ -22,7 +22,10 @@
 //!   by [`Neurocube::run_armed_graph`] — the cube's own pipeline, so
 //!   member behaviour is bitwise identical to a standalone run of the
 //!   same subprogram — which returns the exact cycle the part completed.
-//!   The stage completes at the latest of those cycles.
+//!   The stage completes at the latest of those cycles. The parts of one
+//!   stage are one fork-join on [`BatchRunner`]: a part job owns its cube
+//!   and only reads everything else, so the host threads it runs on
+//!   cannot change a bit of the result.
 //! * **Egress** harvests a stage at exactly its completion cycle `c` (a
 //!   horizon event of the loop): catches the part cubes up to `c + 1`,
 //!   gathers the part slices into the stage output value, and enqueues
@@ -47,7 +50,7 @@ use neurocube::{LoadedGraph, Neurocube, SystemConfig};
 use neurocube_fixed::Q88;
 use neurocube_nn::Tensor;
 use neurocube_png::CompileError;
-use neurocube_sim::{Clocked, CycleLoop, StatsRegistry};
+use neurocube_sim::{BatchRunner, Clocked, CycleLoop, StatsRegistry};
 
 /// One inference job flowing through the pipeline.
 struct Job {
@@ -78,6 +81,8 @@ pub struct Cluster {
     plan: ShardedGraph,
     cubes: Vec<Neurocube>,
     loaded: Vec<LoadedGraph>,
+    /// Host threads for the part cubes of one stage.
+    runner: BatchRunner,
     now: u64,
     jobs: Vec<Job>,
     /// Job currently occupying each stage.
@@ -138,6 +143,7 @@ impl Cluster {
             plan,
             cubes,
             loaded,
+            runner: BatchRunner::new(),
             now: 0,
             jobs: Vec::new(),
             stage_busy: vec![None; stages],
@@ -299,22 +305,34 @@ impl Cluster {
     /// up to `now`, gets its input (untimed host-style writes), is armed
     /// and driven until its sequencer reports complete. Records the cycle
     /// the slowest part finished for Egress to harvest at.
+    ///
+    /// The parts run as one fork-join. A part job holds the only `&mut`
+    /// to its cube and otherwise reads shared immutable state (its loaded
+    /// subprogram, the assembled input, `now`), and the completion cycles
+    /// fold in part order, so the worker count cannot show in any result.
+    /// A member's watchdog panic resurfaces here with its payload, the
+    /// lowest part first — the one a single worker reaches first.
     fn start_stage(&mut self, j: usize, s: usize, now: u64) {
         self.stage_busy[s] = Some(j);
         self.jobs[j].running = true;
         let pending = std::mem::take(&mut self.jobs[j].pending);
-        let mut done_at = now;
-        for part in &self.plan.stages[s].parts {
+        let parts = &self.plan.stages[s].parts;
+        // Plans assign cubes densely, so a stage's cubes are one slice.
+        let first = parts[0].cube;
+        let cubes = &mut self.cubes[first..first + parts.len()];
+        let items: Vec<_> = parts.iter().zip(cubes).collect();
+        let loaded = &self.loaded;
+        let done = self.runner.run_items(items, |(part, cube)| {
+            let loaded = &loaded[part.cube];
             let shape = part.graph.input_shape();
             let t = Tensor::from_vec(shape.channels, shape.height, shape.width, pending.clone());
-            let (cube, loaded) = (&mut self.cubes[part.cube], &self.loaded[part.cube]);
             cube.catch_up(now);
             cube.set_graph_input(loaded, &t);
             cube.begin_graph_run(loaded);
             let who = format!("cluster cube {}, stage {s}", part.cube);
-            done_at = done_at.max(cube.run_armed_graph(&who));
-        }
-        self.stage_done_at[s] = done_at;
+            cube.run_armed_graph(&who)
+        });
+        self.stage_done_at[s] = done.into_iter().fold(now, u64::max);
     }
 
     /// Harvests stage `s` (owner job `j`) at its completion cycle `now`:
@@ -599,6 +617,36 @@ mod tests {
         }
     }
 
+    /// The worker count is not an input: one part at a time on the calling
+    /// thread and every part of a stage on a thread of its own (more
+    /// threads than this box has cores, so interleavings vary) agree on a
+    /// fresh cluster and on a warm one, fast-forward on and off.
+    #[test]
+    fn one_worker_and_four_workers_are_bitwise_identical() {
+        for skip in [true, false] {
+            let runs = [1, 4].map(|workers| {
+                let (cfg, plan, input) = sharded_setup();
+                assert!(plan.stages.iter().any(|s| s.is_banded()));
+                let mut cluster = Cluster::new(&cfg, plan).unwrap();
+                cluster.runner = BatchRunner::with_threads(workers);
+                cluster.set_cycle_skip(skip);
+                let (o1, r1) = cluster.run(&input);
+                let inputs: Vec<Tensor> = (0..4).map(|_| input.clone()).collect();
+                let (o4, r4) = cluster.run_batch(&inputs);
+                let outs: Vec<Vec<Q88>> = std::iter::once(&o1)
+                    .chain(&o4)
+                    .map(|t| t.as_slice().to_vec())
+                    .collect();
+                let reports = [r1, r4].map(|r| (r.cycles, r.jumps, r.skipped_cycles));
+                (outs, reports, cluster.stats_registry())
+            });
+            let [(outs_1, reports_1, reg_1), (outs_4, reports_4, reg_4)] = runs;
+            assert_eq!(outs_1, outs_4, "skip={skip}");
+            assert_eq!(reports_1, reports_4, "skip={skip}");
+            assert_eq!(reg_1.first_difference(&reg_4), None, "skip={skip}");
+        }
+    }
+
     /// 64-bit FNV-1a fold of every key and value of a registry.
     fn registry_digest(reg: &StatsRegistry) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -629,11 +677,13 @@ mod tests {
     /// The constants were recorded at commit a361c65 (PR 12), the last
     /// one whose `Cluster` ticked every member on every cluster cycle: one
     /// `run` then one `run_batch` of 4 on the same cluster, so the second
-    /// run starts at a non-zero cycle on warm cubes.
+    /// run starts at a non-zero cycle on warm cubes. It ran its parts one
+    /// after another; here they are forced onto four host threads.
     #[test]
     fn run_ahead_reproduces_the_lockstep_executor_bit_for_bit() {
         let (cfg, plan, input) = sharded_setup();
         let mut cluster = Cluster::new(&cfg, plan).unwrap();
+        cluster.runner = BatchRunner::with_threads(4);
         let (_, r1) = cluster.run(&input);
         let inputs: Vec<Tensor> = (0..4).map(|_| input.clone()).collect();
         let (_, r4) = cluster.run_batch(&inputs);
@@ -656,14 +706,20 @@ mod tests {
     /// A member that can never finish must trip *its own* watchdog, naming
     /// the cube and stage and carrying that cube's stall dump — the
     /// cluster loop does not see member progress, so nothing else would.
-    /// The wedge: stage 0's cube is swapped for one whose DRAM command
-    /// queues hold nothing, so its PNGs can never issue a read.
+    /// The wedge: one cube of banded stage 0 is swapped for one whose DRAM
+    /// command queues hold nothing, so its PNGs can never issue a read.
+    /// Four workers claim the parts in no fixed order, so the wedged
+    /// part may land on the calling thread or on a spawned one; the panic
+    /// must reach the caller with the same payload either way, and for a
+    /// non-first part only after the parts before it have finished.
     #[test]
     fn a_wedged_member_trips_its_own_watchdog_in_both_modes() {
-        for skip in [true, false] {
+        for (skip, wedge) in [(true, 0), (false, 0), (true, 1), (false, 1)] {
             let (cfg, plan, input) = sharded_setup();
             let mut cluster = Cluster::new(&cfg, plan).unwrap();
-            let part = &cluster.plan.stages[0].parts[0];
+            cluster.runner = BatchRunner::with_threads(4);
+            assert!(cluster.plan.stages[0].is_banded());
+            let part = &cluster.plan.stages[0].parts[wedge];
             let mut wedged_cfg = cfg.clone();
             wedged_cfg.memory.channel.queue_capacity = 0;
             let mut wedged = Neurocube::new(wedged_cfg);
@@ -683,7 +739,7 @@ mod tests {
                 msg.starts_with(&format!(
                     "cluster cube {victim}, stage 0: deadlock in layer 0"
                 )),
-                "skip={skip}, got: {msg}"
+                "skip={skip}, part {wedge}, got: {msg}"
             );
             assert!(
                 msg.contains("queue_stalls"),

@@ -26,12 +26,14 @@
 
 use crate::link::LinkConfig;
 use neurocube::SystemConfig;
-use neurocube_fixed::Q88;
+use neurocube_fixed::{Activation, Q88};
 use neurocube_golden::{
     multi_layer_bounds, pipeline_envelope, CycleEnvelope, LayerBound, DEFAULT_SLACK,
 };
 use neurocube_nn::{GraphNode, GraphOp, GraphSource, GraphSpec, LayerSpec, Shape, INPUT};
 use neurocube_png::{compile_graph, CompileError};
+use std::collections::HashMap;
+use std::rc::Rc;
 
 /// One cube's share of a stage: a self-contained subgraph plus the slice
 /// of the stage's output value it produces.
@@ -148,14 +150,13 @@ fn crossing_value(graph: &GraphSpec, p: usize) -> Option<usize> {
 
 /// Rebuilds schedule range `[a, b)` as a self-contained graph whose
 /// [`INPUT`] is the value crossing into it (`None` for the original graph
-/// input), with the matching parameter slice.
+/// input). Its parameters are `params[a..b]` of the original.
 fn segment_graph(
     graph: &GraphSpec,
-    params: &[Vec<Q88>],
     a: usize,
     b: usize,
     cross_in: Option<usize>,
-) -> Result<(GraphSpec, Vec<Vec<Q88>>), CompileError> {
+) -> Result<GraphSpec, CompileError> {
     let in_shape = match cross_in {
         Some(j) => graph.node_output_shape(j),
         None => graph.input_shape(),
@@ -178,8 +179,7 @@ fn segment_graph(
             }
         })
         .collect();
-    let seg = GraphSpec::new(in_shape, nodes)?;
-    Ok((seg, params[a..b].to_vec()))
+    Ok(GraphSpec::new(in_shape, nodes)?)
 }
 
 /// Σ certified lower bounds for a compiled subgraph under `cfg` (which
@@ -192,16 +192,77 @@ fn segment_lower(cfg: &SystemConfig, seg: &GraphSpec) -> Result<u64, CompileErro
         .sum())
 }
 
-/// One unplaced part of a candidate: `(graph, params, out_lo, out_len,
-/// lower)`.
-type CandidatePart = (GraphSpec, Vec<Vec<Q88>>, usize, usize, u64);
+/// [`segment_lower`] of the single-FC-node graphs one `shard_graph` call
+/// has compiled, keyed by all the bound reads of such a graph — input
+/// shape, outputs, activation; never the weights or the node's name.
+/// `None` is a shape that does not compile. The ladder of band widths
+/// revisits few distinct shapes, and equal layers share all of them.
+type FcLowers = HashMap<(Shape, usize, Activation), Option<u64>>;
 
-/// A candidate placement of one stage, before cube indices are assigned.
+/// The memoised [`segment_lower`] of `part`, a graph of one FC node.
+fn fc_lower(
+    cfg: &SystemConfig,
+    memo: &mut FcLowers,
+    part: &GraphSpec,
+    outputs: usize,
+    activation: Activation,
+) -> Option<u64> {
+    *memo
+        .entry((part.input_shape(), outputs, activation))
+        .or_insert_with(|| segment_lower(cfg, part).ok())
+}
+
+/// One unplaced part of a candidate: its subgraph and the slice of the
+/// stage output it produces.
+struct CandidatePart {
+    graph: GraphSpec,
+    out_lo: usize,
+    out_len: usize,
+}
+
+/// A candidate placement of one stage, before cube indices are assigned
+/// and weights sliced.
 struct Candidate {
     nodes: (usize, usize),
     parts: Vec<CandidatePart>,
     lower: u64,
     out_shape: Shape,
+}
+
+impl Candidate {
+    /// The stage this candidate becomes on cubes `first..`, with each
+    /// part's weights cut from the original graph's `params`: the node
+    /// range of an unsplit stage, the band's rows of a banded one.
+    fn place(&self, first: usize, params: &[Vec<Q88>]) -> ShardStage {
+        let (a, b) = self.nodes;
+        let parts = self
+            .parts
+            .iter()
+            .enumerate()
+            .map(|(k, part)| {
+                let params = if self.parts.len() == 1 {
+                    params[a..b].to_vec()
+                } else {
+                    let n_in = part.graph.input_shape().len();
+                    let rows = part.out_lo * n_in..(part.out_lo + part.out_len) * n_in;
+                    vec![params[a][rows].to_vec()]
+                };
+                ShardPart {
+                    cube: first + k,
+                    graph: part.graph.clone(),
+                    params,
+                    out_lo: part.out_lo,
+                    out_len: part.out_len,
+                }
+            })
+            .collect();
+        ShardStage {
+            nodes: self.nodes,
+            parts,
+            lower: self.lower,
+            out_shape: self.out_shape,
+        }
+    }
 }
 
 /// Every feasible placement of schedule range `[a, b)`: the single-cube
@@ -210,8 +271,8 @@ struct Candidate {
 /// dropped — infeasibility here just prunes the search.
 fn candidates(
     cfg: &SystemConfig,
+    memo: &mut FcLowers,
     graph: &GraphSpec,
-    params: &[Vec<Q88>],
     a: usize,
     b: usize,
     cross_in: Option<usize>,
@@ -219,67 +280,70 @@ fn candidates(
 ) -> Vec<Candidate> {
     let mut out = Vec::new();
     let out_shape = graph.node_output_shape(b - 1);
-    let Ok((seg, seg_params)) = segment_graph(graph, params, a, b, cross_in) else {
+    let Ok(seg) = segment_graph(graph, a, b, cross_in) else {
         return out;
     };
-    if let Ok(lower) = segment_lower(cfg, &seg) {
+    let fc = match graph.nodes()[a].op {
+        GraphOp::Layer(LayerSpec::FullyConnected {
+            outputs,
+            activation,
+        }) if b - a == 1 => Some((outputs, activation)),
+        _ => None,
+    };
+    let in_shape = seg.input_shape();
+    let whole = match fc {
+        Some((outputs, activation)) => fc_lower(cfg, memo, &seg, outputs, activation),
+        None => segment_lower(cfg, &seg).ok(),
+    };
+    if let Some(lower) = whole {
         out.push(Candidate {
             nodes: (a, b),
-            parts: vec![(seg, seg_params, 0, out_shape.len(), lower)],
+            parts: vec![CandidatePart {
+                graph: seg,
+                out_lo: 0,
+                out_len: out_shape.len(),
+            }],
             lower,
             out_shape,
         });
     }
     // Banded fully connected stage: MultiCube's row banding, gather on
     // the consumer.
-    let banded = b - a == 1
-        && matches!(
-            graph.nodes()[a].op,
-            GraphOp::Layer(LayerSpec::FullyConnected { .. })
-        );
-    if banded {
-        let GraphOp::Layer(LayerSpec::FullyConnected {
-            outputs,
-            activation,
-        }) = graph.nodes()[a].op
-        else {
-            unreachable!()
-        };
-        let in_shape = match cross_in {
-            Some(j) => graph.node_output_shape(j),
-            None => graph.input_shape(),
-        };
-        let n_in = in_shape.len();
-        'widths: for m in band_widths(max_parts.min(outputs)) {
-            let mut parts = Vec::with_capacity(m);
-            let mut worst = 0u64;
-            for k in 0..m {
-                let (o0, o1) = (k * outputs / m, (k + 1) * outputs / m);
-                if o0 == o1 {
-                    continue 'widths; // thinner than one neuron per cube
-                }
-                let node = GraphNode {
-                    name: graph.nodes()[a].name.clone(),
-                    inputs: vec![INPUT.to_string()],
-                    op: GraphOp::Layer(LayerSpec::fc(o1 - o0, activation)),
-                };
-                let Ok(part) = GraphSpec::new(in_shape, vec![node]) else {
-                    continue 'widths;
-                };
-                let Ok(lower) = segment_lower(cfg, &part) else {
-                    continue 'widths;
-                };
-                let weights = params[a][o0 * n_in..o1 * n_in].to_vec();
-                worst = worst.max(lower);
-                parts.push((part, vec![weights], o0, o1 - o0, lower));
+    let Some((outputs, activation)) = fc else {
+        return out;
+    };
+    'widths: for m in band_widths(max_parts.min(outputs)) {
+        let mut parts = Vec::with_capacity(m);
+        let mut worst = 0u64;
+        for k in 0..m {
+            let (o0, o1) = (k * outputs / m, (k + 1) * outputs / m);
+            if o0 == o1 {
+                continue 'widths; // thinner than one neuron per cube
             }
-            out.push(Candidate {
-                nodes: (a, b),
-                parts,
-                lower: worst,
-                out_shape,
+            let node = GraphNode {
+                name: graph.nodes()[a].name.clone(),
+                inputs: vec![INPUT.to_string()],
+                op: GraphOp::Layer(LayerSpec::fc(o1 - o0, activation)),
+            };
+            let Ok(part) = GraphSpec::new(in_shape, vec![node]) else {
+                continue 'widths;
+            };
+            let Some(lower) = fc_lower(cfg, memo, &part, o1 - o0, activation) else {
+                continue 'widths;
+            };
+            worst = worst.max(lower);
+            parts.push(CandidatePart {
+                graph: part,
+                out_lo: o0,
+                out_len: o1 - o0,
             });
         }
+        out.push(Candidate {
+            nodes: (a, b),
+            parts,
+            lower: worst,
+            out_shape,
+        });
     }
     out
 }
@@ -336,12 +400,15 @@ fn handoff_upper(link: &LinkConfig, src: &[ShardPart], dst: &[ShardPart]) -> u64
     total
 }
 
-/// One explored plan prefix in the cut search.
-#[derive(Clone)]
-struct Prefix {
-    stages: Vec<ShardStage>,
+/// The cheapest plan prefix found for one (schedule position, cubes used)
+/// cell of the cut search. The prefix itself is not stored: `last` is its
+/// final stage (candidate, first cube) and the rest is the cell that
+/// stage started from, `best[candidate.nodes.0][first cube]` — final
+/// before this cell is first written, since starts are visited in order.
+struct Cell {
     cost: u64,
     link_cost: u64,
+    last: Option<(Rc<Candidate>, usize)>,
 }
 
 /// Splits `graph` across the cluster described by `link`, choosing the
@@ -388,28 +455,29 @@ pub fn shard_graph(
     // the stored parts' cube indices, so this is a best-first heuristic
     // over an exact per-plan cost — whatever plan wins, its cost is still
     // a certified lower bound for executing exactly that plan.
-    let mut best: Vec<Vec<Option<Prefix>>> = (0..=n)
+    let mut best: Vec<Vec<Option<Cell>>> = (0..=n)
         .map(|_| (0..=probe).map(|_| None).collect())
         .collect();
-    best[0][0] = Some(Prefix {
-        stages: Vec::new(),
+    best[0][0] = Some(Cell {
         cost: 0,
         link_cost: 0,
+        last: None,
     });
     let ends: Vec<usize> = cuts.iter().map(|&(p, _)| p + 1).chain([n]).collect();
     let starts: Vec<(usize, Option<usize>)> = [(0, None)]
         .into_iter()
         .chain(cuts.iter().map(|&(p, j)| (p + 1, Some(j))))
         .collect();
+    let mut memo = FcLowers::new();
     for &(a, cross_in) in &starts {
         for &b in ends.iter().filter(|&&b| b > a) {
-            let cands = candidates(&bounds_cfg, graph, params, a, b, cross_in, probe);
-            if cands.is_empty() {
-                continue;
-            }
+            let cands: Vec<Rc<Candidate>> =
+                candidates(&bounds_cfg, &mut memo, graph, a, b, cross_in, probe)
+                    .into_iter()
+                    .map(Rc::new)
+                    .collect();
             // `b > a` always, so the source row and destination row never
-            // alias; split so the prefix can be held by reference and
-            // cloned only when a cheaper plan is actually recorded.
+            // alias.
             let (head, tail) = best.split_at_mut(a + 1);
             let row_b = &mut tail[b - a - 1];
             for used in 0..=probe {
@@ -424,16 +492,16 @@ pub fn shard_graph(
                     // Cube indices may exceed the real topology during the
                     // probe; hop math then uses the ring distance of a
                     // virtual ring big enough to hold them. The hand-off
-                    // bound only needs the candidate's prospective cube
-                    // indices (`used + k`) and slice widths, so it is
-                    // computed before any part is materialized.
+                    // bound needs only both stages' cube indices (the
+                    // previous one's from its first cube, this one's
+                    // `used + k`) and the previous slice widths.
                     let hop_link = probe_link(link, used + m);
-                    let hand = prefix.stages.last().map_or(0, |prev| {
+                    let hand = prefix.last.as_ref().map_or(0, |(prev, prev_first)| {
                         let mut worst = 0;
-                        for s in &prev.parts {
+                        for (i, s) in prev.parts.iter().enumerate() {
                             let bytes = 2 * s.out_len as u64;
                             for k in 0..m {
-                                let hops = hop_link.topology.hops(s.cube, used + k);
+                                let hops = hop_link.topology.hops(prev_first + i, used + k);
                                 worst = worst.max(hop_link.transfer_cycles(bytes, hops));
                             }
                         }
@@ -442,29 +510,10 @@ pub fn shard_graph(
                     let cost = prefix.cost + hand + cand.lower;
                     let slot = &mut row_b[used + m];
                     if slot.as_ref().is_none_or(|s| cost < s.cost) {
-                        let parts: Vec<ShardPart> = cand
-                            .parts
-                            .iter()
-                            .enumerate()
-                            .map(|(k, (g, p, lo, len, _))| ShardPart {
-                                cube: used + k,
-                                graph: g.clone(),
-                                params: p.clone(),
-                                out_lo: *lo,
-                                out_len: *len,
-                            })
-                            .collect();
-                        let mut stages = prefix.stages.clone();
-                        stages.push(ShardStage {
-                            nodes: cand.nodes,
-                            parts,
-                            lower: cand.lower,
-                            out_shape: cand.out_shape,
-                        });
-                        *slot = Some(Prefix {
-                            stages,
+                        *slot = Some(Cell {
                             cost,
                             link_cost: prefix.link_cost + hand,
+                            last: Some((Rc::clone(cand), used)),
                         });
                     }
                 }
@@ -472,9 +521,9 @@ pub fn shard_graph(
         }
     }
 
-    let winner = (0..=available)
-        .filter_map(|c| best[n][c].take())
-        .min_by_key(|p| p.cost);
+    let winner = (0..=available.min(probe))
+        .filter_map(|c| best[n][c].as_ref())
+        .min_by_key(|cell| cell.cost);
     let Some(plan) = winner else {
         // Feasible only beyond the cluster, or not at all?
         if let Some(needed) = (available + 1..=probe).find(|&c| best[n][c].is_some()) {
@@ -488,22 +537,30 @@ pub fn shard_graph(
             },
         );
     };
+    // Only the winner is materialised: walk its back-references to the
+    // empty prefix, cutting each part's weights on the way.
+    let mut stages = Vec::new();
+    let mut at = plan;
+    while let Some((cand, first)) = &at.last {
+        stages.push(cand.place(*first, params));
+        at = best[cand.nodes.0][*first]
+            .as_ref()
+            .expect("a recorded stage starts from a recorded prefix");
+    }
+    stages.reverse();
 
-    let stage_envs: Vec<CycleEnvelope> = plan
-        .stages
+    let stage_envs: Vec<CycleEnvelope> = stages
         .iter()
         .map(|s| stage_envelope(&bounds_cfg, s))
         .collect();
-    let pair_count: u64 = plan
-        .stages
+    let pair_count: u64 = stages
         .windows(2)
         .map(|w| (w[0].parts.len() * w[1].parts.len()) as u64)
         .sum();
     let mut envelope = pipeline_envelope(&stage_envs, plan.link_cost, pair_count);
     // Widen the ceiling to the fully-serialized transfer schedule; the
     // floor stays the certified overlap-friendly bound.
-    let upper_extra: u64 = plan
-        .stages
+    let upper_extra: u64 = stages
         .windows(2)
         .map(|w| {
             handoff_upper(link, &w[0].parts, &w[1].parts)
@@ -516,9 +573,9 @@ pub fn shard_graph(
         graph: graph.clone(),
         params: params.to_vec(),
         link: *link,
-        stages: plan.stages,
         lower: plan.cost,
         link_lower: plan.link_cost,
+        stages,
         envelope,
     })
 }
@@ -580,6 +637,110 @@ mod tests {
         (graph, params)
     }
 
+    /// The ledger's `cluster_sharded` model: `depth` FC-256 stages and a
+    /// 16-way head.
+    fn fc_chain(depth: usize) -> (GraphSpec, Vec<Vec<Q88>>) {
+        let mut g = GraphBuilder::new(Shape::flat(256));
+        let mut prev = INPUT.to_string();
+        for i in 0..depth {
+            let name = format!("fc{i}");
+            g.layer(&name, &prev, LayerSpec::fc(256, Activation::Tanh));
+            prev = name;
+        }
+        g.layer("head", &prev, LayerSpec::fc(16, Activation::Tanh));
+        let graph = g.build().unwrap();
+        let params = graph.init_params(11, 0.125);
+        (graph, params)
+    }
+
+    /// Everything that identifies a plan, one line per stage and part;
+    /// weights enter as a 64-bit FNV-1a digest of their Q8.8 bits.
+    fn plan_identity(plan: &ShardedGraph) -> String {
+        let mut s = format!(
+            "lower {} link {} envelope {}..={}\n",
+            plan.lower, plan.link_lower, plan.envelope.lower, plan.envelope.upper
+        );
+        for stage in &plan.stages {
+            let (a, b) = stage.nodes;
+            s += &format!(
+                "stage {a}..{b} lower {} out {}\n",
+                stage.lower, stage.out_shape
+            );
+            for p in &stage.parts {
+                let names: Vec<&str> = p.graph.nodes().iter().map(|n| n.name.as_str()).collect();
+                let mut h = 0xcbf2_9ce4_8422_2325u64;
+                for node in &p.params {
+                    // The node's length first, so a moved boundary shows.
+                    let len = (node.len() as u64).to_le_bytes();
+                    let words = node.iter().flat_map(|w| w.to_bits().to_le_bytes());
+                    for byte in len.into_iter().chain(words) {
+                        h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                    }
+                }
+                s += &format!(
+                    "  cube {} out {}+{} nodes {} params {h:016x}\n",
+                    p.cube,
+                    p.out_lo,
+                    p.out_len,
+                    names.join(",")
+                );
+            }
+        }
+        s
+    }
+
+    /// The back-referenced DP must pick what the prefix-cloning one picked.
+    /// Recorded at commit bfbd6e9 (the parent of the change that stopped
+    /// the cloning), 6 KiB vault regions on a 32-cube HMC-class ring.
+    #[test]
+    fn plans_are_identical_to_the_cloning_planner() {
+        const FAT_MLP: &str = "\
+lower 3808 link 2016 envelope 3808..=49416
+stage 0..1 lower 1280 out 256x1x1
+  cube 0 out 0+64 nodes mid params 84e373e6e334176a
+  cube 1 out 64+64 nodes mid params a0706a6db9375ac6
+  cube 2 out 128+64 nodes mid params 1f0abe0ed36953cc
+  cube 3 out 192+64 nodes mid params c4ec636937f84045
+stage 1..2 lower 512 out 16x1x1
+  cube 4 out 0+16 nodes head params 8aae2f463d1014f4
+";
+        const CHAIN: &str = "\
+lower 154 link 0 envelope 154..=5232
+stage 0..3 lower 154 out 10x1x1
+  cube 0 out 0+10 nodes a,b,c params fb90c10f6ef18bfa
+";
+        const FC_CHAIN: &str = "\
+lower 15316 link 6612 envelope 15316..=235004
+stage 0..1 lower 1280 out 256x1x1
+  cube 0 out 0+64 nodes fc0 params 6c943f4538a90aa3
+  cube 1 out 64+64 nodes fc0 params c6b5a89560533ef0
+  cube 2 out 128+64 nodes fc0 params a4e9a7a4e8f9e7d0
+  cube 3 out 192+64 nodes fc0 params a474430d124cef22
+stage 1..2 lower 2304 out 256x1x1
+  cube 4 out 0+128 nodes fc1 params bb46d1d4fedc4181
+  cube 5 out 128+128 nodes fc1 params d946f6c397eaba1e
+stage 2..3 lower 2304 out 256x1x1
+  cube 6 out 0+128 nodes fc2 params 82e484344006a6f7
+  cube 7 out 128+128 nodes fc2 params 4d64aa028cf9e317
+stage 3..4 lower 2304 out 256x1x1
+  cube 8 out 0+128 nodes fc3 params 7a4502e840919dd1
+  cube 9 out 128+128 nodes fc3 params 33bdcf69555f8040
+stage 4..5 lower 512 out 16x1x1
+  cube 10 out 0+16 nodes head params f94ab85e4f5f4ac8
+";
+        let mut cfg = SystemConfig::paper(true);
+        cfg.memory.region_bytes = 6 * 1024;
+        let link = LinkConfig::hmc_ext(32);
+        for ((graph, params), want) in [
+            (fat_mlp(), FAT_MLP),
+            (chain(), CHAIN),
+            (fc_chain(4), FC_CHAIN),
+        ] {
+            let plan = shard_graph(&cfg, &graph, &params, &link).unwrap();
+            assert_eq!(plan_identity(&plan), want);
+        }
+    }
+
     #[test]
     fn every_chain_boundary_is_a_legal_cut() {
         let (graph, _) = chain();
@@ -606,24 +767,37 @@ mod tests {
     #[test]
     fn segment_rebuild_consumes_the_crossing_value_as_input() {
         let (graph, params) = chain();
-        let (seg, seg_params) = segment_graph(&graph, &params, 1, 3, Some(0)).unwrap();
+        let seg = segment_graph(&graph, 1, 3, Some(0)).unwrap();
         assert_eq!(seg.input_shape(), graph.node_output_shape(0));
         assert_eq!(seg.depth(), 2);
         assert_eq!(seg.output_shape(), graph.output_shape());
-        assert_eq!(seg_params.len(), 2);
-        assert_eq!(seg_params[0], params[1]);
+        // Placed, the segment carries its own nodes' weights.
+        let cand = Candidate {
+            nodes: (1, 3),
+            out_shape: seg.output_shape(),
+            parts: vec![CandidatePart {
+                out_lo: 0,
+                out_len: seg.output_shape().len(),
+                graph: seg,
+            }],
+            lower: 0,
+        };
+        assert_eq!(cand.place(0, &params).parts[0].params, params[1..3]);
     }
 
     #[test]
     fn single_cube_graphs_get_single_stage_plans() {
         let (graph, params) = chain();
         let cfg = SystemConfig::paper(true);
-        let link = LinkConfig::hmc_ext(4);
-        let plan = shard_graph(&cfg, &graph, &params, &link).unwrap();
-        assert_eq!(plan.stages.len(), 1);
-        assert_eq!(plan.cubes(), 1);
-        assert_eq!(plan.link_lower, 0);
-        assert!(plan.lower > 0);
+        // The second fabric is larger than the search's 256-cube ceiling.
+        for fabric in [4, 300] {
+            let link = LinkConfig::hmc_ext(fabric);
+            let plan = shard_graph(&cfg, &graph, &params, &link).unwrap();
+            assert_eq!(plan.stages.len(), 1);
+            assert_eq!(plan.cubes(), 1);
+            assert_eq!(plan.link_lower, 0);
+            assert!(plan.lower > 0);
+        }
     }
 
     #[test]
@@ -684,18 +858,18 @@ mod tests {
         let graph = g.build().unwrap();
         let params = graph.init_params(3, 0.5);
         let cfg = SystemConfig::paper(true);
-        let cands = candidates(&cfg, &graph, &params, 0, 1, None, 3);
+        let cands = candidates(&cfg, &mut FcLowers::new(), &graph, 0, 1, None, 3);
         let banded = cands.iter().find(|c| c.parts.len() == 3).unwrap();
-        let (lo, len): (Vec<usize>, Vec<usize>) = banded
-            .parts
-            .iter()
-            .map(|(_, _, lo, len, _)| (*lo, *len))
-            .unzip();
+        let banded = banded.place(5, &params);
+        let cube: Vec<usize> = banded.parts.iter().map(|p| p.cube).collect();
+        let lo: Vec<usize> = banded.parts.iter().map(|p| p.out_lo).collect();
+        let len: Vec<usize> = banded.parts.iter().map(|p| p.out_len).collect();
+        assert_eq!(cube, vec![5, 6, 7]);
         assert_eq!(lo, vec![0, 3, 6]);
         assert_eq!(len, vec![3, 3, 4]);
         // Part weights are the band's rows of the full matrix.
-        let (_, p, lo1, len1, _) = &banded.parts[1];
-        assert_eq!(p[0].len(), len1 * 32);
-        assert_eq!(p[0][..], params[0][lo1 * 32..(lo1 + len1) * 32]);
+        let p = &banded.parts[1];
+        assert_eq!(p.params.len(), 1);
+        assert_eq!(p.params[0][..], params[0][3 * 32..6 * 32]);
     }
 }

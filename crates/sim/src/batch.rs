@@ -1,13 +1,19 @@
 //! Parallel execution of independent simulator instances.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
-/// What a worker leaves behind for one job: unfilled, a value, or the
-/// payload of a panic that occurred while computing it.
-type JobSlot<T> = Mutex<Option<Result<T, Box<dyn std::any::Any + Send>>>>;
+/// What a worker leaves behind for one job: a value, or the payload of a
+/// panic that occurred while computing it.
+type Outcome<T> = Result<T, Box<dyn std::any::Any + Send>>;
+
+thread_local! {
+    /// Whether this thread is currently executing a [`BatchRunner`] job.
+    static IN_JOB: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Runs N independent jobs across a bounded pool of scoped threads.
 ///
@@ -16,6 +22,11 @@ type JobSlot<T> = Mutex<Option<Result<T, Box<dyn std::any::Any + Send>>>>;
 /// *across* instances, so batch output is bitwise identical to running
 /// the same jobs serially. Results come back in job order regardless of
 /// completion order.
+///
+/// The calling thread is one of the workers, so a batch of one job (or a
+/// one-thread runner) spawns nothing. A batch issued from inside a job of
+/// another batch runs inline on the worker that issued it: nesting runners
+/// multiplies work, never threads.
 ///
 /// Panics inside jobs are captured per job and re-raised in the caller
 /// with the original payload (std's scoped threads would otherwise
@@ -63,25 +74,56 @@ impl BatchRunner {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let slots: Vec<JobSlot<T>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+        self.run_items((0..jobs).collect(), job)
+    }
+
+    /// Runs `job(item)` for every item, each moved into the job that
+    /// consumes it, and returns results in item order. This is how jobs
+    /// get disjoint `&mut` state: one exclusive borrow per item.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of the lowest-indexed failing job, after all
+    /// workers have stopped.
+    pub fn run_items<I, T, F>(&self, items: Vec<I>, job: F) -> Vec<T>
+    where
+        I: Send,
+        T: Send,
+        F: Fn(I) -> T + Sync,
+    {
+        let jobs = items.len();
+        let items: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+        let slots: Vec<Mutex<Option<Outcome<T>>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        let workers = self.threads.min(jobs.max(1));
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs {
-                        break;
-                    }
-                    let outcome = catch_unwind(AssertUnwindSafe(|| job(i)));
-                    *slots[i].lock().unwrap() = Some(outcome);
-                });
+        let work = || {
+            let outer = IN_JOB.replace(true);
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= jobs {
+                    break;
+                }
+                let item = items[i].lock().expect("no job runs under this lock").take();
+                let item = item.expect("each index is claimed once");
+                let outcome = catch_unwind(AssertUnwindSafe(|| job(item)));
+                *slots[i].lock().expect("no job runs under this lock") = Some(outcome);
             }
+            IN_JOB.set(outer);
+        };
+        let workers = if IN_JOB.get() {
+            1
+        } else {
+            self.threads.min(jobs)
+        };
+        thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(work);
+            }
+            work();
         });
         let mut results = Vec::with_capacity(jobs);
         let mut first_panic = None;
         for (i, slot) in slots.into_iter().enumerate() {
-            match slot.into_inner().unwrap() {
+            match slot.into_inner().expect("no job runs under this lock") {
                 Some(Ok(value)) => results.push(value),
                 Some(Err(payload)) => {
                     if first_panic.is_none() {
@@ -143,5 +185,86 @@ mod tests {
             }
             i
         });
+    }
+
+    #[test]
+    fn items_are_moved_into_their_jobs_and_results_keep_item_order() {
+        // Disjoint `&mut` borrows are the point: no job could get one
+        // from an index.
+        let mut state: Vec<u64> = (0..32).collect();
+        let sums = BatchRunner::with_threads(4).run_items(state.iter_mut().collect(), |x| {
+            *x *= 3;
+            *x + 1
+        });
+        assert_eq!(state, (0..32).map(|i| i * 3).collect::<Vec<u64>>());
+        assert_eq!(sums, (0..32).map(|i| i * 3 + 1).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "item 2 exploded")]
+    fn items_reraise_the_lowest_index_panic_payload() {
+        BatchRunner::with_threads(4).run_items((0..8).collect(), |i: usize| {
+            if i >= 2 {
+                panic!("item {i} exploded");
+            }
+            i
+        });
+    }
+
+    #[test]
+    fn a_one_job_run_stays_on_the_calling_thread() {
+        let caller = thread::current().id();
+        let ids = BatchRunner::with_threads(4).run(1, |_| thread::current().id());
+        assert_eq!(ids, vec![caller]);
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        // Two workers, two jobs that each wait for the other: had the
+        // caller only spawned and joined, a third thread would be needed
+        // for neither id to be the caller's.
+        let caller = thread::current().id();
+        let barrier = std::sync::Barrier::new(2);
+        let ids = BatchRunner::with_threads(2).run(2, |_| {
+            barrier.wait();
+            thread::current().id()
+        });
+        assert_ne!(ids[0], ids[1]);
+        assert!(ids.contains(&caller));
+    }
+
+    #[test]
+    #[should_panic(expected = "spawned worker exploded")]
+    fn a_panic_on_a_spawned_worker_reaches_the_caller_with_its_payload() {
+        let caller = thread::current().id();
+        let barrier = std::sync::Barrier::new(2);
+        BatchRunner::with_threads(2).run(2, |_| {
+            // Both threads hold a job here, so exactly one is spawned.
+            barrier.wait();
+            if thread::current().id() != caller {
+                panic!("spawned worker exploded");
+            }
+        });
+    }
+
+    #[test]
+    fn a_nested_run_executes_inline_on_its_worker() {
+        let outer = BatchRunner::with_threads(3);
+        let seen = outer.run(3, |_| {
+            let me = thread::current().id();
+            let inner = BatchRunner::with_threads(4).run(8, |_| thread::current().id());
+            (me, inner)
+        });
+        for (me, inner) in seen {
+            assert_eq!(inner, vec![me; 8]);
+        }
+        // The flag is the worker's, not the thread's: once the outer run
+        // has returned, the caller fans out again.
+        let barrier = std::sync::Barrier::new(2);
+        let ids = outer.run(2, |_| {
+            barrier.wait();
+            thread::current().id()
+        });
+        assert_ne!(ids[0], ids[1]);
     }
 }
