@@ -181,5 +181,5 @@ if [[ "${1:-}" == "--cluster" ]]; then
             -p neurocube-integration-tests --test cluster_sharding
     fi
     echo "== cluster scaling study (gates: pipelined > single cube, plans grow with fabric) =="
-    cargo bench -p neurocube-bench --bench scaling_multicube
+    cargo bench -p neurocube-bench --bench scaling_cluster
 fi

@@ -235,36 +235,12 @@ mod tests {
         assert_eq!(link.transfer_cycles(8_000, 2), 2_000);
         assert_eq!(link.serialization_cycles(8_000), 1_000);
         assert_eq!(link.transfer_cycles(0, 3), 0);
+        // One hop: latency plus ceil(serialization), never one over.
+        assert_eq!(link.transfer_cycles(2, 1), 501);
+        assert_eq!(link.transfer_cycles(8, 1), 501);
+        assert_eq!(link.transfer_cycles(4_096, 1), 512 + 500);
+        assert_eq!(link.transfer_cycles(40_000_000_000, 1), 5_000_000_500);
         let j = link.transfer_j(1, 1);
         assert!((j - 8.0 * 10.0 * 1e-12).abs() < 1e-18);
-    }
-
-    /// `core::MultiCube`'s link model and the golden formula this crate
-    /// charges are two spellings of one link; at one hop they must agree
-    /// on every payload (sum-then-ceil in floats put `LinkModel` one cycle
-    /// over at 8 B: 502 against 501).
-    #[test]
-    fn core_link_model_agrees_with_the_golden_formula_at_one_hop() {
-        let core = neurocube::LinkModel::hmc_ext();
-        let link = LinkConfig::hmc_ext(2);
-        assert_eq!(
-            (core.bandwidth_gbps, core.latency_ns),
-            (link.bandwidth_gbps, link.latency_ns)
-        );
-        let sweep = (0..=4_096)
-            .chain((13..=36).map(|p| 1 << p))
-            .chain((1..=64).map(|k| k * 999_983))
-            .chain([40_000_000_000]);
-        for bytes in sweep {
-            assert_eq!(
-                core.transfer_cycles(bytes),
-                link.transfer_cycles(bytes, 1),
-                "{bytes} B"
-            );
-        }
-        assert_eq!(core.transfer_cycles(2), 501);
-        assert_eq!(core.transfer_cycles(8), 501);
-        assert_eq!(core.transfer_cycles(4_096), 512 + 500);
-        assert_eq!(core.transfer_cycles(40_000_000_000), 5_000_000_500);
     }
 }

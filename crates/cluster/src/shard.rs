@@ -9,9 +9,8 @@
 //! * **Tensor-parallel** — a stage that is a single fully connected layer
 //!   is banded across `m` cubes: each part computes a contiguous slice of
 //!   the output neurons from the full (broadcast) input, and the consumer
-//!   gathers the slices. The band split is exactly
-//!   [`neurocube::MultiCube`]'s row banding, so part `b` of `m` owns
-//!   neurons `[b·n/m, (b+1)·n/m)`.
+//!   gathers the slices. Part `b` of `m` owns the contiguous rows
+//!   `[b·n/m, (b+1)·n/m)` of the output neurons.
 //!
 //! The cost of a candidate plan is the sum of certified per-stage lower
 //! bounds ([`neurocube_golden::multi_layer_bounds`]) plus the link terms
@@ -307,8 +306,8 @@ fn candidates(
             out_shape,
         });
     }
-    // Banded fully connected stage: MultiCube's row banding, gather on
-    // the consumer.
+    // Banded fully connected stage: contiguous output-row bands, gather
+    // on the consumer.
     let Some((outputs, activation)) = fc else {
         return out;
     };
@@ -852,7 +851,7 @@ stage 4..5 lower 512 out 16x1x1
     }
 
     #[test]
-    fn banded_fc_parts_match_multicube_banding() {
+    fn banded_fc_parts_own_contiguous_output_rows() {
         let mut g = GraphBuilder::new(Shape::flat(32));
         g.layer("fc", INPUT, LayerSpec::fc(10, Activation::Sigmoid));
         let graph = g.build().unwrap();

@@ -34,15 +34,11 @@
 #![warn(missing_docs)]
 
 mod config;
-mod multicube;
-mod pool;
 mod report;
 mod system;
 mod training;
 
 pub use config::{ProgrammingModel, SystemConfig};
-pub use multicube::{LinkModel, MultiCube, MultiCubeReport, MultiLayerReport};
-pub use pool::{CubePool, PoolCube};
 pub use report::{FaultSummary, LayerReport, RunReport};
 pub use system::{LoadedGraph, LoadedNetwork, Neurocube};
 pub use training::{training_ops, training_passes, PassKind};

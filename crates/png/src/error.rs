@@ -63,18 +63,8 @@ pub enum CompileError {
     Graph(GraphError),
     /// The target fabric cannot be constructed (oversized topology).
     Noc(NocError),
-    /// A pool (or cluster) was asked to serve with zero cubes.
+    /// A cluster was asked to run on zero cubes.
     EmptyPool,
-    /// Nothing is programmed on the cube a run was requested from.
-    NothingProgrammed,
-    /// A multi-cube banding spread a layer so thin that some cube
-    /// received an empty band — more cubes than output rows.
-    EmptyBand {
-        /// The cube with no work.
-        cube: usize,
-        /// The layer being banded.
-        layer: usize,
-    },
     /// The sharding planner ran out of cubes: no legal split of the graph
     /// fits the cluster.
     ClusterOverCapacity {
@@ -115,15 +105,7 @@ impl fmt::Display for CompileError {
             }
             CompileError::Graph(e) => write!(f, "invalid graph: {e}"),
             CompileError::Noc(e) => write!(f, "fabric not constructible: {e}"),
-            CompileError::EmptyPool => {
-                write!(f, "a serving pool needs at least one cube")
-            }
-            CompileError::NothingProgrammed => {
-                write!(f, "a model is programmed before service")
-            }
-            CompileError::EmptyBand { cube, layer } => {
-                write!(f, "cube {cube} has an empty band in layer {layer}")
-            }
+            CompileError::EmptyPool => write!(f, "a cluster needs at least one cube"),
             CompileError::ClusterOverCapacity { needed, available } => write!(
                 f,
                 "cluster over capacity: placement needs {needed} cubes, {available} available"
@@ -177,23 +159,11 @@ mod tests {
     }
 
     #[test]
-    fn pool_variants_keep_legacy_panic_wording() {
-        // The panicking wrappers in `neurocube::pool` raise these exact
-        // strings; `#[should_panic(expected = ...)]` suites key on them.
-        assert_eq!(
-            CompileError::EmptyPool.to_string(),
-            "a serving pool needs at least one cube"
-        );
-        assert_eq!(
-            CompileError::NothingProgrammed.to_string(),
-            "a model is programmed before service"
-        );
-    }
-
-    #[test]
-    fn empty_band_names_cube_and_layer() {
-        let e = CompileError::EmptyBand { cube: 7, layer: 2 };
-        assert_eq!(e.to_string(), "cube 7 has an empty band in layer 2");
+    fn empty_pool_names_a_cluster() {
+        // `shard_graph` and `Cluster::new` raise it for a zero-cube
+        // fabric.
+        let e = CompileError::EmptyPool;
+        assert_eq!(e.to_string(), "a cluster needs at least one cube");
         use std::error::Error;
         assert!(e.source().is_none());
     }

@@ -4,8 +4,9 @@
 //! service time before any request arrives. Because the cycle model's
 //! timing is input-independent (operand values never change control
 //! flow), one profiling inference per model captures it exactly: the
-//! catalog runs each registered network once on a fresh cube and memoizes
-//! the report's total cycles as the model's `service_cycles`. The
+//! catalog runs each registered model once on a fresh [`ServeCube`] —
+//! the slot every replay and audit runs on — and memoizes the measured
+//! cycles as the model's `service_cycles`. The
 //! affinity-miss charge comes from the `golden::timing` host term — the
 //! sum of per-layer `programming_cycles` under a [`ProgrammingModel`] —
 //! so the scheduler and the analytical timing model can never disagree
@@ -17,10 +18,12 @@
 //! executed.
 
 use crate::cube::ServeCube;
-use neurocube::{Neurocube, ProgrammingModel, SystemConfig};
-use neurocube_cluster::{shard_graph, Cluster, LinkConfig, ShardedGraph};
+use neurocube::{ProgrammingModel, SystemConfig};
+use neurocube_cluster::{shard_graph, LinkConfig, ShardedGraph};
 use neurocube_fixed::Q88;
-use neurocube_golden::timing::{graph_service_envelope, service_envelope, DEFAULT_SLACK};
+use neurocube_golden::timing::{
+    graph_bounds, graph_service_envelope, layer_bounds, service_envelope, DEFAULT_SLACK,
+};
 use neurocube_golden::CycleEnvelope;
 use neurocube_nn::{GraphSpec, NetworkSpec, Shape, Tensor};
 use std::sync::Arc;
@@ -59,18 +62,17 @@ impl ModelPayload {
     /// Ensures this payload holds the serving slot `cube` under `tag`,
     /// whichever kind it is. Returns `true` on an affinity hit (see
     /// [`ServeCube`]); after this the slot serves inferences through
-    /// [`ServeCube::run_service`]. Shared by the full-replay executor
-    /// and the two-speed audit replays so the two paths can never
-    /// program a slot differently.
+    /// [`ServeCube::run_service`]. Shared by catalog profiling, the
+    /// full-replay executor and the two-speed audit replays so no two
+    /// paths can program a slot differently.
     ///
     /// # Panics
     ///
     /// Panics if the payload does not fit the slot configuration.
     pub fn ensure_on(&self, cube: &mut ServeCube, tag: u64) -> bool {
-        match self {
-            ModelPayload::Linear(spec, params) => cube.ensure_linear(tag, spec, params),
-            ModelPayload::Graph(graph, params) => cube.ensure_graph(tag, graph, params),
-            ModelPayload::Sharded(plan) => cube.ensure_sharded(tag, plan),
+        match cube.ensure(tag, self) {
+            Ok(hit) => hit,
+            Err(e) => panic!("model {tag} does not fit the serving slot: {e}"),
         }
     }
 
@@ -170,20 +172,12 @@ impl ModelCatalog {
     pub fn register(&mut self, name: &str, spec: NetworkSpec, seed: u64) -> u64 {
         assert!(self.lookup(name).is_none(), "duplicate model name {name}");
         let params = spec.init_params(seed, 0.25);
-        let mut cube = Neurocube::new(self.cfg.clone());
-        let loaded = cube.load(spec.clone(), params.clone());
-        let input = profile_input(&spec);
-        let (_, report) = cube.run_inference(&loaded, &input);
-        let service_cycles = report.total_cycles();
-        assert!(service_cycles > 0, "profiled model must take time");
 
         // The affinity-miss charge: the golden timing model's host term,
         // summed over layers. With a uniform per-layer PNG count this
         // equals `ProgrammingModel::network_cycles`, asserted here so the
         // two formulations can never drift apart.
-        let mut prog_cfg = self.cfg.clone();
-        prog_cfg.programming = Some(self.programming);
-        let reprogram_cycles: u64 = neurocube_golden::timing::layer_bounds(&prog_cfg, &spec)
+        let reprogram_cycles: u64 = layer_bounds(&self.prog_cfg(), &spec)
             .iter()
             .map(|b| b.programming_cycles)
             .sum();
@@ -196,28 +190,14 @@ impl ModelCatalog {
         );
 
         // The certified service envelope (programming untimed, matching
-        // the profiling run). The profiled time must sit inside it —
-        // outside would mean the golden timing model and the simulator
-        // disagree, a defect registration refuses to memoize.
+        // the profiling run).
         let envelope = service_envelope(&self.cfg, &spec, DEFAULT_SLACK);
-        assert!(
-            envelope.contains(service_cycles),
-            "model {name}: profiled {service_cycles} cycles escape the \
-             certified envelope [{}, {}]",
-            envelope.lower,
-            envelope.upper
-        );
-
-        let tag = self.entries.len() as u64;
-        self.entries.push(ModelEntry {
-            name: name.to_string(),
-            tag,
-            service_cycles,
+        self.install(
+            name,
+            ModelPayload::Linear(spec, params),
             reprogram_cycles,
             envelope,
-            payload: Some(ModelPayload::Linear(spec, params)),
-        });
-        tag
+        )
     }
 
     /// Registers a compiled-graph tenant under `name`, initializing
@@ -234,22 +214,11 @@ impl ModelCatalog {
     pub fn register_graph(&mut self, name: &str, graph: GraphSpec, seed: u64) -> u64 {
         assert!(self.lookup(name).is_none(), "duplicate model name {name}");
         let params = graph.init_params(seed, 0.25);
-        let mut cube = Neurocube::new(self.cfg.clone());
-        let loaded = cube
-            .load_graph(&graph, params.clone())
-            .expect("graph compiles for the catalog configuration");
-        let s = graph.input_shape();
-        let input = Tensor::from_vec(s.channels, s.height, s.width, input_payload(s.len(), 0));
-        let (_, report) = cube.run_graph_inference(&loaded, &input);
-        let service_cycles = report.total_cycles();
-        assert!(service_cycles > 0, "profiled model must take time");
 
         // The golden timing model's host term for a compiled graph is one
         // programming charge on phase 0; asserted against the direct
         // formulation so the two can never drift apart.
-        let mut prog_cfg = self.cfg.clone();
-        prog_cfg.programming = Some(self.programming);
-        let reprogram_cycles: u64 = neurocube_golden::timing::graph_bounds(&prog_cfg, &graph)
+        let reprogram_cycles: u64 = graph_bounds(&self.prog_cfg(), &graph)
             .iter()
             .map(|b| b.programming_cycles)
             .sum();
@@ -260,29 +229,17 @@ impl ModelCatalog {
         );
 
         let envelope = graph_service_envelope(&self.cfg, &graph, DEFAULT_SLACK);
-        assert!(
-            envelope.contains(service_cycles),
-            "model {name}: profiled {service_cycles} cycles escape the \
-             certified envelope [{}, {}]",
-            envelope.lower,
-            envelope.upper
-        );
-
-        let tag = self.entries.len() as u64;
-        self.entries.push(ModelEntry {
-            name: name.to_string(),
-            tag,
-            service_cycles,
+        self.install(
+            name,
+            ModelPayload::Graph(graph, params),
             reprogram_cycles,
             envelope,
-            payload: Some(ModelPayload::Graph(graph, params)),
-        });
-        tag
+        )
     }
 
     /// Registers a sharded tenant under `name`: a graph too large for
     /// one cube, split by `neurocube_cluster::shard_graph` over `link`
-    /// and profiled with one inference on a fresh [`Cluster`]. The
+    /// and profiled with one inference on a fresh cluster. The
     /// affinity-miss charge is one graph programming phase per member
     /// cube (the host configures every member before a cluster serves).
     /// Returns the model's tag.
@@ -305,13 +262,6 @@ impl ModelCatalog {
             Ok(plan) => plan,
             Err(e) => panic!("model {name}: sharding failed: {e}"),
         };
-        let mut cluster = Cluster::new(&self.cfg, plan.clone())
-            .expect("the planner certified this plan for the catalog configuration");
-        let s = plan.input_shape();
-        let input = Tensor::from_vec(s.channels, s.height, s.width, input_payload(s.len(), 0));
-        let (_, report) = cluster.run(&input);
-        let service_cycles = report.cycles;
-        assert!(service_cycles > 0, "profiled model must take time");
 
         // The host programs every member cube's subprogram before the
         // cluster can serve: one graph programming charge per member.
@@ -319,9 +269,43 @@ impl ModelCatalog {
             plan.cubes() as u64 * self.programming.layer_cycles(self.cfg.nodes() as u32);
 
         // The planner's link-aware pipeline envelope is the certified
-        // contract; a profiled time outside it means the plan and the
-        // executor disagree — a defect registration refuses to memoize.
+        // contract.
         let envelope = plan.envelope;
+        self.install(
+            name,
+            ModelPayload::Sharded(Arc::new(plan)),
+            reprogram_cycles,
+            envelope,
+        )
+    }
+
+    /// The configuration the golden host term is priced under: the
+    /// catalog's with its programming model timed.
+    fn prog_cfg(&self) -> SystemConfig {
+        let mut cfg = self.cfg.clone();
+        cfg.programming = Some(self.programming);
+        cfg
+    }
+
+    /// Profiles `payload` with one inference on a fresh [`ServeCube`] —
+    /// the calls the executor and the audits replay through — and adds
+    /// the entry under the next tag. The profiled time must sit inside
+    /// `envelope`: outside would mean the golden timing model (or the
+    /// planner) and the simulator disagree, a defect registration
+    /// refuses to memoize.
+    fn install(
+        &mut self,
+        name: &str,
+        payload: ModelPayload,
+        reprogram_cycles: u64,
+        envelope: CycleEnvelope,
+    ) -> u64 {
+        let tag = self.entries.len() as u64;
+        let mut slot = ServeCube::new(self.cfg.clone());
+        payload.ensure_on(&mut slot, tag);
+        let input = payload.input_tensor(input_payload(payload.input_len(), 0));
+        let (_, service_cycles) = slot.run_service(&input);
+        assert!(service_cycles > 0, "profiled model must take time");
         assert!(
             envelope.contains(service_cycles),
             "model {name}: profiled {service_cycles} cycles escape the \
@@ -329,15 +313,13 @@ impl ModelCatalog {
             envelope.lower,
             envelope.upper
         );
-
-        let tag = self.entries.len() as u64;
         self.entries.push(ModelEntry {
             name: name.to_string(),
             tag,
             service_cycles,
             reprogram_cycles,
             envelope,
-            payload: Some(ModelPayload::Sharded(Arc::new(plan))),
+            payload: Some(payload),
         });
         tag
     }
@@ -403,16 +385,11 @@ impl ModelCatalog {
     }
 }
 
-/// Deterministic profiling input (values never affect timing; any
-/// payload of the right shape measures the same service time).
-fn profile_input(spec: &NetworkSpec) -> Tensor {
-    let s = spec.input_shape();
-    Tensor::from_vec(s.channels, s.height, s.width, input_payload(s.len(), 0))
-}
-
 /// Deterministic per-request payload: a ramp offset by the request id so
 /// different requests produce different outputs (exercising the
-/// executor's checksum) while staying cheap to generate.
+/// executor's checksum) while staying cheap to generate. Request id 0 is
+/// the profiling input (values never affect timing; any payload of the
+/// right shape measures the same service time).
 #[must_use]
 pub fn input_payload(len: usize, request_id: u64) -> Vec<Q88> {
     (0..len)

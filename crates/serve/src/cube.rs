@@ -1,117 +1,111 @@
-//! The serving cube: one pool slot that can hold a single-cube tenant
-//! (linear network or compiled graph) or a sharded tenant's whole
-//! cluster.
+//! The serving cube: one pool slot and the one model it holds.
 //!
 //! The scheduler's affinity model is per *slot*: a slot keeps the last
 //! model it programmed, and a same-tag dispatch skips the reprogramming
-//! charge. A sharded model does not run on the slot's own cube at all —
-//! it runs on a [`Cluster`] of member cubes — but it still occupies the
-//! slot's single affinity position. [`ServeCube`] enforces exactly that
-//! single-occupancy rule: loading a mono tenant drops any attached
-//! cluster, and attaching a cluster evicts the mono cube's programming
-//! (see [`PoolCube::evict`]), so the replay's hits and misses reproduce
-//! the schedule's tag-based predictions bit for bit no matter how tenant
-//! kinds interleave.
+//! charge. [`ServeCube`] holds exactly one model under one tag — a
+//! linear network or a compiled graph programmed on the slot's own cube,
+//! or a sharded tenant's whole [`Cluster`] of member cubes — so a tag
+//! match is a hit and any other load replaces what the slot held. The
+//! replay's hits and misses therefore reproduce the schedule's tag-based
+//! predictions bit for bit no matter how tenant kinds interleave.
+//!
+//! The slot's own cube lives as long as the slot: a kind switch reloads
+//! it but never rebuilds or resets it, so its DRAM row-buffer state (the
+//! warm timing the audits envelope) carries across tenants.
 
-use neurocube::{PoolCube, SystemConfig};
-use neurocube_cluster::{Cluster, ShardedGraph};
-use neurocube_fixed::Q88;
-use neurocube_nn::{GraphSpec, NetworkSpec, Tensor};
-use std::sync::Arc;
+use crate::catalog::ModelPayload;
+use neurocube::{LoadedGraph, LoadedNetwork, Neurocube, SystemConfig};
+use neurocube_cluster::Cluster;
+use neurocube_nn::Tensor;
+use neurocube_png::CompileError;
 
-/// One serving slot: a [`PoolCube`] for mono tenants plus an optional
-/// attached [`Cluster`] for the sharded tenant currently holding the
-/// slot.
+/// What a slot holds: a model programmed on its own cube, or a sharded
+/// tenant's cluster.
+enum Held {
+    Linear(LoadedNetwork),
+    Graph(LoadedGraph),
+    Sharded(Cluster),
+}
+
+/// One serving slot: the slot's cube plus the tagged model it holds.
 pub struct ServeCube {
-    cfg: SystemConfig,
-    mono: PoolCube,
-    cluster: Option<(u64, Cluster)>,
+    cube: Neurocube,
+    held: Option<(u64, Held)>,
 }
 
 impl ServeCube {
-    /// A fresh slot with nothing programmed and no cluster attached.
+    /// A fresh slot with nothing loaded.
     #[must_use]
     pub fn new(cfg: SystemConfig) -> ServeCube {
         ServeCube {
-            mono: PoolCube::new(cfg.clone()),
-            cluster: None,
-            cfg,
+            cube: Neurocube::new(cfg),
+            held: None,
         }
     }
 
-    /// The tag of the model currently holding the slot (mono or
-    /// sharded), `None` when fresh.
+    /// The tag of the model holding the slot, `None` when fresh.
     #[must_use]
     pub fn loaded_tag(&self) -> Option<u64> {
-        self.cluster
-            .as_ref()
-            .map(|(tag, _)| *tag)
-            .or_else(|| self.mono.loaded_tag())
+        self.held.as_ref().map(|(tag, _)| *tag)
     }
 
-    /// Ensures the linear model `tag` holds the slot. Returns `true` on
-    /// an affinity hit. Any attached cluster is detached first — the
-    /// slot is single-occupancy.
+    /// Ensures `payload` holds the slot under `tag`. Returns `true` on an
+    /// affinity hit (the slot already holds `tag`); otherwise loads the
+    /// payload — programming the slot's cube, or building a fresh
+    /// [`Cluster`] for a sharded plan — and returns `false`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the network does not fit the cube configuration.
-    pub fn ensure_linear(&mut self, tag: u64, spec: &NetworkSpec, params: &[Vec<Q88>]) -> bool {
-        self.cluster = None;
-        self.mono.ensure_loaded(tag, spec, params)
-    }
-
-    /// Ensures the compiled graph `tag` holds the slot. Returns `true`
-    /// on an affinity hit. Any attached cluster is detached first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph does not compile for the cube configuration.
-    pub fn ensure_graph(&mut self, tag: u64, graph: &GraphSpec, params: &[Vec<Q88>]) -> bool {
-        self.cluster = None;
-        self.mono.ensure_graph_loaded(tag, graph, params)
-    }
-
-    /// Ensures the sharded model `tag` holds the slot, building a fresh
-    /// [`Cluster`] from `plan` on a miss. Returns `true` on an affinity
-    /// hit (the same sharded tag already attached). The mono cube's
-    /// programming is evicted on a miss so a later mono load of the
-    /// *previous* tenant misses too, matching the scheduler's tag-based
-    /// prediction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan's subprograms do not load under the slot's
-    /// configuration — impossible for plans produced by
-    /// `neurocube_cluster::shard_graph` against the same configuration.
-    pub fn ensure_sharded(&mut self, tag: u64, plan: &Arc<ShardedGraph>) -> bool {
-        if self.cluster.as_ref().is_some_and(|(t, _)| *t == tag) {
-            return true;
+    /// Returns the [`CompileError`] of a graph or plan that cannot be
+    /// placed under the slot's configuration; the slot keeps the model it
+    /// held. A linear network that does not fit panics (see
+    /// [`Neurocube::load`]).
+    pub(crate) fn ensure(
+        &mut self,
+        tag: u64,
+        payload: &ModelPayload,
+    ) -> Result<bool, CompileError> {
+        if self.loaded_tag() == Some(tag) {
+            return Ok(true);
         }
-        let cluster = match Cluster::new(&self.cfg, plan.as_ref().clone()) {
-            Ok(c) => c,
-            Err(e) => panic!("the planner certified this plan for the slot configuration: {e}"),
+        let held = match payload {
+            ModelPayload::Linear(spec, params) => {
+                Held::Linear(self.cube.load(spec.clone(), params.clone()))
+            }
+            ModelPayload::Graph(graph, params) => {
+                Held::Graph(self.cube.load_graph(graph, params.clone())?)
+            }
+            ModelPayload::Sharded(plan) => {
+                Held::Sharded(Cluster::new(self.cube.config(), plan.as_ref().clone())?)
+            }
         };
-        self.cluster = Some((tag, cluster));
-        self.mono.evict();
-        false
+        self.held = Some((tag, held));
+        Ok(false)
     }
 
-    /// Runs one inference on whatever tenant holds the slot and returns
-    /// the output plus the measured cycles (the cube report's total for
-    /// mono tenants, the cluster report's end-to-end cycles for sharded
-    /// ones).
+    /// Runs one inference on the model holding the slot and returns the
+    /// output plus the measured cycles (the cube report's total for a
+    /// model on the slot's cube, the cluster report's end-to-end cycles
+    /// for a sharded one).
     ///
     /// # Panics
     ///
-    /// Panics if the slot is fresh (nothing programmed).
+    /// Panics if the slot is fresh (nothing loaded).
     pub fn run_service(&mut self, input: &Tensor) -> (Tensor, u64) {
-        if let Some((_, cluster)) = self.cluster.as_mut() {
-            let (out, report) = cluster.run(input);
-            (out, report.cycles)
-        } else {
-            let (out, report) = self.mono.run_service(input);
-            (out, report.total_cycles())
+        match &mut self.held {
+            Some((_, Held::Linear(net))) => {
+                let (out, report) = self.cube.run_inference(net, input);
+                (out, report.total_cycles())
+            }
+            Some((_, Held::Graph(graph))) => {
+                let (out, report) = self.cube.run_graph_inference(graph, input);
+                (out, report.total_cycles())
+            }
+            Some((_, Held::Sharded(cluster))) => {
+                let (out, report) = cluster.run(input);
+                (out, report.cycles)
+            }
+            None => panic!("a serving slot runs only after a model is loaded"),
         }
     }
 }
@@ -119,10 +113,10 @@ impl ServeCube {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::sharded_test_graph;
-    use neurocube::Neurocube;
-    use neurocube_cluster::{shard_graph, LinkConfig};
+    use crate::catalog::{input_payload, sharded_test_graph};
+    use neurocube_cluster::{shard_graph, LinkConfig, ShardedGraph};
     use neurocube_nn::workloads;
+    use std::sync::Arc;
 
     fn sharded_plan(cfg: &SystemConfig) -> Arc<ShardedGraph> {
         let graph = sharded_test_graph();
@@ -130,13 +124,30 @@ mod tests {
         Arc::new(shard_graph(cfg, &graph, &params, &LinkConfig::hmc_ext(4)).unwrap())
     }
 
+    fn linear() -> ModelPayload {
+        let spec = workloads::tiny_convnet();
+        let params = spec.init_params(1, 0.25);
+        ModelPayload::Linear(spec, params)
+    }
+
+    fn graph() -> ModelPayload {
+        let graph = workloads::residual_toy();
+        let params = graph.init_params(5, 0.25);
+        ModelPayload::Graph(graph, params)
+    }
+
+    fn small_cfg() -> SystemConfig {
+        let mut cfg = SystemConfig::paper(true);
+        cfg.memory.region_bytes = 6 * 1024;
+        cfg
+    }
+
     /// The acceptance contract: a model too large for one cube's vault
     /// regions serves through the slot on a cluster, and the output is
     /// exactly the single-big-cube reference.
     #[test]
     fn sharded_service_matches_the_single_big_cube() {
-        let mut cfg = SystemConfig::paper(true);
-        cfg.memory.region_bytes = 6 * 1024;
+        let cfg = small_cfg();
         let plan = sharded_plan(&cfg);
         assert!(plan.cubes() >= 2, "the fixture must actually shard");
         let shape = plan.input_shape();
@@ -144,12 +155,13 @@ mod tests {
             shape.channels,
             shape.height,
             shape.width,
-            crate::catalog::input_payload(shape.len(), 3),
+            input_payload(shape.len(), 3),
         );
 
+        let payload = ModelPayload::Sharded(plan.clone());
         let mut slot = ServeCube::new(cfg.clone());
-        assert!(!slot.ensure_sharded(7, &plan), "first attach is a miss");
-        assert!(slot.ensure_sharded(7, &plan), "same tag is a hit");
+        assert!(!payload.ensure_on(&mut slot, 7), "first attach is a miss");
+        assert!(payload.ensure_on(&mut slot, 7), "same tag is a hit");
         let (out, cycles) = slot.run_service(&input);
         assert!(cycles > 0);
 
@@ -164,29 +176,138 @@ mod tests {
     }
 
     /// Tenant kinds interleaving on one slot: every kind switch is a
-    /// miss, matching the scheduler's tag-based affinity prediction.
+    /// miss, matching the scheduler's tag-based affinity prediction — a
+    /// sharded tenant displaces a model on the slot's cube and back.
     #[test]
     fn mono_and_sharded_tenants_share_one_slot() {
-        let mut cfg = SystemConfig::paper(true);
-        cfg.memory.region_bytes = 6 * 1024;
-        let plan = sharded_plan(&cfg);
-        let lin = workloads::tiny_convnet();
-        let lp = lin.init_params(1, 0.25);
+        let cfg = small_cfg();
+        let sharded = ModelPayload::Sharded(sharded_plan(&cfg));
+        let (lin, graph) = (linear(), graph());
 
         let mut slot = ServeCube::new(cfg);
         assert_eq!(slot.loaded_tag(), None);
-        assert!(!slot.ensure_linear(10, &lin, &lp), "fresh slot misses");
-        assert!(slot.ensure_linear(10, &lin, &lp), "same mono tag hits");
-        assert!(!slot.ensure_sharded(20, &plan), "kind switch misses");
+        assert!(!lin.ensure_on(&mut slot, 10), "fresh slot misses");
+        assert!(lin.ensure_on(&mut slot, 10), "same tag hits");
+        assert!(!sharded.ensure_on(&mut slot, 20), "linear → sharded misses");
         assert_eq!(slot.loaded_tag(), Some(20));
-        assert!(
-            !slot.ensure_linear(10, &lin, &lp),
-            "the sharded tenant evicted the mono programming"
-        );
+        assert!(!lin.ensure_on(&mut slot, 10), "sharded → linear misses");
         assert_eq!(slot.loaded_tag(), Some(10));
+        assert!(!sharded.ensure_on(&mut slot, 20), "linear → sharded misses");
+        assert!(!graph.ensure_on(&mut slot, 30), "sharded → graph misses");
+    }
+
+    /// Linear and graph loads share the slot cube's DRAM image, so each
+    /// invalidates the other: a graph displaced by a linear model is a
+    /// miss on its return, and the reloaded graph reproduces a fresh
+    /// slot's output bit for bit.
+    #[test]
+    fn graph_affinity_cross_invalidates_with_linear_models() {
+        let (lin, graph) = (linear(), graph());
+        let input = Tensor::zeros(1, 12, 12);
+
+        let mut fresh = ServeCube::new(SystemConfig::paper(true));
+        assert!(!graph.ensure_on(&mut fresh, 30));
+        let (fresh_out, _) = fresh.run_service(&input);
+
+        let mut reused = ServeCube::new(SystemConfig::paper(true));
+        assert!(!graph.ensure_on(&mut reused, 30));
+        assert!(graph.ensure_on(&mut reused, 30), "same tag hits");
+        assert_eq!(reused.loaded_tag(), Some(30));
+        assert!(!lin.ensure_on(&mut reused, 10), "linear load is a miss");
+        assert_eq!(reused.loaded_tag(), Some(10));
+        let _ = reused.run_service(&input);
         assert!(
-            !slot.ensure_sharded(20, &plan),
-            "the mono tenant detached the cluster"
+            !graph.ensure_on(&mut reused, 30),
+            "the linear model overwrote the graph's weights: a reload"
         );
+        let (out, _) = reused.run_service(&input);
+        assert_eq!(out, fresh_out, "reloaded graph diverges from fresh");
+    }
+
+    /// A slot that served other tenants in between reloads a model and
+    /// reproduces a fresh slot's output bit for bit. Timing legitimately
+    /// differs (DRAM row-buffer state persists across runs, so a warm
+    /// cube is not a cold cube); value accuracy is what reloading must
+    /// preserve.
+    #[test]
+    fn a_reloaded_model_matches_a_fresh_slot_bitwise() {
+        let (lin, graph) = (linear(), graph());
+        let input = Tensor::zeros(1, 12, 12);
+        let fresh_out = |payload: &ModelPayload, tag| {
+            let mut slot = ServeCube::new(SystemConfig::paper(true));
+            payload.ensure_on(&mut slot, tag);
+            slot.run_service(&input).0
+        };
+        let (lin_fresh, graph_fresh) = (fresh_out(&lin, 10), fresh_out(&graph, 30));
+
+        let mut slot = ServeCube::new(SystemConfig::paper(true));
+        for _ in 0..2 {
+            assert!(!lin.ensure_on(&mut slot, 10));
+            assert_eq!(slot.run_service(&input).0, lin_fresh);
+            assert!(!graph.ensure_on(&mut slot, 30));
+            assert_eq!(slot.run_service(&input).0, graph_fresh);
+        }
+    }
+
+    /// `run_service` runs whichever kind holds the slot: the same output
+    /// as the cube's own entry point for that kind.
+    #[test]
+    fn run_service_dispatches_on_the_held_kind() {
+        let input = Tensor::zeros(1, 12, 12);
+        let mut slot = ServeCube::new(SystemConfig::paper(true));
+
+        let spec = workloads::tiny_convnet();
+        let params = spec.init_params(1, 0.25);
+        let mut direct = Neurocube::new(SystemConfig::paper(true));
+        let loaded = direct.load(spec.clone(), params.clone());
+        ModelPayload::Linear(spec, params).ensure_on(&mut slot, 10);
+        assert_eq!(
+            slot.run_service(&input).0,
+            direct.run_inference(&loaded, &input).0
+        );
+
+        let graph = workloads::residual_toy();
+        let params = graph.init_params(5, 0.25);
+        let mut direct = Neurocube::new(SystemConfig::paper(true));
+        let loaded = direct.load_graph(&graph, params.clone()).unwrap();
+        ModelPayload::Graph(graph, params).ensure_on(&mut slot, 30);
+        assert_eq!(
+            slot.run_service(&input).0,
+            direct.run_graph_inference(&loaded, &input).0
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a serving slot runs only after a model is loaded")]
+    fn a_fresh_slot_refuses_to_serve() {
+        let mut slot = ServeCube::new(SystemConfig::paper(true));
+        let _ = slot.run_service(&Tensor::zeros(1, 12, 12));
+    }
+
+    /// A graph that cannot be placed fails with the compiler's typed
+    /// error and leaves the slot holding — and serving — what it held.
+    #[test]
+    fn an_unplaceable_graph_keeps_the_held_model() {
+        let cfg = small_cfg();
+        let graph = sharded_test_graph();
+        let params = graph.init_params(5, 0.25);
+        let too_big = ModelPayload::Graph(graph, params);
+        let lin = linear();
+        let input = Tensor::zeros(1, 12, 12);
+
+        let mut slot = ServeCube::new(cfg);
+        let err = slot.ensure(30, &too_big).unwrap_err();
+        assert!(
+            matches!(err, CompileError::VaultOverCapacity { .. }),
+            "unexpected error: {err}"
+        );
+        assert_eq!(slot.loaded_tag(), None, "a failed load holds nothing");
+
+        assert!(!lin.ensure_on(&mut slot, 10));
+        let (before, _) = slot.run_service(&input);
+        assert!(slot.ensure(30, &too_big).is_err());
+        assert_eq!(slot.loaded_tag(), Some(10));
+        assert!(lin.ensure_on(&mut slot, 10), "still a hit");
+        assert_eq!(slot.run_service(&input).0, before);
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! The scheduler plans in virtual time; this module carries the plan out:
 //! each [`DispatchRecord`] becomes real `Neurocube` inferences on a
-//! [`ServeCube`] slot (a pool cube for mono tenants, an attached cluster
-//! for sharded ones), with the payload's `ensure_on` reproducing exactly
-//! the affinity hits and misses the scheduler predicted (asserted per
-//! record).
+//! [`ServeCube`] slot (its own cube for linear and graph tenants, a
+//! cluster for sharded ones), with the payload's `ensure_on`
+//! reproducing exactly the affinity hits and misses the scheduler
+//! predicted (asserted per record).
 //!
 //! Per-cube record streams are independent once the schedule is fixed, so
 //! they can run serially or on [`BatchRunner`] threads; either way each
@@ -24,7 +24,7 @@ use neurocube_sim::{BatchRunner, StatsRegistry};
 /// every output element of every request, in replay order — two replays
 /// agree on the final value iff they agree on every output bit. The
 /// same fold merges per-cube checksums in cube order.
-pub(crate) const CHECKSUM_PRIME: u64 = 0x100_0000_01b3;
+const CHECKSUM_PRIME: u64 = 0x100_0000_01b3;
 
 /// One step of the checksum fold.
 pub(crate) fn fold_checksum(checksum: u64, value: u64) -> u64 {
@@ -139,10 +139,7 @@ pub fn execute(
         total.requests += e.requests;
         total.affinity_hits += e.affinity_hits;
         total.affinity_misses += e.affinity_misses;
-        total.output_checksum = total
-            .output_checksum
-            .wrapping_mul(0x100_0000_01b3)
-            .wrapping_add(e.output_checksum);
+        total.output_checksum = fold_checksum(total.output_checksum, e.output_checksum);
     }
 
     let mut stats = StatsRegistry::new();
@@ -188,5 +185,77 @@ mod tests {
         // Reruns are bitwise identical too.
         let again = execute(&cat, &trace, &report.records, ExecMode::Serial);
         assert_eq!(serial.first_difference(&again), None);
+    }
+
+    /// Pins the serving slot: a linear, a graph and a sharded tenant
+    /// interleaved on every slot of a pool of two. The profiled service
+    /// times, `execute`'s counters and the cycle count of every
+    /// `run_service` on a directly driven slot are frozen constants — any
+    /// change to how a slot loads, holds, switches or runs a model shows
+    /// up here first.
+    #[test]
+    fn three_tenant_kinds_interleave_on_each_slot_with_pinned_cycles() {
+        use crate::cube::ServeCube;
+        use neurocube_nn::workloads;
+
+        let mut cfg = SystemConfig::paper(true);
+        cfg.memory.region_bytes = 6 * 1024;
+        let mut cat = ModelCatalog::new(cfg);
+        let lin = cat.register("lin", workloads::tiny_convnet(), 7);
+        let graph = cat.register_graph("res", workloads::residual_toy(), 7);
+        let wide = cat.register_sharded("wide", sharded_test_graph(), 5, &LinkConfig::hmc_ext(4));
+        let service: Vec<u64> = [lin, graph, wide]
+            .iter()
+            .map(|&t| cat.entry(t).service_cycles)
+            .collect();
+
+        let mix = ["lin", "res", "wide"].map(|n| (n.to_string(), 1)).to_vec();
+        let spec = TrafficSpec::poisson(17, 6_000.0, 36, mix);
+        let trace = generate(&cat, &spec);
+        let report = serve(&cat, &ServeConfig::new(2), &trace);
+        for c in 0..2 {
+            let models: Vec<u64> = report
+                .records
+                .iter()
+                .filter(|r| r.cube == c)
+                .map(|r| r.model)
+                .collect();
+            for t in [lin, graph, wide] {
+                assert!(models.contains(&t), "cube {c} serves model {t}: {models:?}");
+            }
+            let switches = models.windows(2).filter(|w| w[0] != w[1]).count();
+            assert!(switches >= 3, "cube {c} switches kinds: {models:?}");
+        }
+
+        let stats = execute(&cat, &trace, &report.records, ExecMode::Serial);
+        let counters = [
+            stats.counter("serve.exec.affinity.hits"),
+            stats.counter("serve.exec.affinity.misses"),
+            stats.counter("serve.exec.output_checksum"),
+        ];
+
+        // The slot driven directly, as the ledger's replay drives it.
+        let mut cycles = 0u64;
+        for c in 0..2 {
+            let mut slot = ServeCube::new(cat.config().clone());
+            for rec in report.records.iter().filter(|r| r.cube == c) {
+                let payload = cat.entry(rec.model).payload.as_ref().unwrap();
+                assert_eq!(payload.ensure_on(&mut slot, rec.model), rec.affinity_hit);
+                for &id in &rec.requests {
+                    let input = payload.input_tensor(trace[id as usize].input.clone());
+                    cycles = fold_checksum(cycles, slot.run_service(&input).1);
+                }
+            }
+        }
+
+        assert_eq!(
+            (service, counters, cycles),
+            (
+                vec![2_816, 2_816, 9_536],
+                [9, 11, 15_689_397_101_876_691_554],
+                10_004_060_265_505_554_496
+            ),
+            "the slot's pinned cycles or values moved"
+        );
     }
 }

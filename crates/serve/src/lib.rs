@@ -9,10 +9,10 @@
 //! so same-model batches skip the host reprogramming charge), and sheds
 //! requests that can no longer meet their deadlines — gracefully, as
 //! counted statistics, never a panic. The [`executor`] then replays the
-//! schedule on real [`ServeCube`] slots — a pool cube per mono tenant,
-//! an attached `neurocube_cluster::Cluster` per sharded tenant —
-//! serially or on `BatchRunner` threads, with bitwise-identical merged
-//! statistics either way.
+//! schedule on real [`ServeCube`] slots — the slot's own cube for a
+//! linear or graph tenant, a `neurocube_cluster::Cluster` for a sharded
+//! one — serially or on `BatchRunner` threads, with bitwise-identical
+//! merged statistics either way.
 //!
 //! Everything is deterministic end to end: the same `(seed, trace,
 //! config)` produces the same `serve.*` registry bit for bit — across

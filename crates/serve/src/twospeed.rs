@@ -13,8 +13,9 @@
 //! cycle-accurate and value-accurate replay on a real
 //! [`ServeCube`] slot.
 //!
-//! Each audited dispatch replays on a **fresh** slot — the same
-//! conditions the catalog profiled under — so the first inference's
+//! Each audited dispatch replays on a **fresh** slot — the catalog
+//! profiles every model through the same `ServeCube::new` → `ensure_on`
+//! → `run_service` calls — so the first inference's
 //! measured cycles must equal the memoized `service_cycles` *exactly*
 //! (service time is input-independent; the suites certify this). The
 //! audit therefore asserts three nested contracts, strongest first:
@@ -371,10 +372,10 @@ fn audit_cube(
             .as_ref()
             .expect("executable models carry a golden reference");
         let m = &models[rec.model as usize];
-        // Fresh slot: the exact conditions the catalog profiled under,
-        // so the first inference must reproduce `service_cycles` bit
-        // for bit. Later batch members run warm — DRAM row-buffer
-        // state legitimately shifts their timing inside the envelope.
+        // Fresh slot: the calls the catalog profiled through, so the
+        // first inference must reproduce `service_cycles` bit for bit.
+        // Later batch members run warm — DRAM row-buffer state
+        // legitimately shifts their timing inside the envelope.
         let mut cube = ServeCube::new(catalog.config().clone());
         assert!(
             !payload.ensure_on(&mut cube, rec.model),

@@ -2,7 +2,8 @@
 //! conclusion): RNN unfolding, cellular networks, irregular connectivity
 //! and multi-cube scaling — all executed on the cycle-level simulator.
 
-use neurocube::{LinkModel, MultiCube, Neurocube, SystemConfig};
+use neurocube::{Neurocube, SystemConfig};
+use neurocube_cluster::{shard_graph, Cluster, LinkConfig};
 use neurocube_fixed::{AccumulatorWidth, Activation, Q88};
 use neurocube_nn::{workloads, Executor, RecurrentSpec, Tensor};
 
@@ -82,18 +83,28 @@ fn irregular_connectivity_runs_on_the_cube() {
     assert!(edges < 32 * 12 / 2);
 }
 
+/// The conclusion's multi-cube scaling, through the one multi-cube
+/// executor: the scene network with vault regions too small for one cube
+/// is planned across a cluster, run on it, and stays bit-exact.
 #[test]
-fn multicube_scales_the_scene_network() {
+fn cluster_scales_the_scene_network() {
     let spec = workloads::scene_labeling(64, 80).unwrap();
     let params = spec.init_params(21, 0.2);
     let input = workloads::synthetic_scene(5, 64, 80);
     let expected = Executor::new(spec.clone(), params.clone()).predict(&input);
-    let cluster = MultiCube::new(SystemConfig::paper(true), 2, LinkModel::hmc_ext());
-    let (out, report) = cluster.run_inference(&spec, &params, &input);
-    assert_eq!(out, expected, "2-cube scene labeling must stay bit-exact");
-    assert_eq!(report.layers.len(), spec.depth());
-    assert!(report.link_cycles() > 0);
-    assert!(report.throughput_gops() > 0.0);
+
+    let mut cfg = SystemConfig::paper(true);
+    cfg.memory.region_bytes = 128 << 10;
+    let plan = shard_graph(&cfg, &spec.to_graph(), &params, &LinkConfig::hmc_ext(8)).unwrap();
+    assert!(plan.stages.len() >= 2, "the plan must span stages");
+    let mut cluster = Cluster::new(&cfg, plan).unwrap();
+    let (out, report) = cluster.run(&input);
+    assert_eq!(
+        out, expected,
+        "the sharded scene network must stay bit-exact"
+    );
+    assert!(report.cycles > 0);
+    assert!(cluster.stats_registry().counter("cluster.transfers") > 0);
 }
 
 #[test]
