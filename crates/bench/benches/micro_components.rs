@@ -7,9 +7,8 @@ use neurocube_dram::{Channel, ChannelConfig, MemoryConfig, Request, RequestKind,
 use neurocube_fixed::{Activation, ActivationLut, MacUnit, Q88};
 use neurocube_nn::{workloads, Executor, Tensor};
 use neurocube_noc::{Network, Packet, PacketKind, Topology};
-use neurocube_png::layout::NetworkLayout;
 use neurocube_png::schedule::OperandStream;
-use neurocube_png::{compile_layer, Mapping};
+use neurocube_png::{compile_graph, Mapping};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -102,8 +101,9 @@ fn bench_png(c: &mut Criterion) {
     let mut g = c.benchmark_group("png");
     let net = workloads::scene_labeling(60, 80).expect("geometry fits");
     let map = MemoryConfig::hmc_int().address_map();
-    let layout = NetworkLayout::build(&net, 4, 4, true, 16, &map);
-    let prog = compile_layer(&net, &layout, 0, Mapping::paper(true));
+    let compiled =
+        compile_graph(&net.to_graph(), Mapping::paper(true), &map).expect("the network fits");
+    let prog = Arc::clone(&compiled.phases[0]);
     g.throughput(Throughput::Elements(10_000));
     g.bench_function("operand_stream_10k_events", |bench| {
         bench.iter(|| {

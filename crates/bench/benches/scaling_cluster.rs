@@ -101,7 +101,7 @@ fn replica_run(
     let loaded = cube
         .load_graph(graph, params.to_vec())
         .expect("the big cube holds the whole model");
-    let (out, report) = cube.run_graph_inference(&loaded, input);
+    let (out, report) = cube.run_inference(&loaded, input);
     let bits = out.as_slice().iter().map(|q| q.to_bits() as u16).collect();
     (bits, report.total_cycles())
 }

@@ -9,8 +9,8 @@
 use neurocube::SystemConfig;
 use neurocube_fixed::Activation;
 use neurocube_nn::{LayerSpec, NetworkSpec, Shape};
+use neurocube_png::compile_graph;
 use neurocube_png::schedule::OperandStream;
-use neurocube_png::{compile_layer, layout::NetworkLayout, Mapping};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -22,9 +22,9 @@ fn main() {
     )
     .unwrap();
     let cfg = SystemConfig::paper(dup);
-    let map = cfg.memory.address_map();
-    let layout = NetworkLayout::build(&net, 4, 4, dup, 16, &map);
-    let prog = compile_layer(&net, &layout, 0, Mapping::paper(dup));
+    let compiled = compile_graph(&net.to_graph(), cfg.mapping(), &cfg.memory.address_map())
+        .expect("the layer fits");
+    let prog = Arc::clone(&compiled.phases[0]);
     let t0 = Instant::now();
     let mut total = 0u64;
     for v in 0..16u8 {

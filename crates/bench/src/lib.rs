@@ -14,7 +14,7 @@
 use neurocube::{Neurocube, RunReport, SystemConfig};
 use neurocube_fault::FaultConfig;
 use neurocube_fixed::Q88;
-use neurocube_nn::{GraphSpec, NetworkSpec, Tensor};
+use neurocube_nn::{GraphSpec, NetworkSpec, Shape, Tensor};
 use neurocube_sim::{env_str, BatchRunner, StatsRegistry};
 use std::fs::File;
 use std::io::Write;
@@ -34,7 +34,10 @@ pub fn scene_scale() -> (usize, usize, &'static str) {
 /// Deterministic pseudo-image input for throughput runs (values don't
 /// affect timing; this keeps runs reproducible).
 pub fn ramp_input(spec: &NetworkSpec) -> Tensor {
-    let s = spec.input_shape();
+    ramp(spec.input_shape())
+}
+
+fn ramp(s: Shape) -> Tensor {
     let data = (0..s.len())
         .map(|i| Q88::from_f64(((i % 64) as f64 - 32.0) / 32.0))
         .collect();
@@ -80,18 +83,8 @@ pub fn run_inference_mode(
     seed: u64,
     skip: Option<bool>,
 ) -> (RunReport, StatsRegistry, SkipTelemetry) {
-    let params = spec.init_params(seed, 0.25);
-    let mut cube = Neurocube::new(cfg);
-    cube.set_cycle_skip(skip);
-    let loaded = cube.load(spec.clone(), params);
-    let input = ramp_input(spec);
-    let (_, report) = cube.run_inference(&loaded, &input);
-    let stats = cube.stats_registry();
-    let telemetry = SkipTelemetry {
-        skipped_cycles: cube.skipped_cycles(),
-        horizon_jumps: cube.horizon_jumps(),
-    };
-    (report, stats, telemetry)
+    let run = run_graph_mode(cfg, &spec.to_graph(), seed, skip, true);
+    (run.report, run.stats, run.telemetry)
 }
 
 /// Like [`run_inference_stats`], but the caller supplies the parameter
@@ -190,11 +183,7 @@ pub fn bench_workloads() -> Vec<BenchWorkload> {
 /// Deterministic pseudo-image input sized to a graph's input shape; the
 /// graph analogue of [`ramp_input`].
 pub fn graph_ramp_input(graph: &GraphSpec) -> Tensor {
-    let s = graph.input_shape();
-    let data = (0..s.len())
-        .map(|i| Q88::from_f64(((i % 64) as f64 - 32.0) / 32.0))
-        .collect();
-    Tensor::from_vec(s.channels, s.height, s.width, data)
+    ramp(graph.input_shape())
 }
 
 /// One compiled-graph run: output, per-phase report, final registry and
@@ -229,7 +218,7 @@ pub fn run_graph_mode(
         .expect("graph fits the configured cube");
     let input = graph_ramp_input(graph);
     let (output, report) = if pipelined {
-        cube.run_graph_inference(&loaded, &input)
+        cube.run_inference(&loaded, &input)
     } else {
         cube.run_graph_replay(&loaded, &input)
     };

@@ -568,7 +568,7 @@ mod tests {
         big_cfg.memory.region_bytes = 256 << 20;
         let mut big = Neurocube::new(big_cfg);
         let loaded = big.load_graph(&graph, params).unwrap();
-        let (reference, _) = big.run_graph_inference(&loaded, &input);
+        let (reference, _) = big.run_inference(&loaded, &input);
         assert_eq!(out.as_slice(), reference.as_slice());
     }
 
@@ -647,32 +647,6 @@ mod tests {
         }
     }
 
-    /// 64-bit FNV-1a fold of every key and value of a registry.
-    fn registry_digest(reg: &StatsRegistry) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |bytes: &[u8]| {
-            for &b in bytes {
-                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        for (k, v) in reg.counters() {
-            fold(k.as_bytes());
-            fold(&v.to_le_bytes());
-        }
-        for (k, v) in reg.metrics().chain(reg.gauges()) {
-            fold(k.as_bytes());
-            fold(&v.to_bits().to_le_bytes());
-        }
-        for (k, hist) in reg.histograms() {
-            fold(k.as_bytes());
-            for (value, count) in hist.buckets() {
-                fold(&value.to_le_bytes());
-                fold(&count.to_le_bytes());
-            }
-        }
-        h
-    }
-
     /// Private member clocks must reproduce the executor they replaced.
     /// The constants were recorded at commit a361c65 (PR 12), the last
     /// one whose `Cluster` ticked every member on every cluster cycle: one
@@ -700,7 +674,7 @@ mod tests {
             0x3e92_4eab_1696_2fdd
         );
         // All 1366 series of the 4-cube registry.
-        assert_eq!(registry_digest(&reg), 0xcd44_eef7_6cbc_4c49);
+        assert_eq!(reg.digest(), 0xcd44_eef7_6cbc_4c49);
     }
 
     /// A member that can never finish must trip *its own* watchdog, naming

@@ -13,7 +13,7 @@
 //!   `[b·n/m, (b+1)·n/m)` of the output neurons.
 //!
 //! The cost of a candidate plan is the sum of certified per-stage lower
-//! bounds ([`neurocube_golden::multi_layer_bounds`]) plus the link terms
+//! bounds ([`neurocube_golden::phase_bounds`]) plus the link terms
 //! from [`neurocube_golden::timing`] (`link_transfer_cycles` per
 //! boundary), so the planner's pick is itself a certified lower bound on
 //! executing that plan — the same property `plan_graph` gives a
@@ -26,9 +26,7 @@
 use crate::link::LinkConfig;
 use neurocube::SystemConfig;
 use neurocube_fixed::{Activation, Q88};
-use neurocube_golden::{
-    multi_layer_bounds, pipeline_envelope, CycleEnvelope, LayerBound, DEFAULT_SLACK,
-};
+use neurocube_golden::{phase_bounds, pipeline_envelope, CycleEnvelope, LayerBound, DEFAULT_SLACK};
 use neurocube_nn::{GraphNode, GraphOp, GraphSource, GraphSpec, LayerSpec, Shape, INPUT};
 use neurocube_png::{compile_graph, CompileError};
 use std::collections::HashMap;
@@ -185,10 +183,7 @@ fn segment_graph(
 /// must charge no programming phase — cluster stages are armed untimed).
 fn segment_lower(cfg: &SystemConfig, seg: &GraphSpec) -> Result<u64, CompileError> {
     let prog = compile_graph(seg, cfg.mapping(), &cfg.memory.address_map())?;
-    Ok(multi_layer_bounds(cfg, &prog)
-        .iter()
-        .map(LayerBound::lower)
-        .sum())
+    Ok(phase_bounds(cfg, &prog).iter().map(LayerBound::lower).sum())
 }
 
 /// [`segment_lower`] of the single-FC-node graphs one `shard_graph` call
@@ -601,7 +596,7 @@ fn stage_envelope(cfg: &SystemConfig, stage: &ShardStage) -> CycleEnvelope {
     for part in &stage.parts {
         let prog = compile_graph(&part.graph, cfg.mapping(), &cfg.memory.address_map())
             .expect("planned parts compile");
-        let bounds = multi_layer_bounds(cfg, &prog);
+        let bounds = phase_bounds(cfg, &prog);
         let part_env = CycleEnvelope::from_bounds(&bounds, DEFAULT_SLACK);
         env.lower = env.lower.max(part_env.lower);
         env.upper = env.upper.max(part_env.upper);

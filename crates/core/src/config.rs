@@ -68,18 +68,6 @@ impl ProgrammingModel {
         let ns = f64::from(self.registers_per_png) * f64::from(pngs) * self.ns_per_register;
         (ns * 1e-9 * neurocube_dram::REF_CLOCK_HZ).ceil() as u64
     }
-
-    /// Reference cycles to reprogram a whole network: the per-layer
-    /// programming phases summed over `pngs_per_layer` (one entry per
-    /// layer, each the number of vault controllers that layer programs).
-    /// This is the host-side charge a serving pool pays on a
-    /// model-affinity miss.
-    pub fn network_cycles(&self, pngs_per_layer: impl IntoIterator<Item = u32>) -> u64 {
-        pngs_per_layer
-            .into_iter()
-            .map(|p| self.layer_cycles(p))
-            .sum()
-    }
 }
 
 impl SystemConfig {

@@ -40,5 +40,5 @@ mod training;
 
 pub use config::{ProgrammingModel, SystemConfig};
 pub use report::{FaultSummary, LayerReport, RunReport};
-pub use system::{LoadedGraph, LoadedNetwork, Neurocube};
+pub use system::{LoadedGraph, Neurocube};
 pub use training::{training_ops, training_passes, PassKind};

@@ -157,7 +157,10 @@ impl fmt::Display for FaultSummary {
 pub struct RunReport {
     /// Per-layer (or per-pass) breakdown, in execution order.
     pub layers: Vec<LayerReport>,
-    /// Bytes stored across the cube for this network.
+    /// Bytes the model's buffers occupy with every duplicated copy and no
+    /// buffer reuse, plus its streamed weights (the Fig. 12(d) numerator;
+    /// the peak live footprint is
+    /// [`MultiLayerProgram::total_bytes`](neurocube_png::MultiLayerProgram::total_bytes)).
     pub memory_bytes: u64,
     /// Bytes a duplication-free layout would need.
     pub memory_minimal_bytes: u64,

@@ -6,44 +6,17 @@ use crate::training::{training_passes, PassKind};
 use neurocube_dram::MemorySystem;
 use neurocube_fault::{FaultConfig, PeFaultCounts};
 use neurocube_fixed::Q88;
-use neurocube_nn::{GraphOp, GraphSpec, NetworkSpec, Tensor};
+use neurocube_nn::{GraphOp, GraphSource, GraphSpec, NetworkSpec, Tensor};
 use neurocube_noc::Network;
 use neurocube_pe::ProcessingElement;
-use neurocube_png::layout::NetworkLayout;
-use neurocube_png::{compile_graph, compile_layer, graph_load_weights, LayerProgram, Png};
-use neurocube_png::{program, CompileError, MultiLayerProgram, PngHookup};
+use neurocube_png::{compile_graph, program, CompileError, LayerProgram, MultiLayerProgram};
+use neurocube_png::{Png, PngHookup};
 use neurocube_sim::{Clocked, CycleLoop, StatSource, StatsRegistry};
 use std::sync::Arc;
 
-/// A network loaded into the cube: its placement, parameters and compiled
-/// per-layer programs.
-#[derive(Clone, Debug)]
-pub struct LoadedNetwork {
-    spec: NetworkSpec,
-    params: Vec<Vec<neurocube_fixed::Q88>>,
-    layout: NetworkLayout,
-    programs: Vec<Arc<LayerProgram>>,
-}
-
-impl LoadedNetwork {
-    /// The network description.
-    pub fn spec(&self) -> &NetworkSpec {
-        &self.spec
-    }
-
-    /// The placement of the network in the cube.
-    pub fn layout(&self) -> &NetworkLayout {
-        &self.layout
-    }
-
-    /// The compiled per-layer programs.
-    pub fn programs(&self) -> &[Arc<LayerProgram>] {
-        &self.programs
-    }
-}
-
-/// A compiled graph loaded into the cube: its multi-layer program and the
-/// per-node parameters.
+/// A model loaded into the cube — a layer DAG, or a linear network as its
+/// trivial graph: its compiled multi-layer program and the per-node
+/// parameters.
 #[derive(Clone, Debug)]
 pub struct LoadedGraph {
     program: MultiLayerProgram,
@@ -59,6 +32,11 @@ impl LoadedGraph {
     /// The compiled multi-layer program (phases, placements, footprint).
     pub fn program(&self) -> &MultiLayerProgram {
         &self.program
+    }
+
+    /// The compiled phases, one per executable node in schedule order.
+    pub fn programs(&self) -> &[Arc<LayerProgram>] {
+        &self.program.phases
     }
 
     /// The per-node parameter arrays.
@@ -117,8 +95,9 @@ pub struct Neurocube {
     /// build without the injector.
     faults: Option<FaultConfig>,
     /// Active compiled-graph run, stepped by the [`GraphSequencer`] stage.
-    /// `None` for linear runs, which leaves the sequencer inert and every
-    /// per-layer run bitwise identical to a build without it.
+    /// `None` between runs and during per-phase passes (replay, training),
+    /// which leaves the sequencer inert and every such pass bitwise
+    /// identical to a build without it.
     graph_run: Option<GraphRun>,
 }
 
@@ -405,69 +384,59 @@ impl Neurocube {
         self.stats_registry().dump()
     }
 
-    /// Loads a network: builds the layout, writes streamed weights into the
-    /// DRAM image and compiles one program per layer — the host's untimed
-    /// programming phase (§IV-C).
+    /// Loads a linear network: compiles it as its trivial graph
+    /// ([`NetworkSpec::to_graph`]) and writes its streamed weights into the
+    /// DRAM image — [`Neurocube::load_graph`] for a chain.
     ///
     /// # Panics
     ///
     /// Panics if the network does not fit the cube or `params` does not
     /// match the spec.
-    pub fn load(
-        &mut self,
-        spec: NetworkSpec,
-        params: Vec<Vec<neurocube_fixed::Q88>>,
-    ) -> LoadedNetwork {
-        let counts = spec.weights_per_layer();
-        assert_eq!(params.len(), counts.len(), "one weight array per layer");
-        for (i, (p, &n)) in params.iter().zip(&counts).enumerate() {
-            assert_eq!(p.len(), n, "layer {i} expects {n} weights");
-        }
-        let (gw, gh) = self.cfg.grid();
-        let layout = NetworkLayout::build(
-            &spec,
-            gw,
-            gh,
-            self.cfg.duplicate,
-            self.cfg.n_mac as usize,
-            self.mem.map(),
-        );
-        program::load_weights(&spec, &params, &layout, self.mem.storage_mut());
-        let programs = (0..spec.depth())
-            .map(|i| compile_layer(&spec, &layout, i, self.cfg.mapping()))
-            .collect();
-        LoadedNetwork {
-            spec,
-            params,
-            layout,
-            programs,
-        }
+    pub fn load(&mut self, spec: NetworkSpec, params: Vec<Vec<Q88>>) -> LoadedGraph {
+        self.load_graph(&spec.to_graph(), params)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Loads an input image into volume 0 (all vaults holding copies),
-    /// untimed like the host's data-loading phase.
+    /// Compiles a layer DAG onto this cube and writes its weights into the
+    /// DRAM image — the host's untimed programming phase (§IV-C), done
+    /// once per model.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CompileError`] if the graph cannot be placed in the
+    /// cube or `params` does not match the graph's weight counts.
+    pub fn load_graph(
+        &mut self,
+        graph: &GraphSpec,
+        params: Vec<Vec<Q88>>,
+    ) -> Result<LoadedGraph, CompileError> {
+        let program = compile_graph(graph, self.cfg.mapping(), self.mem.map())?;
+        program.write_weights(&params, self.mem.storage_mut())?;
+        Ok(LoadedGraph { program, params })
+    }
+
+    /// Loads an input image into the graph's input buffer (every vault
+    /// holding a copy), untimed like the host's data-loading phase.
     ///
     /// # Panics
     ///
-    /// Panics if the tensor does not match the network's input shape.
-    pub fn set_input(&mut self, loaded: &LoadedNetwork, input: &Tensor) {
-        assert_eq!(
-            input.len(),
-            loaded.spec.input_shape().len(),
-            "input shape mismatch"
-        );
+    /// Panics if the tensor does not match the graph's input shape.
+    pub fn set_graph_input(&mut self, loaded: &LoadedGraph, input: &Tensor) {
         program::load_volume(
-            &loaded.layout.volumes[0],
+            &loaded.program.input_vol,
             input.as_slice(),
             self.cfg.nodes(),
             self.mem.storage_mut(),
-        );
+        )
+        .unwrap_or_else(|e| panic!("input shape mismatch: {e}"));
     }
 
-    /// Reads volume `i` (0 = input, `i` = output of layer `i-1`) back out
-    /// of the DRAM image in canonical order.
-    pub fn read_volume(&self, loaded: &LoadedNetwork, i: usize) -> Tensor {
-        let vol = &loaded.layout.volumes[i];
+    /// Reads graph node `i`'s output volume back out of the DRAM image in
+    /// canonical order. A buffer the allocator recycled holds whatever
+    /// phase wrote it last; read intermediate nodes with
+    /// [`Neurocube::run_graph_replay_collect`].
+    pub fn read_node_volume(&self, loaded: &LoadedGraph, i: usize) -> Tensor {
+        let vol = &loaded.program.node_vols[i];
         let values = program::read_volume(vol, self.mem.storage());
         Tensor::from_vec(
             vol.shape.channels,
@@ -475,31 +444,6 @@ impl Neurocube {
             vol.shape.width,
             values,
         )
-    }
-
-    /// Executes one layer to completion and reports its statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system deadlocks (no forward progress for 2M cycles) —
-    /// which would indicate a protocol bug, never a workload property.
-    pub fn run_layer(&mut self, loaded: &LoadedNetwork, index: usize) -> LayerReport {
-        self.run_pass(loaded, index, PassKind::Forward)
-    }
-
-    /// Executes one (possibly backward) pass of a layer. Backward passes
-    /// re-run the layer's dataflow — identical loop structure and operand
-    /// volume, per the training model in `DESIGN.md`.
-    pub fn run_pass(
-        &mut self,
-        loaded: &LoadedNetwork,
-        index: usize,
-        pass: PassKind,
-    ) -> LayerReport {
-        let prog = Arc::clone(&loaded.programs[index]);
-        let image = prog.pe_weight_image(&loaded.params[index]);
-        let kind = loaded.spec.layers()[index].kind_name();
-        self.execute_program(&prog, &image, index, kind, pass)
     }
 
     /// Configures PNGs and PEs for `prog` (untimed host register writes).
@@ -515,9 +459,8 @@ impl Neurocube {
     }
 
     /// Programs and executes one compiled layer program to completion —
-    /// the shared engine behind [`Neurocube::run_pass`] (linear layers)
-    /// and per-layer graph replay. `layer_index` and `kind` label the
-    /// report.
+    /// the engine behind per-phase replay and every training pass.
+    /// `layer_index` and `kind` label the report.
     fn execute_program(
         &mut self,
         prog: &Arc<LayerProgram>,
@@ -554,28 +497,11 @@ impl Neurocube {
         });
 
         let delta = self.stats_registry().diff(&before);
-        let delivered = delta.counter("noc.delivered");
-        LayerReport {
-            layer_index,
-            kind,
-            pass: pass.label(),
-            cycles: self.now - start_cycle,
-            macs: delta.sum_suffix(".mac_ops"),
-            packets: delivered,
-            lateral_packets: delta.counter("noc.lateral"),
-            noc_mean_latency: if delivered > 0 {
-                delta.counter("noc.total_latency") as f64 / delivered as f64
-            } else {
-                0.0
-            },
-            dram_bits: delta.counter("mem.bits_transferred"),
-            dram_energy_j: delta.metric("mem.energy_j"),
-            row_misses: delta.counter("mem.row_misses"),
-        }
+        layer_report(layer_index, kind, pass, self.now - start_cycle, &delta)
     }
 
     /// The cube's per-cycle pipeline as kernel stages, in dependency
-    /// order: graph sequencer (inert for linear runs) → PNG credit return
+    /// order: graph sequencer (inert for per-phase passes) → PNG credit return
     /// → DRAM channels → mem-port ejection → PNG injection → NoC → PEs →
     /// clock.
     fn pipeline() -> CycleLoop<Neurocube> {
@@ -648,126 +574,32 @@ impl Neurocube {
         )
     }
 
-    /// Runs a full inference: loads `input`, executes every layer and
-    /// returns the network output (read back from DRAM) plus the run
-    /// report.
-    pub fn run_inference(&mut self, loaded: &LoadedNetwork, input: &Tensor) -> (Tensor, RunReport) {
-        self.set_input(loaded, input);
-        let mut report = RunReport {
-            layers: Vec::with_capacity(loaded.spec.depth()),
-            memory_bytes: loaded.layout.total_bytes(),
-            memory_minimal_bytes: loaded.layout.minimal_bytes(),
-            fault: None,
-        };
-        for i in 0..loaded.spec.depth() {
-            report.layers.push(self.run_layer(loaded, i));
-        }
-        report.fault = self.fault_summary();
-        let output = self.read_volume(loaded, loaded.spec.depth());
-        (output, report)
-    }
-
-    /// Runs one training step's worth of passes (forward + backward +
-    /// weight update, §VI-2). Timing-accurate; gradient values are modeled
-    /// by re-running each layer's dataflow (see `DESIGN.md` — functional
-    /// training lives in `neurocube-nn`).
-    pub fn run_training_step(&mut self, loaded: &LoadedNetwork, input: &Tensor) -> RunReport {
-        self.set_input(loaded, input);
-        let mut report = RunReport {
-            layers: Vec::new(),
-            memory_bytes: loaded.layout.total_bytes(),
-            memory_minimal_bytes: loaded.layout.minimal_bytes(),
-            fault: None,
-        };
-        // Forward sweep (activations must be stored for backprop).
-        for i in 0..loaded.spec.depth() {
-            report
-                .layers
-                .push(self.run_pass(loaded, i, PassKind::Forward));
-        }
-        // Backward sweep.
-        for i in (0..loaded.spec.depth()).rev() {
-            for pass in training_passes(&loaded.spec, i) {
-                if pass != PassKind::Forward {
-                    report.layers.push(self.run_pass(loaded, i, pass));
-                }
-            }
-        }
-        report
-    }
-
-    /// Compiles a layer DAG onto this cube and writes its weights into the
-    /// DRAM image — the host's untimed programming phase, done once per
-    /// graph instead of once per layer.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CompileError`] if the graph cannot be placed in the
-    /// cube or `params` does not match the graph's weight counts.
-    pub fn load_graph(
-        &mut self,
-        graph: &GraphSpec,
-        params: Vec<Vec<Q88>>,
-    ) -> Result<LoadedGraph, CompileError> {
-        let program = compile_graph(graph, self.cfg.mapping(), self.mem.map())?;
-        graph_load_weights(&program, &params, self.mem.storage_mut())?;
-        Ok(LoadedGraph { program, params })
-    }
-
-    /// Loads an input image into the graph's input buffer, untimed like
-    /// the host's data-loading phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor does not match the graph's input shape.
-    pub fn set_graph_input(&mut self, loaded: &LoadedGraph, input: &Tensor) {
-        assert_eq!(
-            input.len(),
-            loaded.graph().input_shape().len(),
-            "input shape mismatch"
-        );
-        program::load_volume(
-            &loaded.program.input_vol,
-            input.as_slice(),
-            self.cfg.nodes(),
-            self.mem.storage_mut(),
-        );
-    }
-
-    /// Reads graph node `i`'s output volume back out of the DRAM image in
-    /// canonical order.
-    pub fn read_node_volume(&self, loaded: &LoadedGraph, i: usize) -> Tensor {
-        let vol = &loaded.program.node_vols[i];
-        let values = program::read_volume(vol, self.mem.storage());
-        Tensor::from_vec(
-            vol.shape.channels,
-            vol.shape.height,
-            vol.shape.width,
-            values,
-        )
-    }
-
-    /// Runs a full graph inference with the cube programmed **once**: the
-    /// host charges a single programming phase up front and the
+    /// Runs a full inference with the cube programmed **once**: the host
+    /// charges a single programming phase up front and the
     /// `GraphSequencer` stage then retargets the PNGs/PEs at each phase
     /// boundary without leaving the cycle loop. Returns the output node's
     /// tensor plus a report with one entry per phase, `layer_index` set to
-    /// the graph node each phase executed.
-    pub fn run_graph_inference(
-        &mut self,
-        loaded: &LoadedGraph,
-        input: &Tensor,
-    ) -> (Tensor, RunReport) {
+    /// the graph node each phase executed (the layer index of a chain).
+    pub fn run_inference(&mut self, loaded: &LoadedGraph, input: &Tensor) -> (Tensor, RunReport) {
         self.set_graph_input(loaded, input);
         let report = self.run_graph_pass(loaded);
         let output = self.read_node_volume(loaded, loaded.program.graph.output_node());
         (output, report)
     }
 
+    /// [`Neurocube::run_inference`] under its graph name.
+    pub fn run_graph_inference(
+        &mut self,
+        loaded: &LoadedGraph,
+        input: &Tensor,
+    ) -> (Tensor, RunReport) {
+        self.run_inference(loaded, input)
+    }
+
     /// Runs a full graph inference the pre-compiler way — one host
     /// programming round-trip per phase — as the replay baseline. Values
-    /// are bitwise identical to [`Neurocube::run_graph_inference`]; only
-    /// timing differs.
+    /// are bitwise identical to [`Neurocube::run_inference`]; only timing
+    /// differs.
     pub fn run_graph_replay(
         &mut self,
         loaded: &LoadedGraph,
@@ -799,14 +631,11 @@ impl Neurocube {
                 *slot = Some(self.read_node_volume(loaded, node));
             }
         }
-        let mut report = RunReport {
-            layers: Vec::with_capacity(prog.phases.len()),
-            memory_bytes: prog.total_bytes(),
-            memory_minimal_bytes: prog.minimal_bytes(),
-            fault: None,
-        };
+        let mut report = Self::empty_report(prog);
         for k in 0..prog.phases.len() {
-            report.layers.push(self.run_graph_phase(loaded, k));
+            report
+                .layers
+                .push(self.run_phase(loaded, k, PassKind::Forward));
             for (node, slot) in volumes.iter_mut().enumerate() {
                 if prog.ready_after_phase(node) == Some(k) {
                     *slot = Some(self.read_node_volume(loaded, node));
@@ -821,14 +650,55 @@ impl Neurocube {
         (volumes, report)
     }
 
-    /// Executes one phase of a compiled graph in isolation (with its own
-    /// programming charge) — the replay baseline's unit of work.
-    fn run_graph_phase(&mut self, loaded: &LoadedGraph, k: usize) -> LayerReport {
+    /// Runs one training step's worth of passes (forward + backward +
+    /// weight update, §VI-2) as a pass schedule over the model's phases: a
+    /// forward sweep, then a backward sweep whose passes each phase's
+    /// node contributes ([`training_passes`]). Every pass is programmed
+    /// and run on its own, re-running its phase's dataflow over the
+    /// inference placement — valid because timing does not depend on the
+    /// values a recycled buffer holds. Timing-accurate; gradient values
+    /// are modeled functionally in `neurocube-nn` (see `DESIGN.md`).
+    pub fn run_training_step(&mut self, loaded: &LoadedGraph, input: &Tensor) -> RunReport {
+        self.set_graph_input(loaded, input);
+        let prog = &loaded.program;
+        let mut report = Self::empty_report(prog);
+        // Forward sweep (activations must be stored for backprop).
+        for k in 0..prog.phases.len() {
+            report
+                .layers
+                .push(self.run_phase(loaded, k, PassKind::Forward));
+        }
+        // Backward sweep.
+        for k in (0..prog.phases.len()).rev() {
+            let node = prog.node_of(k);
+            let GraphOp::Layer(layer) = prog.graph.nodes()[node].op else {
+                unreachable!("every phase executes a layer node")
+            };
+            let reads_input = prog
+                .graph
+                .node_sources(node)
+                .iter()
+                .all(|&src| src == GraphSource::Input);
+            for pass in training_passes(&layer, reads_input) {
+                if pass != PassKind::Forward {
+                    report.layers.push(self.run_phase(loaded, k, pass));
+                }
+            }
+        }
+        report.fault = self.fault_summary();
+        report
+    }
+
+    /// Executes one pass of phase `k` in isolation, with its own
+    /// programming charge — the unit of replay and of training. Backward
+    /// passes re-run the phase's dataflow: identical loop structure and
+    /// operand volume, per the training model in `DESIGN.md`.
+    fn run_phase(&mut self, loaded: &LoadedGraph, k: usize, pass: PassKind) -> LayerReport {
         let prog = Arc::clone(&loaded.program.phases[k]);
         let node = loaded.program.node_of(k);
         let image = prog.pe_weight_image(&loaded.params[node]);
         let kind = Self::node_kind(&loaded.program, node);
-        self.execute_program(&prog, &image, node, kind, PassKind::Forward)
+        self.execute_program(&prog, &image, node, kind, pass)
     }
 
     /// Report label for a graph node's operation.
@@ -836,6 +706,18 @@ impl Neurocube {
         match prog.graph.nodes()[node].op {
             GraphOp::Layer(spec) => spec.kind_name(),
             GraphOp::Concat => "concat",
+        }
+    }
+
+    /// A report with no passes yet, carrying `prog`'s Fig. 12(d)
+    /// footprint: every buffer duplicated as placed and live at once, plus
+    /// the streamed weights, over the duplication-free baseline.
+    fn empty_report(prog: &MultiLayerProgram) -> RunReport {
+        RunReport {
+            layers: Vec::with_capacity(prog.phases.len()),
+            memory_bytes: prog.duplicated_bytes(),
+            memory_minimal_bytes: prog.minimal_bytes(),
+            fault: None,
         }
     }
 
@@ -869,7 +751,7 @@ impl Neurocube {
 
         let run = self.graph_run.take().expect("graph run in progress");
         let final_stats = self.stats_registry();
-        let mut layers = Vec::with_capacity(n);
+        let mut report = Self::empty_report(prog);
         let mut prev_cycle = start_cycle;
         let mut prev_stats = &before;
         for k in 0..n {
@@ -880,35 +762,19 @@ impl Neurocube {
                 // per-phase cycles sum to the end-to-end count.
                 (self.now, &final_stats)
             };
-            let delta = stats.diff(prev_stats);
-            let delivered = delta.counter("noc.delivered");
             let node = prog.node_of(k);
-            layers.push(LayerReport {
-                layer_index: node,
-                kind: Self::node_kind(prog, node),
-                pass: PassKind::Forward.label(),
-                cycles: end_cycle - prev_cycle,
-                macs: delta.sum_suffix(".mac_ops"),
-                packets: delivered,
-                lateral_packets: delta.counter("noc.lateral"),
-                noc_mean_latency: if delivered > 0 {
-                    delta.counter("noc.total_latency") as f64 / delivered as f64
-                } else {
-                    0.0
-                },
-                dram_bits: delta.counter("mem.bits_transferred"),
-                dram_energy_j: delta.metric("mem.energy_j"),
-                row_misses: delta.counter("mem.row_misses"),
-            });
+            report.layers.push(layer_report(
+                node,
+                Self::node_kind(prog, node),
+                PassKind::Forward,
+                end_cycle - prev_cycle,
+                &stats.diff(prev_stats),
+            ));
             prev_cycle = end_cycle;
             prev_stats = stats;
         }
-        RunReport {
-            layers,
-            memory_bytes: prog.total_bytes(),
-            memory_minimal_bytes: prog.minimal_bytes(),
-            fault: self.fault_summary(),
-        }
+        report.fault = self.fault_summary();
+        report
     }
 
     /// Phase hand-off, called by the [`GraphSequencer`] the first cycle
@@ -1027,6 +893,34 @@ impl Neurocube {
         if to > self.now {
             self.with_pipeline(|pipeline, cube| pipeline.advance(cube, cube.now, to));
         }
+    }
+}
+
+/// One pass's report from the statistics it added (`delta`).
+fn layer_report(
+    layer_index: usize,
+    kind: &'static str,
+    pass: PassKind,
+    cycles: u64,
+    delta: &StatsRegistry,
+) -> LayerReport {
+    let delivered = delta.counter("noc.delivered");
+    LayerReport {
+        layer_index,
+        kind,
+        pass: pass.label(),
+        cycles,
+        macs: delta.sum_suffix(".mac_ops"),
+        packets: delivered,
+        lateral_packets: delta.counter("noc.lateral"),
+        noc_mean_latency: if delivered > 0 {
+            delta.counter("noc.total_latency") as f64 / delivered as f64
+        } else {
+            0.0
+        },
+        dram_bits: delta.counter("mem.bits_transferred"),
+        dram_energy_j: delta.metric("mem.energy_j"),
+        row_misses: delta.counter("mem.row_misses"),
     }
 }
 
@@ -1322,7 +1216,7 @@ impl Clocked<Neurocube> for AdvanceClock {
 /// that retargets PNGs and PEs at the next phase the first cycle the
 /// current one reports complete, so a whole layer DAG executes without a
 /// host round-trip. Inert (purely reactive) when no graph run is active,
-/// leaving linear runs bitwise identical to a pipeline without it.
+/// leaving per-phase passes bitwise identical to a pipeline without it.
 struct GraphSequencer;
 
 impl Clocked<Neurocube> for GraphSequencer {
@@ -1375,16 +1269,9 @@ mod tests {
         let params = spec.init_params(1, 0.25);
         let mut cube = Neurocube::new(SystemConfig::paper(true));
         let loaded = cube.load(spec, params);
-        let prog = Arc::clone(&loaded.programs[0]);
-        for png in &mut cube.pngs {
-            png.configure(Arc::clone(&prog));
-        }
-        for p in 0..cube.cfg.nodes() as u8 {
-            if let Some(pe_cfg) = prog.pe_config(p) {
-                let image = prog.pe_weight_image(&loaded.params[0]);
-                cube.pes[usize::from(p)].configure(pe_cfg, image);
-            }
-        }
+        let prog = Arc::clone(&loaded.programs()[0]);
+        let image = prog.pe_weight_image(&loaded.params()[0]);
+        cube.configure_program(&prog, &image);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             CycleLoop::new()
                 .stage(NocTick)
@@ -1560,9 +1447,13 @@ mod tests {
         let params = spec.init_params(1, 0.25);
         let mut cube = Neurocube::new(SystemConfig::paper(true));
         let loaded = cube.load(spec, params);
-        let report = cube.run_layer(&loaded, 0);
-        assert!(report.macs > 0);
-        assert!(report.cycles < 2_000_000, "healthy layers finish quickly");
+        let input = Tensor::zeros(1, 12, 12);
+        let (_, report) = cube.run_inference(&loaded, &input);
+        assert!(report.layers[0].macs > 0);
+        assert!(
+            report.total_cycles() < 2_000_000,
+            "healthy layers finish quickly"
+        );
     }
 
     fn graph_input() -> Tensor {
@@ -1589,7 +1480,7 @@ mod tests {
 
         let mut cube = Neurocube::new(SystemConfig::paper(true));
         let loaded = cube.load_graph(&graph, params.clone()).unwrap();
-        let (out_pipe, rep_pipe) = cube.run_graph_inference(&loaded, &input);
+        let (out_pipe, rep_pipe) = cube.run_inference(&loaded, &input);
 
         let mut cube2 = Neurocube::new(SystemConfig::paper(true));
         let loaded2 = cube2.load_graph(&graph, params).unwrap();
@@ -1629,7 +1520,7 @@ mod tests {
         let mut cube = Neurocube::new(SystemConfig::paper(true));
         let start = cube.now();
         let loaded = cube.load_graph(&graph, params).unwrap();
-        let (_, report) = cube.run_graph_inference(&loaded, &graph_input());
+        let (_, report) = cube.run_inference(&loaded, &graph_input());
         let prog = loaded.program();
         assert_eq!(report.layers.len(), prog.phases.len());
         for (k, layer) in report.layers.iter().enumerate() {
@@ -1642,11 +1533,15 @@ mod tests {
             cube.now() - start,
             "per-phase cycles must sum to the end-to-end count"
         );
+        // Fig. 12(d): the report carries duplication overhead (every
+        // buffer duplicated and live at once), not the peak footprint
+        // buffer reuse achieves.
         assert_eq!(
-            report.memory_bytes,
-            prog.total_bytes(),
-            "report must carry the graph footprint"
+            (report.memory_bytes, report.memory_minimal_bytes),
+            (prog.duplicated_bytes(), prog.minimal_bytes()),
+            "report must carry the graph's duplication footprint"
         );
+        assert!(prog.total_bytes() <= prog.duplicated_bytes());
     }
 
     /// Event-horizon skipping must stay invisible across sequencer-driven
@@ -1661,7 +1556,7 @@ mod tests {
             let mut cube = Neurocube::new(SystemConfig::paper(true));
             cube.set_cycle_skip(Some(skip));
             let loaded = cube.load_graph(&graph, params.clone()).unwrap();
-            let (out, report) = cube.run_graph_inference(&loaded, &input);
+            let (out, report) = cube.run_inference(&loaded, &input);
             let cycles: Vec<u64> = report.layers.iter().map(|l| l.cycles).collect();
             (
                 out,
@@ -1737,37 +1632,7 @@ mod tests {
 
         let mut plain = Neurocube::new(cfg.clone());
         let loaded = plain.load_graph(&graph, params).unwrap();
-        let (reference, _) = plain.run_graph_inference(&loaded, &input);
+        let (reference, _) = plain.run_inference(&loaded, &input);
         assert_eq!(out_fast.as_slice(), reference.as_slice());
-    }
-
-    /// A linear chain expressed as a graph must produce exactly the values
-    /// of the same chain run through the linear [`Neurocube::run_inference`]
-    /// path — the graph compiler is a strict generalization.
-    #[test]
-    fn linear_graph_embedding_matches_linear_runner() {
-        let spec = NetworkSpec::new(
-            Shape::new(1, 12, 12),
-            vec![
-                LayerSpec::conv(2, 3, Activation::Tanh),
-                LayerSpec::AvgPool { size: 2 },
-                LayerSpec::fc(5, Activation::Sigmoid),
-            ],
-        )
-        .unwrap();
-        let graph = spec.to_graph();
-        let params = spec.init_params(3, 0.25);
-        let input = graph_input();
-
-        let mut linear_cube = Neurocube::new(SystemConfig::paper(true));
-        let loaded = linear_cube.load(spec, params.clone());
-        let (out_linear, _) = linear_cube.run_inference(&loaded, &input);
-
-        let mut graph_cube = Neurocube::new(SystemConfig::paper(true));
-        let lg = graph_cube.load_graph(&graph, params).unwrap();
-        let (out_graph, report) = graph_cube.run_graph_inference(&lg, &input);
-
-        assert_eq!(out_graph.as_slice(), out_linear.as_slice());
-        assert_eq!(report.layers.len(), 3);
     }
 }

@@ -6,7 +6,8 @@
 //!
 //! * **grad-input** (`∂L/∂X`): a convolution with the rotated kernel (conv)
 //!   or the transposed weight matrix (FC) — operand volume identical to the
-//!   forward pass. Skipped for the first layer (no upstream consumer).
+//!   forward pass. Skipped for a node that reads only the graph input (no
+//!   upstream consumer; the first layer of a chain).
 //! * **grad-weight** (`∂L/∂W`): correlation of stored activations with
 //!   output errors — one MAC per (weight, output) pair, again the forward
 //!   pass's operand volume. Skipped for pooling (no weights).
@@ -15,7 +16,7 @@
 //!   streaming pass for FC layers, whose `∂W` already equals one
 //!   forward-equivalent pass (`n_out × n_in` MACs).
 //!
-//! The timing simulator models each backward pass by re-running the layer's
+//! The timing simulator models each backward pass by re-running the phase's
 //! dataflow (identical addresses, packet counts and MAC counts); gradient
 //! *values* are verified functionally in `neurocube-nn`'s trainer, which
 //! shares the MAC/LUT semantics. See `DESIGN.md`.
@@ -48,13 +49,14 @@ impl PassKind {
     }
 }
 
-/// The passes layer `index` contributes to one training step, in backward-
-/// sweep order (the forward pass is listed first; the system runs forward
-/// passes in a separate forward sweep).
-pub fn training_passes(net: &NetworkSpec, index: usize) -> Vec<PassKind> {
-    let layer = &net.layers()[index];
+/// The passes a graph node running `layer` contributes to one training
+/// step, in backward-sweep order (the forward pass is listed first; the
+/// system runs forward passes in a separate forward sweep). `reads_input`
+/// is whether every operand of the node is the graph input, so no
+/// upstream layer wants its input gradient.
+pub fn training_passes(layer: &LayerSpec, reads_input: bool) -> Vec<PassKind> {
     let mut passes = vec![PassKind::Forward];
-    if index > 0 {
+    if !reads_input {
         passes.push(PassKind::GradInput);
     }
     match layer {
@@ -73,8 +75,10 @@ pub fn training_passes(net: &NetworkSpec, index: usize) -> Vec<PassKind> {
 /// MAC), for cross-checking simulated op counts against Fig. 13(a).
 pub fn training_ops(net: &NetworkSpec) -> u64 {
     let macs = net.macs_per_layer();
-    (0..net.depth())
-        .map(|i| macs[i] * 2 * training_passes(net, i).len() as u64)
+    net.layers()
+        .iter()
+        .enumerate()
+        .map(|(i, layer)| macs[i] * 2 * training_passes(layer, i == 0).len() as u64)
         .sum()
 }
 
@@ -99,7 +103,7 @@ mod tests {
     #[test]
     fn first_conv_skips_grad_input() {
         assert_eq!(
-            training_passes(&net(), 0),
+            training_passes(&net().layers()[0], true),
             vec![PassKind::Forward, PassKind::GradWeight]
         );
     }
@@ -107,7 +111,7 @@ mod tests {
     #[test]
     fn pooling_has_no_weight_passes() {
         assert_eq!(
-            training_passes(&net(), 1),
+            training_passes(&net().layers()[1], false),
             vec![PassKind::Forward, PassKind::GradInput]
         );
     }
@@ -115,7 +119,7 @@ mod tests {
     #[test]
     fn fc_has_all_four_passes() {
         assert_eq!(
-            training_passes(&net(), 2),
+            training_passes(&net().layers()[2], false),
             vec![
                 PassKind::Forward,
                 PassKind::GradInput,

@@ -26,10 +26,11 @@ fn assert_bit_exact(cfg: SystemConfig, spec: NetworkSpec, seed: u64) {
 
     // Final output bit-exact.
     assert_eq!(output, *reference.last().unwrap(), "final output differs");
-    // Every intermediate volume bit-exact too.
+    // Every intermediate volume bit-exact too, read back as each phase
+    // finalizes it (a later phase may reuse its buffer).
+    let (volumes, _) = cube.run_graph_replay_collect(&loaded, &input);
     for (i, want) in reference.iter().enumerate() {
-        let vol = cube.read_volume(&loaded, i + 1);
-        assert_eq!(&vol, want, "layer {i} output differs");
+        assert_eq!(&volumes[i], want, "layer {i} output differs");
     }
     // The simulator actually did the work.
     let expected_macs: u64 = spec.macs_per_layer().iter().sum();
@@ -220,7 +221,7 @@ fn training_step_runs_all_passes() {
 
     // Pass count: forward (4) + backward passes.
     let expected_passes: usize = (0..spec.depth())
-        .map(|i| neurocube::training_passes(&spec, i).len())
+        .map(|i| neurocube::training_passes(&spec.layers()[i], i == 0).len())
         .sum();
     assert_eq!(report.layers.len(), expected_passes);
 
@@ -255,4 +256,98 @@ fn channel_count_sweep_is_monotone() {
         cycles[0] > cycles[3] * 2,
         "2 channels should be much slower than 16: {cycles:?}"
     );
+}
+
+fn conv_net(input: usize, maps: usize, kernel: usize) -> NetworkSpec {
+    NetworkSpec::new(
+        Shape::new(1, input, input),
+        vec![LayerSpec::conv(maps, kernel, Activation::Tanh)],
+    )
+    .unwrap()
+}
+
+/// One inference of `spec` (weights from seed 1) on a fresh cube: total
+/// cycles, per-layer cycles and the digest of the final registry.
+fn pinned_inference(cfg: SystemConfig, spec: &NetworkSpec) -> (u64, Vec<u64>, u64) {
+    let mut cube = Neurocube::new(cfg);
+    let loaded = cube.load(spec.clone(), spec.init_params(1, 0.25));
+    let (_, report) = cube.run_inference(&loaded, &ramp_input(spec.input_shape()));
+    let layers = report.layers.iter().map(|l| l.cycles).collect();
+    (
+        report.total_cycles(),
+        layers,
+        cube.stats_registry().digest(),
+    )
+}
+
+/// A linear network loads and runs as its trivial graph. The single-layer
+/// constants were recorded at 8de9fbe, when chains still had a placement
+/// and a runner of their own, and are unchanged: one layer is placed and
+/// timed exactly as before, down to every registry series. Multi-layer
+/// chains moved, each for a stated cause (parent values in comments):
+/// - recycled buffers land on other DRAM rows, and FC weights now sit
+///   below the state volumes (placement);
+/// - pipelined hand-offs no longer round every layer up to the cycle
+///   loop's 64-cycle completion check (hand-off).
+#[test]
+fn linear_networks_run_as_their_graph() {
+    // The ledger's smoke-scale `conv_saturated` and `ddr3_idle` shapes.
+    assert_eq!(
+        pinned_inference(SystemConfig::paper(false), &conv_net(16, 4, 3)),
+        (896, vec![896], 0xda2f_1888_1d0c_898d)
+    );
+    assert_eq!(
+        pinned_inference(SystemConfig::ddr3(), &conv_net(12, 4, 3)),
+        (29_696, vec![29_696], 0x36ba_9785_f403_edd0)
+    );
+
+    // Parent: 2 816 cycles as [768, 256, 1664, 128].
+    let tiny = workloads::tiny_convnet();
+    let (cycles, layers, _) = pinned_inference(SystemConfig::paper(true), &tiny);
+    assert_eq!((cycles, layers), (2_816, vec![780, 252, 1_637, 147]));
+    // Parent: 14 336 cycles as [13312, 1024].
+    let mlp = workloads::mnist_mlp(64);
+    let (cycles, layers, _) = pinned_inference(SystemConfig::paper(true), &mlp);
+    assert_eq!((cycles, layers), (14_016, vec![12_950, 1_066]));
+
+    // Parent: 9 088 cycles. Every pass is its own programmed run, so only
+    // placement moves it.
+    let mut cube = Neurocube::new(SystemConfig::paper(true));
+    let loaded = cube.load(tiny.clone(), tiny.init_params(1, 0.25));
+    let step = cube.run_training_step(&loaded, &ramp_input(tiny.input_shape()));
+    assert_eq!(step.total_cycles(), 9_152);
+}
+
+/// Fig. 12(d) stays *duplication* overhead: every buffer duplicated as
+/// placed and live at once, plus the weights, over one copy of each —
+/// the values the all-live linear placement reported at 8de9fbe. The
+/// peak live footprint, after buffer reuse, is the program's
+/// `total_bytes()`.
+#[test]
+fn memory_overhead_is_fig12d_duplication_overhead() {
+    let scene = workloads::scene_labeling(64, 80).unwrap();
+    for (spec, bytes, minimal, overhead_bits) in [
+        (scene, 6_446_088, 6_240_688, 0x3fa0_d9fa_49de_42a3u64),
+        (
+            conv_net(128, 16, 7),
+            518_920,
+            509_056,
+            0x3f93_d793_57dd_7f63,
+        ),
+    ] {
+        let mut cube = Neurocube::new(SystemConfig::paper(true));
+        let loaded = cube.load(spec.clone(), spec.init_params(1, 0.25));
+        let prog = loaded.program();
+        let report = neurocube::RunReport {
+            memory_bytes: prog.duplicated_bytes(),
+            memory_minimal_bytes: prog.minimal_bytes(),
+            ..Default::default()
+        };
+        assert_eq!(
+            (report.memory_bytes, report.memory_minimal_bytes),
+            (bytes, minimal)
+        );
+        assert_eq!(report.memory_overhead().to_bits(), overhead_bits);
+        assert!(prog.total_bytes() <= bytes);
+    }
 }

@@ -6,10 +6,10 @@
 //! reference next to their cycle-accurate backends. This crate is our
 //! version of that oracle, split into two independent models:
 //!
-//! * [`func`] — a double-precision functional reference of forward and
-//!   backward network execution. It shares only the *declarative* parts of
-//!   the stack (layer geometry and the canonical connection map) with the
-//!   simulator; all arithmetic is ideal `f64`. Because every error source
+//! * [`func`] — a double-precision functional reference of a layer DAG's
+//!   forward execution (a linear network is its trivial graph). It shares
+//!   only the *declarative* parts of the stack (layer geometry and the
+//!   canonical connection map) with the simulator; all arithmetic is ideal `f64`. Because every error source
 //!   of the `Q1.7.8` datapath is bounded (product truncation, LUT
 //!   quantization, activation Lipschitz constants), the model derives a
 //!   per-layer **error envelope** that the fixed-point simulator's outputs
@@ -32,11 +32,10 @@
 pub mod func;
 pub mod timing;
 
-pub use func::{eval_layer, layer_row_sum_max, Divergence, GoldenBackward, GoldenGraph, GoldenNet};
+pub use func::{eval_layer, layer_row_sum_max, Divergence, GoldenGraph};
 pub use timing::{
-    channel_stream_cycles, check_graph_report, check_inference_report, graph_bounds,
-    graph_service_envelope, layer_bounds, link_serialization_cycles, link_transfer_cycles,
-    multi_layer_bounds, pipeline_envelope, plan_graph, program_bound, service_envelope,
-    CycleEnvelope, EnvelopeViolation, GraphPlan, LayerBound, TimingViolation, DEFAULT_SLACK,
-    LINK_HANDOFF_SLACK_CYCLES,
+    channel_stream_cycles, check_graph_report, graph_bounds, graph_service_envelope,
+    link_serialization_cycles, link_transfer_cycles, phase_bounds, pipeline_envelope, plan_graph,
+    program_bound, CycleEnvelope, EnvelopeViolation, GraphPlan, LayerBound, TimingViolation,
+    DEFAULT_SLACK, LINK_HANDOFF_SLACK_CYCLES,
 };

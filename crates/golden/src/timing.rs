@@ -30,9 +30,8 @@
 
 use neurocube::{RunReport, SystemConfig};
 use neurocube_dram::{ChannelConfig, REF_CLOCK_HZ};
-use neurocube_nn::{GraphSpec, NetworkSpec};
-use neurocube_png::layout::NetworkLayout;
-use neurocube_png::{compile_graph, compile_layer, LayerProgram, MultiLayerProgram};
+use neurocube_nn::GraphSpec;
+use neurocube_png::{compile_graph, LayerProgram, MultiLayerProgram};
 use std::fmt;
 
 /// Reference cycles a channel needs to move `words` data words: rational
@@ -139,38 +138,11 @@ impl fmt::Display for TimingViolation {
 
 impl std::error::Error for TimingViolation {}
 
-/// Computes the analytical bound of every layer of `net` under `cfg`.
-///
-/// # Panics
-///
-/// Panics if the layout does not fit the configured memory (the same
-/// condition under which [`Neurocube::load`](neurocube::Neurocube::load)
-/// panics).
-pub fn layer_bounds(cfg: &SystemConfig, net: &NetworkSpec) -> Vec<LayerBound> {
-    let (gw, gh) = cfg.grid();
-    let map = cfg.memory.address_map();
-    let layout = NetworkLayout::build(net, gw, gh, cfg.duplicate, cfg.n_mac as usize, &map);
-    let mapping = cfg.mapping();
-    let programming = cfg
-        .programming
-        .map_or(0, |m| m.layer_cycles(cfg.nodes() as u32));
-
-    (0..net.depth())
-        .map(|i| {
-            let prog = compile_layer(net, &layout, i, mapping);
-            let mut bound = program_bound(cfg, &prog, i);
-            bound.programming_cycles = programming;
-            bound
-        })
-        .collect()
-}
-
 /// The analytical cycle bound of one compiled [`LayerProgram`] — the
 /// compiler's per-phase cost model. `layer_index` only labels the result
-/// (a layer index for linear networks, a graph node index for compiled
-/// graphs); `programming_cycles` is left at 0 for the caller to assign,
-/// since linear runs charge programming per layer while compiled graphs
-/// charge it once per inference.
+/// (the graph node the phase executes); `programming_cycles` is left at 0
+/// for the caller to assign, since a pipelined run charges programming
+/// once per inference while per-phase replay charges every phase.
 pub fn program_bound(cfg: &SystemConfig, prog: &LayerProgram, layer_index: usize) -> LayerBound {
     let nodes = cfg.nodes();
     let vaults = prog.mapping.vaults();
@@ -283,12 +255,14 @@ pub fn program_bound(cfg: &SystemConfig, prog: &LayerProgram, layer_index: usize
     }
 }
 
-/// Computes the analytical bound of every phase of a compiled graph, in
-/// phase order — the compiler's cost model composed along the DAG. Each
-/// `layer_index` is the graph node the phase executes. Pipelined graph
-/// runs program the cube once, so the whole programming charge lands on
-/// phase 0 (per-layer replay instead pays it on every phase, which is the
-/// gap [`graph_bounds`] lets benchmarks quantify).
+/// Computes the analytical bound of every phase of a compiled graph — a
+/// linear network's via
+/// [`NetworkSpec::to_graph`](neurocube_nn::NetworkSpec::to_graph) — in
+/// phase order: the compiler's cost model composed along the DAG. Each
+/// `layer_index` is the graph node the phase executes. A pipelined run
+/// programs the cube once, so the whole programming charge lands on phase
+/// 0 (per-phase replay instead pays it on every phase, which is the gap
+/// [`graph_bounds`] lets benchmarks quantify).
 ///
 /// # Panics
 ///
@@ -298,11 +272,11 @@ pub fn program_bound(cfg: &SystemConfig, prog: &LayerProgram, layer_index: usize
 pub fn graph_bounds(cfg: &SystemConfig, graph: &GraphSpec) -> Vec<LayerBound> {
     let prog = compile_graph(graph, cfg.mapping(), &cfg.memory.address_map())
         .expect("graph fits the configured memory");
-    multi_layer_bounds(cfg, &prog)
+    phase_bounds(cfg, &prog)
 }
 
 /// [`graph_bounds`] for an already-compiled [`MultiLayerProgram`].
-pub fn multi_layer_bounds(cfg: &SystemConfig, prog: &MultiLayerProgram) -> Vec<LayerBound> {
+pub fn phase_bounds(cfg: &SystemConfig, prog: &MultiLayerProgram) -> Vec<LayerBound> {
     let programming = cfg
         .programming
         .map_or(0, |m| m.layer_cycles(cfg.nodes() as u32));
@@ -317,9 +291,9 @@ pub fn multi_layer_bounds(cfg: &SystemConfig, prog: &MultiLayerProgram) -> Vec<L
         .collect()
 }
 
-/// Checks every phase of a pipelined graph [`RunReport`] (what
-/// [`run_graph_inference`](neurocube::Neurocube::run_graph_inference)
-/// returns) against the analytical envelope.
+/// Checks every phase of a pipelined [`RunReport`] (what
+/// [`run_inference`](neurocube::Neurocube::run_inference) returns) against
+/// the analytical envelope.
 ///
 /// # Errors
 ///
@@ -434,23 +408,11 @@ impl fmt::Display for EnvelopeViolation {
 
 impl std::error::Error for EnvelopeViolation {}
 
-/// The certified service envelope of one inference of `net` under `cfg`:
-/// the per-layer analytical bounds summed into one [`CycleEnvelope`].
-/// The simulator's total inference cycles are the sum of its per-layer
-/// cycles, each inside its own `[lower_i, upper_i]`, so the summed
-/// interval provably contains every measured service time.
-///
-/// # Panics
-///
-/// Panics if the layout does not fit the configured memory (see
-/// [`layer_bounds`]).
-#[must_use]
-pub fn service_envelope(cfg: &SystemConfig, net: &NetworkSpec, slack: f64) -> CycleEnvelope {
-    CycleEnvelope::from_bounds(&layer_bounds(cfg, net), slack)
-}
-
-/// [`service_envelope`] for a compiled-graph tenant: per-phase bounds of
-/// the pipelined schedule summed into one interval.
+/// The certified service envelope of one pipelined inference of `graph`
+/// under `cfg`: the per-phase analytical bounds summed into one
+/// [`CycleEnvelope`]. The simulator's total inference cycles are the sum
+/// of its per-phase cycles, each inside its own `[lower_i, upper_i]`, so
+/// the summed interval contains every measured service time.
 ///
 /// # Panics
 ///
@@ -566,37 +528,6 @@ pub fn plan_graph(cfg: &SystemConfig, graph: &GraphSpec) -> GraphPlan {
     }
 }
 
-/// Checks every layer of an inference [`RunReport`] against the
-/// analytical envelope.
-///
-/// # Errors
-///
-/// Returns the first [`TimingViolation`] found, scanning layers in order.
-///
-/// # Panics
-///
-/// Panics if the report does not have one forward entry per layer of
-/// `net` (training reports interleave backward passes; check those
-/// layer-by-layer with [`LayerBound::check`] instead).
-pub fn check_inference_report(
-    cfg: &SystemConfig,
-    net: &NetworkSpec,
-    report: &RunReport,
-    slack: f64,
-) -> Result<(), TimingViolation> {
-    let bounds = layer_bounds(cfg, net);
-    assert_eq!(
-        report.layers.len(),
-        bounds.len(),
-        "one report entry per layer"
-    );
-    for (bound, layer) in bounds.iter().zip(&report.layers) {
-        assert_eq!(layer.layer_index, bound.layer_index, "report order");
-        bound.check(layer.cycles, slack)?;
-    }
-    Ok(())
-}
-
 /// A [`LayerProgram`]-level summary used by tests and docs: the exact
 /// number of operand packets the schedule will emit for one layer
 /// (the conservation property the packet-serialization term relies on).
@@ -618,9 +549,10 @@ pub fn operand_packets(prog: &LayerProgram) -> u64 {
 mod tests {
     use super::*;
     use neurocube_fixed::Activation;
-    use neurocube_nn::{LayerSpec, Shape};
+    use neurocube_nn::{LayerSpec, NetworkSpec, Shape};
 
-    fn small_net() -> NetworkSpec {
+    /// A conv → pool → FC chain as its graph.
+    fn small_net() -> GraphSpec {
         NetworkSpec::new(
             Shape::new(1, 12, 12),
             vec![
@@ -630,6 +562,7 @@ mod tests {
             ],
         )
         .unwrap()
+        .to_graph()
     }
 
     #[test]
@@ -649,7 +582,7 @@ mod tests {
     fn bounds_have_positive_terms() {
         let cfg = SystemConfig::paper(true);
         let net = small_net();
-        let bounds = layer_bounds(&cfg, &net);
+        let bounds = graph_bounds(&cfg, &net);
         assert_eq!(bounds.len(), 3);
         for b in &bounds {
             assert!(b.mac_cycles > 0, "{b:?}");
@@ -664,19 +597,22 @@ mod tests {
     #[test]
     fn programming_model_adds_cycles() {
         let mut cfg = SystemConfig::paper(true);
-        let without = layer_bounds(&cfg, &small_net());
+        let without = graph_bounds(&cfg, &small_net());
         cfg.programming = Some(neurocube::ProgrammingModel::typical());
-        let with = layer_bounds(&cfg, &small_net());
-        for (a, b) in without.iter().zip(&with) {
-            assert!(b.programming_cycles > 0);
-            assert_eq!(b.lower(), a.lower() + b.programming_cycles);
+        let with = graph_bounds(&cfg, &small_net());
+        let charge = cfg.programming.unwrap().layer_cycles(16);
+        assert!(charge > 0);
+        for (k, (a, b)) in without.iter().zip(&with).enumerate() {
+            let expected = if k == 0 { charge } else { 0 };
+            assert_eq!(b.programming_cycles, expected, "phase {k}");
+            assert_eq!(b.lower(), a.lower() + expected);
         }
     }
 
     #[test]
     fn check_flags_both_sides_of_the_envelope() {
         let cfg = SystemConfig::paper(true);
-        let bounds = layer_bounds(&cfg, &small_net());
+        let bounds = graph_bounds(&cfg, &small_net());
         let b = &bounds[0];
         let lower = b.lower();
         assert!(b.check(lower, 4.0).is_ok());
@@ -725,30 +661,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_graph_bounds_match_layer_bounds_modulo_programming() {
-        let net = small_net();
-        let mut cfg = SystemConfig::paper(true);
-        cfg.programming = Some(neurocube::ProgrammingModel::typical());
-        let linear = layer_bounds(&cfg, &net);
-        let graph = graph_bounds(&cfg, &net.to_graph());
-        assert_eq!(linear.len(), graph.len());
-        for (l, g) in linear.iter().zip(&graph) {
-            assert_eq!(l.mac_cycles, g.mac_cycles);
-            assert_eq!(l.pe_packet_cycles, g.pe_packet_cycles);
-            assert_eq!(l.port_cycles, g.port_cycles);
-            assert_eq!(l.dram_cycles, g.dram_cycles);
-            assert!(l.programming_cycles > 0, "linear charges every layer");
-        }
-        let linear_prog: u64 = linear.iter().map(|b| b.programming_cycles).sum();
-        let graph_prog: u64 = graph.iter().map(|b| b.programming_cycles).sum();
-        assert_eq!(
-            linear_prog,
-            graph_prog * net.depth() as u64,
-            "the compiled graph amortizes programming to one charge"
-        );
-    }
-
-    #[test]
     fn plan_graph_compares_both_mappings() {
         let graph = neurocube_nn::workloads::concat_toy();
         let plan = plan_graph(&SystemConfig::paper(true), &graph);
@@ -762,11 +674,11 @@ mod tests {
     }
 
     #[test]
-    fn service_envelope_sums_layer_bounds_and_flags_both_edges() {
+    fn graph_service_envelope_sums_phase_bounds_and_flags_both_edges() {
         let cfg = SystemConfig::paper(true);
         let net = small_net();
-        let bounds = layer_bounds(&cfg, &net);
-        let env = service_envelope(&cfg, &net, 4.0);
+        let bounds = graph_bounds(&cfg, &net);
+        let env = graph_service_envelope(&cfg, &net, 4.0);
         let lower: u64 = bounds.iter().map(LayerBound::lower).sum();
         let upper: u64 = bounds
             .iter()
@@ -843,10 +755,7 @@ mod tests {
         // Conv layers deliver exactly one State packet per MAC operand.
         let cfg = SystemConfig::paper(true);
         let net = small_net();
-        let (gw, gh) = cfg.grid();
-        let map = cfg.memory.address_map();
-        let layout = NetworkLayout::build(&net, gw, gh, true, 16, &map);
-        let prog = compile_layer(&net, &layout, 0, cfg.mapping());
-        assert_eq!(operand_packets(&prog), net.macs_per_layer()[0]);
+        let prog = compile_graph(&net, cfg.mapping(), &cfg.memory.address_map()).unwrap();
+        assert_eq!(operand_packets(&prog.phases[0]), net.macs_per_node()[0]);
     }
 }

@@ -5,8 +5,8 @@
 //! concatenation** of its listed inputs (a single input is the volume
 //! itself) and is one of:
 //!
-//! * a [`LayerSpec`] node — executed on the cube exactly like a linear
-//!   layer (residual `Add` lowers to [`LayerSpec::Eltwise`] over the
+//! * a [`LayerSpec`] node — executed on the cube as one compiled phase
+//!   (residual `Add` lowers to [`LayerSpec::Eltwise`] over the
 //!   concatenation of its summands),
 //! * a [`GraphOp::Concat`] node — pure data placement: the graph compiler
 //!   aliases the parts into one channel-stacked volume, so concatenation
@@ -127,8 +127,7 @@ pub enum GraphError {
         node: String,
     },
     /// A spatial operator (conv/pool/add) cannot consume a flat volume
-    /// (the same restriction the linear layout enforces for layers after
-    /// a fully connected one).
+    /// (the rule [`NetworkSpec::new`] enforces for chains too).
     SpatialAfterFlat {
         /// The offending node.
         node: String,
@@ -439,11 +438,6 @@ impl GraphSpec {
     /// becomes node `"l{i}"` consuming its predecessor. Parameter
     /// initialization and per-node weight counts match the linear spec
     /// exactly, so every existing workload runs unchanged as a graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network violates a graph rule the linear stack only
-    /// catches at layout time (a spatial layer consuming a flat volume).
     pub fn linear(net: &NetworkSpec) -> GraphSpec {
         let nodes = net
             .layers()
@@ -459,6 +453,8 @@ impl GraphSpec {
                 op: GraphOp::Layer(layer),
             })
             .collect();
+        // A chain has one sink, no aliasing, and `NetworkSpec::new` already
+        // enforced the geometry and flat-volume rules, so validation holds.
         GraphSpec::new(net.input_shape(), nodes).expect("linear embedding of a valid network")
     }
 

@@ -18,6 +18,13 @@ pub enum NetworkError {
         /// The input volume it was offered.
         input: Shape,
     },
+    /// A conv/pool/add layer consumes a flat (1×1) volume, such as a
+    /// fully connected layer's output; flat volumes are never
+    /// re-spatialized (the graph rule of the same name).
+    SpatialAfterFlat {
+        /// Index of the offending layer.
+        layer: usize,
+    },
 }
 
 impl fmt::Display for NetworkError {
@@ -26,6 +33,9 @@ impl fmt::Display for NetworkError {
             NetworkError::Empty => f.write_str("network has no layers"),
             NetworkError::BadGeometry { layer, input } => {
                 write!(f, "layer {layer} does not fit its input volume {input}")
+            }
+            NetworkError::SpatialAfterFlat { layer } => {
+                write!(f, "layer {layer}: conv/pool after a fully connected layer")
             }
         }
     }
@@ -66,8 +76,9 @@ impl NetworkSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`NetworkError`] if the layer list is empty or any layer does
-    /// not fit the volume produced by its predecessor.
+    /// Returns [`NetworkError`] if the layer list is empty, a spatial layer
+    /// consumes a flat volume, or any layer does not fit the volume
+    /// produced by its predecessor.
     pub fn new(input: Shape, layers: Vec<LayerSpec>) -> Result<NetworkSpec, NetworkError> {
         if layers.is_empty() {
             return Err(NetworkError::Empty);
@@ -76,6 +87,9 @@ impl NetworkSpec {
         shapes.push(input);
         for (i, layer) in layers.iter().enumerate() {
             let cur = *shapes.last().expect("shapes is non-empty");
+            if !layer.weights_stream() && cur.height == 1 && cur.width == 1 {
+                return Err(NetworkError::SpatialAfterFlat { layer: i });
+            }
             let out = layer.output_shape(cur).ok_or(NetworkError::BadGeometry {
                 layer: i,
                 input: cur,
@@ -112,8 +126,8 @@ impl NetworkSpec {
     /// The trivial graph embedding of this linear chain (see
     /// [`GraphSpec::linear`](crate::GraphSpec::linear)): weight order is
     /// preserved, so `init_params` of the spec and of the graph are
-    /// interchangeable, and the graph compiler is a strict generalization
-    /// of the linear one.
+    /// interchangeable. The cube compiles and runs a chain as exactly this
+    /// graph.
     pub fn to_graph(&self) -> crate::GraphSpec {
         crate::GraphSpec::linear(self)
     }
@@ -264,5 +278,24 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("layer 1"));
+    }
+
+    #[test]
+    fn spatial_after_flat_is_a_typed_error() {
+        let err = NetworkSpec::new(
+            Shape::flat(64),
+            vec![
+                // A 1x1 conv is geometrically legal on the flat FC output,
+                // but a flat volume is never re-spatialized.
+                LayerSpec::fc(256, Activation::Tanh),
+                LayerSpec::conv(2, 1, Activation::Tanh),
+            ],
+        )
+        .unwrap_err();
+        assert_eq!(err, NetworkError::SpatialAfterFlat { layer: 1 });
+        assert_eq!(
+            err.to_string(),
+            "layer 1: conv/pool after a fully connected layer"
+        );
     }
 }

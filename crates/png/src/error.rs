@@ -1,11 +1,7 @@
 //! Typed host-compiler errors.
 //!
-//! Every failure mode of layout construction, layer compilation and host
-//! data loading is a [`CompileError`]; the panicking entry points
-//! ([`NetworkLayout::build`](crate::layout::NetworkLayout::build),
-//! [`compile_layer`](crate::compile_layer), …) are thin wrappers that
-//! `panic!` with the error's `Display` text, and the graph compiler
-//! surfaces the same variants as `Result`s.
+//! Every failure mode of graph compilation, weight placement and host
+//! data loading is a [`CompileError`], returned as a `Result`.
 
 use neurocube_nn::GraphError;
 use neurocube_noc::NocError;
@@ -22,19 +18,6 @@ pub enum CompileError {
         needed: u64,
         /// Bytes the vault provides.
         capacity: u64,
-    },
-    /// A conv/pool/add layer consumes a flat (fully-connected-produced)
-    /// volume; the compiler does not re-spatialize flat volumes.
-    SpatialAfterFlat {
-        /// Index of the offending layer.
-        layer: usize,
-    },
-    /// A layer index beyond the network's depth.
-    LayerIndexOutOfRange {
-        /// The requested index.
-        index: usize,
-        /// The network's layer count.
-        depth: usize,
     },
     /// The parameter set has the wrong number of layers.
     WeightLayerCount {
@@ -83,12 +66,6 @@ impl fmt::Display for CompileError {
                 needed,
                 capacity,
             } => write!(f, "vault {vault} over capacity: {needed} > {capacity}"),
-            CompileError::SpatialAfterFlat { layer } => {
-                write!(f, "layer {layer}: conv/pool after a fully connected layer")
-            }
-            CompileError::LayerIndexOutOfRange { index, depth } => {
-                write!(f, "layer index {index} out of range (depth {depth})")
-            }
             CompileError::WeightLayerCount { expected, got } => {
                 write!(f, "parameter set has {got} layers, network has {expected}")
             }

@@ -16,13 +16,16 @@
 //!   input + each node output) lives from its producer phase to its last
 //!   consumer phase; a per-vault first-fit free list reclaims dead
 //!   extents, so a long chain ping-pongs between two regions instead of
-//!   allocating one region per layer like the linear layout does.
+//!   keeping one region per layer live for the whole run.
 //! * **FC weights are permanent.** Streamed weight regions are placed
 //!   first and never recycled; only state volumes rotate above them.
 //!
-//! The per-phase programs are ordinary [`LayerProgram`]s, so every
+//! A linear network is compiled as its trivial graph
+//! ([`NetworkSpec::to_graph`](neurocube_nn::NetworkSpec::to_graph)):
+//! this is the one function that assigns a volume or weight address.
+//! The per-phase programs are ordinary [`LayerProgram`]s, the unit every
 //! downstream consumer (operand streams, PE configs, write-back cursors,
-//! the event horizon) works on compiled graphs unchanged.
+//! the event horizon) works on.
 
 use crate::error::CompileError;
 use crate::layout::{
@@ -102,14 +105,12 @@ pub struct MultiLayerProgram {
     /// Bytes with no duplication and no buffer reuse: one copy of every
     /// buffer plus the streamed weight matrices.
     minimal: u64,
+    /// Bytes with every buffer live at once as placed (duplicated copies
+    /// included) plus the streamed weight matrices.
+    duplicated: u64,
 }
 
 impl MultiLayerProgram {
-    /// Placement of the sink node's output.
-    pub fn output_vol(&self) -> &VolumeLayout {
-        &self.node_vols[self.graph.output_node()]
-    }
-
     /// Peak bytes across the cube.
     pub fn total_bytes(&self) -> u64 {
         self.allocated.iter().sum()
@@ -119,6 +120,16 @@ impl MultiLayerProgram {
     /// streamed weight matrix (the reuse/duplication baseline).
     pub fn minimal_bytes(&self) -> u64 {
         self.minimal
+    }
+
+    /// Footprint with every buffer live at once, each with the copies its
+    /// consumers' duplication adds, plus every streamed weight matrix:
+    /// what duplication costs before buffer reuse wins any of it back.
+    /// Over [`minimal_bytes`](Self::minimal_bytes) it is the Fig. 12(d)
+    /// duplication overhead; the peak live footprint is
+    /// [`total_bytes`](Self::total_bytes).
+    pub fn duplicated_bytes(&self) -> u64 {
+        self.duplicated
     }
 
     /// The graph node a phase executes.
@@ -158,6 +169,59 @@ impl MultiLayerProgram {
             }
         }
         latest
+    }
+
+    /// Writes the parameters into the DRAM image: one weight array per
+    /// graph node (empty for `Concat` and weight-less layers), FC matrices
+    /// written transposed into each phase's weight region. Conv kernels
+    /// are loaded into PE weight memories when a phase is configured and
+    /// are not streamed. Untimed, like the paper's host programming phase.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError::WeightLayerCount`] on a wrong node count and
+    /// [`CompileError::WeightImageSize`] on a wrong per-node image — checked
+    /// for every node before anything is written, so a failed load leaves
+    /// `storage` untouched.
+    pub fn write_weights(
+        &self,
+        params: &[Vec<Q88>],
+        storage: &mut Storage,
+    ) -> Result<(), CompileError> {
+        let depth = self.graph.depth();
+        if params.len() != depth {
+            return Err(CompileError::WeightLayerCount {
+                expected: depth,
+                got: params.len(),
+            });
+        }
+        for (i, &expected) in self.graph.weights_per_node().iter().enumerate() {
+            if params[i].len() != expected {
+                return Err(CompileError::WeightImageSize {
+                    layer: i,
+                    expected,
+                    got: params[i].len(),
+                });
+            }
+        }
+        for (p, phase) in self.phases.iter().enumerate() {
+            if !phase.is_fc() {
+                continue;
+            }
+            let node = self.phase_nodes[p];
+            let n_in = phase.in_shape.len();
+            for v in 0..self.vaults as NodeId {
+                for local in 0..phase.out_vol.assigned_count(v) {
+                    let neuron = phase.out_vol.assigned_neuron(v, local);
+                    for k in 0..n_in {
+                        let w = params[node][neuron * n_in + k];
+                        let addr = phase_fc_weight_addr(phase, v, local, k as u64);
+                        storage.write_u16(addr, w.to_bits() as u16);
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -307,8 +371,11 @@ pub fn compile_graph(
 
     // --- Buffer structure. Spatial buffers take the union of every
     // consumer's halo need (any slice's consumer extends the shared
-    // stored rectangles); flat buffers replicate when consumed, exactly
-    // like the linear layout.
+    // stored rectangles); flat buffers replicate into every vault when
+    // consumed (Fig. 10(d)). A spatial volume an FC layer consumes stays
+    // tiled: the shared-state broadcast is already fine-grained across
+    // owners, so replication would buy nothing and cost a 15x write-back
+    // broadcast (DESIGN.md §3).
     let mut kinds: Vec<VolumeKind> = Vec::with_capacity(n_buf);
     for (b, &shape) in buffers.iter().enumerate() {
         if shape.height == 1 && shape.width == 1 {
@@ -491,13 +558,22 @@ pub fn compile_graph(
         phase_nodes.push(i);
     }
 
-    let minimal: u64 = buffers.iter().map(|s| 2 * s.len() as u64).sum::<u64>()
-        + (0..n)
-            .filter(|&i| weight_bases[i].is_some())
-            .map(|i| {
-                2 * graph.node_input_shape(i).len() as u64 * graph.node_output_shape(i).len() as u64
-            })
-            .sum::<u64>();
+    let weight_bytes: u64 = (0..n)
+        .filter(|&i| weight_bases[i].is_some())
+        .map(|i| {
+            2 * graph.node_input_shape(i).len() as u64 * graph.node_output_shape(i).len() as u64
+        })
+        .sum();
+    let minimal = buffer_vols
+        .iter()
+        .map(VolumeLayout::bytes_minimal)
+        .sum::<u64>()
+        + weight_bytes;
+    let duplicated = buffer_vols
+        .iter()
+        .map(VolumeLayout::bytes_total)
+        .sum::<u64>()
+        + weight_bytes;
 
     Ok(MultiLayerProgram {
         graph: graph.clone(),
@@ -509,13 +585,17 @@ pub fn compile_graph(
         vaults,
         mapping,
         minimal,
+        duplicated,
     })
 }
 
 /// DRAM address of the FC weight for (`local` output neuron, connection
-/// `k`) in `vault`, for one compiled phase — the same group-blocked
-/// transposed layout as
-/// [`NetworkLayout::fc_weight_addr`](crate::layout::NetworkLayout::fc_weight_addr).
+/// `k`) in `vault`, for one compiled phase — group-blocked transposed
+/// layout: full groups of `n_mac` neurons store sequential
+/// `[connection][mac]` blocks (`base + 2·((group·conns + k)·n_mac +
+/// mac)`); the trailing partial group uses its exact width. One group's
+/// whole weight stream is therefore a single sequential DRAM run, and the
+/// region carries no padding.
 ///
 /// # Panics
 ///
@@ -533,61 +613,9 @@ pub fn phase_fc_weight_addr(prog: &LayerProgram, vault: NodeId, local: u64, k: u
     bases[usize::from(vault)] + 2 * (group * conns * n_mac + k * width + mac)
 }
 
-/// Loads a compiled graph's parameters into the DRAM image: one weight
-/// array per graph node (empty for `Concat` and weight-less layers), FC
-/// matrices written transposed into each phase's weight region. Untimed,
-/// like the linear loader.
-///
-/// # Errors
-///
-/// Returns [`CompileError::WeightLayerCount`] on a wrong node count and
-/// [`CompileError::WeightImageSize`] on a wrong per-node image — checked
-/// for every node before anything is written.
-pub fn graph_load_weights(
-    prog: &MultiLayerProgram,
-    params: &[Vec<Q88>],
-    storage: &mut Storage,
-) -> Result<(), CompileError> {
-    let depth = prog.graph.depth();
-    if params.len() != depth {
-        return Err(CompileError::WeightLayerCount {
-            expected: depth,
-            got: params.len(),
-        });
-    }
-    for (i, &expected) in prog.graph.weights_per_node().iter().enumerate() {
-        if params[i].len() != expected {
-            return Err(CompileError::WeightImageSize {
-                layer: i,
-                expected,
-                got: params[i].len(),
-            });
-        }
-    }
-    for (p, phase) in prog.phases.iter().enumerate() {
-        if !phase.is_fc() {
-            continue;
-        }
-        let node = prog.phase_nodes[p];
-        let n_in = phase.in_shape.len();
-        for v in 0..prog.vaults as NodeId {
-            for local in 0..phase.out_vol.assigned_count(v) {
-                let neuron = phase.out_vol.assigned_neuron(v, local);
-                for k in 0..n_in {
-                    let w = params[node][neuron * n_in + k];
-                    let addr = phase_fc_weight_addr(phase, v, local, k as u64);
-                    storage.write_u16(addr, w.to_bits() as u16);
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::NetworkLayout;
     use crate::program::{load_volume, read_volume};
     use neurocube_dram::MemoryConfig;
     use neurocube_fixed::Activation;
@@ -658,8 +686,8 @@ mod tests {
         let rv: Vec<Q88> = (0..right.shape.len() as i16)
             .map(|i| Q88::from_bits(-1 - i))
             .collect();
-        load_volume(left, &lv, 16, &mut storage);
-        load_volume(right, &rv, 16, &mut storage);
+        load_volume(left, &lv, 16, &mut storage).unwrap();
+        load_volume(right, &rv, 16, &mut storage).unwrap();
         assert_eq!(read_volume(left, &storage), lv);
         assert_eq!(read_volume(right, &storage), rv);
         // The stacked view sees left's channels then right's.
@@ -670,8 +698,8 @@ mod tests {
 
     #[test]
     fn linear_chains_recycle_buffers() {
-        // A deep chain's peak footprint must undercut the linear layout,
-        // which keeps every volume live for the whole run.
+        // A deep chain's peak footprint must undercut keeping every volume
+        // live for the whole run.
         let net = NetworkSpec::new(
             Shape::new(2, 20, 20),
             vec![
@@ -684,19 +712,23 @@ mod tests {
             ],
         )
         .unwrap();
-        let map = map16();
-        let graph = compile_graph(&GraphSpec::linear(&net), Mapping::paper(false), &map).unwrap();
-        let linear = NetworkLayout::build(&net, 4, 4, false, 16, &map);
+        let graph =
+            compile_graph(&GraphSpec::linear(&net), Mapping::paper(false), &map16()).unwrap();
+        // Without duplication, all-live is one copy of every volume plus
+        // the weights.
+        let all_live = graph.duplicated_bytes();
+        assert_eq!(all_live, graph.minimal_bytes());
+        let volumes: u64 = net.shapes().iter().map(|s| 2 * s.len() as u64).sum();
+        let weights = 2 * net.layer_input(5).len() as u64 * 10;
+        assert_eq!(all_live, volumes + weights);
         assert!(
-            graph.total_bytes() < linear.total_bytes(),
-            "graph {} vs linear {}",
+            graph.total_bytes() < all_live,
+            "peak {} vs all-live {all_live}",
             graph.total_bytes(),
-            linear.total_bytes()
         );
         // Reuse never goes below the honest baseline: the two largest
         // adjacent volumes must coexist.
         assert!(graph.total_bytes() >= 2 * net.input_shape().len() as u64);
-        assert_eq!(graph.minimal_bytes(), linear.minimal_bytes());
     }
 
     #[test]
@@ -718,7 +750,7 @@ mod tests {
         let mut storage = Storage::new();
         let wrong_count = vec![Vec::new(); 2];
         assert!(matches!(
-            graph_load_weights(&prog, &wrong_count, &mut storage),
+            prog.write_weights(&wrong_count, &mut storage),
             Err(CompileError::WeightLayerCount {
                 expected: 5,
                 got: 2
@@ -727,11 +759,11 @@ mod tests {
         let mut bad = prog.graph.init_params(7, 0.5);
         bad[0].pop();
         assert!(matches!(
-            graph_load_weights(&prog, &bad, &mut storage),
+            prog.write_weights(&bad, &mut storage),
             Err(CompileError::WeightImageSize { layer: 0, .. })
         ));
         let params = prog.graph.init_params(7, 0.5);
-        graph_load_weights(&prog, &params, &mut storage).unwrap();
+        prog.write_weights(&params, &mut storage).unwrap();
         // The FC head's weights landed at the phase addresses, transposed.
         let head = prog.phases.last().unwrap();
         assert!(head.is_fc());

@@ -16,10 +16,12 @@
 //!   *transposed* (`[connection][local neuron]`) so that the 16 weights of
 //!   one operation are contiguous in DRAM and stream at full burst
 //!   efficiency.
+//!
+//! This module is the vocabulary of a placement — rectangles, tilings and
+//! per-vault address arithmetic. [`compile_graph`](crate::compile_graph)
+//! is the one function that assigns addresses, for chains and DAGs alike.
 
-use crate::error::CompileError;
-use neurocube_dram::AddressMap;
-use neurocube_nn::{LayerSpec, NetworkSpec, Shape};
+use neurocube_nn::{LayerSpec, Shape};
 use neurocube_noc::NodeId;
 
 /// A half-open rectangle `[y0, y1) × [x0, x1)` of a spatial volume.
@@ -312,256 +314,15 @@ pub fn kernel_geometry(layer: &LayerSpec) -> Option<(usize, usize)> {
     }
 }
 
-/// The complete placement of a network in the cube: one [`VolumeLayout`]
-/// per volume (index 0 = network input, `i + 1` = output of layer `i`) plus
-/// per-layer streamed-weight base addresses.
-#[derive(Clone, Debug)]
-pub struct NetworkLayout {
-    /// Volume placements.
-    pub volumes: Vec<VolumeLayout>,
-    /// Per layer: per vault, base address of the group-blocked transposed
-    /// FC weight region (`None` for layers whose weights live in PE weight
-    /// memory).
-    pub weight_base: Vec<Option<Vec<u64>>>,
-    /// Per vault: bytes allocated.
-    pub allocated: Vec<u64>,
-    /// Number of vaults.
-    pub vaults: usize,
-    /// MAC-array width the weight blocks are sized for.
-    pub n_mac: usize,
-}
-
-impl NetworkLayout {
-    /// Lays out `net` over a `gw × gh` vault grid, duplicating inputs when
-    /// `duplicate` is set. `map` provides per-vault base addresses and
-    /// capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a vault's capacity is exceeded, if the grid does not match
-    /// `map`'s channel count, or if a convolutional layer follows a fully
-    /// connected one (the compiler does not re-spatialize flat volumes).
-    /// [`NetworkLayout::try_build`] reports the same conditions as typed
-    /// errors instead.
-    pub fn build(
-        net: &NetworkSpec,
-        gw: usize,
-        gh: usize,
-        duplicate: bool,
-        n_mac: usize,
-        map: &AddressMap,
-    ) -> NetworkLayout {
-        Self::try_build(net, gw, gh, duplicate, n_mac, map).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`NetworkLayout::build`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::SpatialAfterFlat`] when a conv/pool layer
-    /// consumes a flat volume and [`CompileError::VaultOverCapacity`] when
-    /// a vault's region overflows.
-    ///
-    /// # Panics
-    ///
-    /// Still panics on caller bugs: a zero `n_mac` or a grid that does not
-    /// match `map`'s channel count.
-    pub fn try_build(
-        net: &NetworkSpec,
-        gw: usize,
-        gh: usize,
-        duplicate: bool,
-        n_mac: usize,
-        map: &AddressMap,
-    ) -> Result<NetworkLayout, CompileError> {
-        assert!(n_mac > 0, "n_mac must be nonzero");
-        let vaults = gw * gh;
-        assert_eq!(vaults as u32, map.channels(), "grid must match vault count");
-        let mut alloc: Vec<u64> = (0..vaults).map(|v| map.channel_base(v as u32)).collect();
-        let shapes = net.shapes();
-
-        // Decide each volume's structure from its consumer (volume i feeds
-        // layer i; the last volume has no consumer).
-        let mut kinds: Vec<VolumeKind> = Vec::with_capacity(shapes.len());
-        let mut flat_seen = false;
-        for (i, &shape) in shapes.iter().enumerate() {
-            let consumer = net.layers().get(i);
-            let kind = match consumer {
-                Some(layer) => match kernel_geometry(layer) {
-                    Some((k, s)) => {
-                        if flat_seen {
-                            return Err(CompileError::SpatialAfterFlat { layer: i });
-                        }
-                        let needed: Vec<Rect> = (0..vaults)
-                            .map(|v| {
-                                let (gx, gy) = (v % gw, v / gw);
-                                let out_shape = net.layer_output(i);
-                                let out =
-                                    grid_rect(out_shape.height, out_shape.width, gw, gh, gx, gy);
-                                input_rect_for(out, k, s, shape)
-                            })
-                            .collect();
-                        let halo = if duplicate {
-                            Some(needed.as_slice())
-                        } else {
-                            None
-                        };
-                        spatial_layout(shape, gw, gh, halo)
-                    }
-                    None => {
-                        // FC consumer. Spatial producer volumes stay tiled
-                        // even when duplication is on: the FC shared-state
-                        // broadcast is already fine-grained across owners
-                        // (tile ownership rotates with the flat index), so
-                        // full replication would buy nothing and cost a
-                        // 15x write-back broadcast — see DESIGN.md §3.
-                        // Flat volumes (MLP chains) replicate per Fig. 10(d).
-                        if shape.height > 1 || shape.width > 1 {
-                            spatial_layout(shape, gw, gh, None)
-                        } else {
-                            flat_seen = true;
-                            flat_layout(shape.len(), vaults, duplicate)
-                        }
-                    }
-                },
-                // Output volume: owned where produced, no duplication.
-                None => {
-                    if flat_seen || shape.height == 1 && shape.width == 1 {
-                        flat_layout(shape.len(), vaults, false)
-                    } else {
-                        spatial_layout(shape, gw, gh, None)
-                    }
-                }
-            };
-            if matches!(kind, VolumeKind::Flat { .. }) {
-                flat_seen = true;
-            }
-            kinds.push(kind);
-        }
-
-        // Allocate volume regions per vault.
-        let mut volumes = Vec::with_capacity(shapes.len());
-        for (shape, kind) in shapes.iter().zip(kinds) {
-            let mut base = Vec::with_capacity(vaults);
-            let vl_probe = VolumeLayout {
-                shape: *shape,
-                kind: kind.clone(),
-                base: vec![0; vaults],
-            };
-            for (v, a) in alloc.iter_mut().enumerate() {
-                base.push(*a);
-                *a += vl_probe.bytes_in_vault(v as NodeId);
-            }
-
-            volumes.push(VolumeLayout {
-                shape: *shape,
-                kind,
-                base,
-            });
-        }
-
-        // Allocate streamed (FC) weight regions, transposed per vault.
-        let mut weight_base = Vec::with_capacity(net.depth());
-        for (i, layer) in net.layers().iter().enumerate() {
-            if layer.weights_stream() {
-                let n_in = net.layer_input(i).len() as u64;
-                let mut bases = Vec::with_capacity(vaults);
-                for (v, a) in alloc.iter_mut().enumerate() {
-                    bases.push(*a);
-                    // Group-blocked: each group of ≤ n_mac neurons stores a
-                    // sequential [connection][mac] block; the (only) partial
-                    // group uses its exact width, so no padding.
-                    let local_neurons = volumes[i + 1].assigned_count(v as NodeId);
-                    *a += 2 * n_in * local_neurons;
-                }
-                weight_base.push(Some(bases));
-            } else {
-                weight_base.push(None);
-            }
-        }
-
-        // Capacity check.
-        #[allow(clippy::needless_range_loop)] // v doubles as the channel id
-        for v in 0..vaults {
-            let used = alloc[v] - map.channel_base(v as u32);
-            if used > map.channel_bytes() {
-                return Err(CompileError::VaultOverCapacity {
-                    vault: v,
-                    needed: used,
-                    capacity: map.channel_bytes(),
-                });
-            }
-        }
-
-        let allocated = (0..vaults)
-            .map(|v| alloc[v] - map.channel_base(v as u32))
-            .collect();
-        Ok(NetworkLayout {
-            volumes,
-            weight_base,
-            allocated,
-            vaults,
-            n_mac,
-        })
-    }
-
-    /// DRAM address of the FC weight for (`layer`, local output-neuron index
-    /// `local`, connection `k`) in vault `vault` — group-blocked transposed
-    /// layout: full groups of `n_mac` neurons store sequential
-    /// `[connection][mac]` blocks (`base + 2·((group·conns + k)·n_mac +
-    /// mac)`); the trailing partial group uses its exact width. One group's
-    /// whole weight stream is therefore a single sequential DRAM run, and
-    /// the region carries no padding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layer's weights do not stream.
-    pub fn fc_weight_addr(&self, layer: usize, vault: NodeId, local: u64, k: u64) -> u64 {
-        let bases = self.weight_base[layer]
-            .as_ref()
-            .expect("layer weights do not stream from DRAM");
-        let n_mac = self.n_mac as u64;
-        let conns = self.volumes[layer].shape.len() as u64;
-        let n = self.volumes[layer + 1].assigned_count(vault);
-        let (group, mac) = (local / n_mac, local % n_mac);
-        let width = n_mac.min(n - group * n_mac);
-        bases[usize::from(vault)] + 2 * (group * conns * n_mac + k * width + mac)
-    }
-
-    /// Total bytes stored across the cube.
-    pub fn total_bytes(&self) -> u64 {
-        self.allocated.iter().sum()
-    }
-
-    /// Bytes stored with no duplication anywhere (states + streamed
-    /// weights, without group padding), the denominator of the Fig. 12(d)
-    /// overhead ratio.
-    pub fn minimal_bytes(&self) -> u64 {
-        let states: u64 = self.volumes.iter().map(VolumeLayout::bytes_minimal).sum();
-        let weights: u64 = self
-            .weight_base
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.is_some())
-            .map(|(i, _)| {
-                2 * (self.volumes[i].shape.len() as u64) * (self.volumes[i + 1].shape.len() as u64)
-            })
-            .sum();
-        states + weights
-    }
-
-    /// Duplication overhead as a fraction of the minimal footprint.
-    pub fn duplication_overhead(&self) -> f64 {
-        let min = self.minimal_bytes() as f64;
-        (self.total_bytes() as f64 - min) / min
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neurocube_dram::MemoryConfig;
+    use crate::error::CompileError;
+    use crate::graph::{compile_graph, phase_fc_weight_addr, MultiLayerProgram};
+    use crate::program::Mapping;
+    use neurocube_dram::{AddressMap, MemoryConfig};
     use neurocube_fixed::Activation;
+    use neurocube_nn::NetworkSpec;
 
     fn map16() -> AddressMap {
         MemoryConfig::hmc_int().address_map()
@@ -672,6 +433,12 @@ mod tests {
         assert!(seen.iter().all(|&b| b));
     }
 
+    /// The one placement, [`compile_graph`](crate::compile_graph), of a
+    /// chain for `mapping`.
+    fn place(net: &NetworkSpec, duplicate: bool) -> Result<MultiLayerProgram, CompileError> {
+        compile_graph(&net.to_graph(), Mapping::paper(duplicate), &map16())
+    }
+
     #[test]
     fn network_layout_scene_like_geometry() {
         let net = NetworkSpec::new(
@@ -683,16 +450,15 @@ mod tests {
             ],
         )
         .unwrap();
-        let map = map16();
-        let nodup = NetworkLayout::build(&net, 4, 4, false, 16, &map);
-        let dup = NetworkLayout::build(&net, 4, 4, true, 16, &map);
-        assert!(dup.total_bytes() > nodup.total_bytes());
-        assert!(dup.duplication_overhead() > 0.0);
-        // Without duplication the layout is exactly minimal.
-        assert_eq!(nodup.total_bytes(), nodup.minimal_bytes());
+        let nodup = place(&net, false).unwrap();
+        let dup = place(&net, true).unwrap();
+        assert!(dup.duplicated_bytes() > nodup.duplicated_bytes());
+        assert_eq!(dup.minimal_bytes(), nodup.minimal_bytes());
+        // Without duplication every buffer holds exactly one copy.
+        assert_eq!(nodup.duplicated_bytes(), nodup.minimal_bytes());
         // FC weights allocated only for the FC layer.
-        assert!(nodup.weight_base[0].is_none());
-        assert!(nodup.weight_base[2].is_some());
+        assert!(nodup.phases[0].weight_base.is_none());
+        assert!(nodup.phases[2].weight_base.is_some());
     }
 
     #[test]
@@ -702,15 +468,15 @@ mod tests {
             vec![LayerSpec::fc(32, Activation::Identity)],
         )
         .unwrap();
-        let map = map16();
-        let layout = NetworkLayout::build(&net, 4, 4, false, 16, &map);
+        let prog = place(&net, false).unwrap();
+        let fc = &prog.phases[0];
         // Vault 0 owns 2 output neurons (one partial group of width 2);
         // weights for op k are contiguous, and consecutive ops are
         // consecutive blocks of that width.
-        let a0 = layout.fc_weight_addr(0, 0, 0, 5);
-        let a1 = layout.fc_weight_addr(0, 0, 1, 5);
+        let a0 = phase_fc_weight_addr(fc, 0, 0, 5);
+        let a1 = phase_fc_weight_addr(fc, 0, 1, 5);
         assert_eq!(a1, a0 + 2);
-        let b0 = layout.fc_weight_addr(0, 0, 0, 6);
+        let b0 = phase_fc_weight_addr(fc, 0, 0, 6);
         assert_eq!(b0, a0 + 2 * 2);
         // A second group starts a fresh sequential run: with 32 outputs over
         // 16 vaults every vault has exactly one group, so check via a wider
@@ -720,48 +486,27 @@ mod tests {
             vec![LayerSpec::fc(17 * 16, Activation::Identity)],
         )
         .unwrap();
-        let map = map16();
-        let wide_layout = NetworkLayout::build(&wide, 4, 4, false, 16, &map);
+        let wide_prog = place(&wide, false).unwrap();
+        let wide_fc = &wide_prog.phases[0];
         // Vault 0 owns 17 neurons: one full group (16) + partial width 1.
-        let full_first = wide_layout.fc_weight_addr(0, 0, 0, 0);
-        let partial_first = wide_layout.fc_weight_addr(0, 0, 16, 0);
+        let full_first = phase_fc_weight_addr(wide_fc, 0, 0, 0);
+        let partial_first = phase_fc_weight_addr(wide_fc, 0, 16, 0);
         assert_eq!(partial_first, full_first + 2 * 8 * 16);
-        let partial_second_op = wide_layout.fc_weight_addr(0, 0, 16, 1);
+        let partial_second_op = phase_fc_weight_addr(wide_fc, 0, 16, 1);
         assert_eq!(partial_second_op, partial_first + 2);
-    }
-
-    #[test]
-    fn spatial_after_flat_is_a_typed_error() {
-        let net = NetworkSpec::new(
-            Shape::flat(64),
-            vec![
-                // A 1x1 conv is geometrically legal on the flat FC output,
-                // but the compiler refuses to re-spatialize it.
-                LayerSpec::fc(256, Activation::Tanh),
-                LayerSpec::conv(2, 1, Activation::Tanh),
-            ],
-        )
-        .unwrap();
-        let err = NetworkLayout::try_build(&net, 4, 4, false, 16, &map16()).unwrap_err();
-        assert_eq!(err, CompileError::SpatialAfterFlat { layer: 1 });
-        assert_eq!(
-            err.to_string(),
-            "layer 1: conv/pool after a fully connected layer"
-        );
     }
 
     #[test]
     fn vault_over_capacity_is_a_typed_error() {
         // 64k inputs x 100k outputs of streamed weights: ~12.8 GB over 16
         // vaults, far beyond the 256 MB per-vault region. (Nothing is
-        // written: the layout is pure address arithmetic.)
+        // written: placement is pure address arithmetic.)
         let net = NetworkSpec::new(
             Shape::flat(65_536),
             vec![LayerSpec::fc(100_000, Activation::Identity)],
         )
         .unwrap();
-        let map = map16();
-        let err = NetworkLayout::try_build(&net, 4, 4, false, 16, &map).unwrap_err();
+        let err = place(&net, false).unwrap_err();
         let CompileError::VaultOverCapacity {
             needed, capacity, ..
         } = err
@@ -769,7 +514,7 @@ mod tests {
             panic!("expected VaultOverCapacity, got {err}");
         };
         assert!(needed > capacity);
-        assert_eq!(capacity, map.channel_bytes());
+        assert_eq!(capacity, map16().channel_bytes());
     }
 
     #[test]
@@ -779,10 +524,9 @@ mod tests {
             vec![LayerSpec::fc(16, Activation::Identity)],
         )
         .unwrap();
-        let map = map16();
-        let dup = NetworkLayout::build(&net, 4, 4, true, 16, &map);
+        let dup = place(&net, true).unwrap();
         // Input vector is replicated into all 16 vaults.
-        assert_eq!(dup.volumes[0].bytes_total(), 16 * 160 * 2);
-        assert_eq!(dup.volumes[0].bytes_minimal(), 160 * 2);
+        assert_eq!(dup.input_vol.bytes_total(), 16 * 160 * 2);
+        assert_eq!(dup.input_vol.bytes_minimal(), 160 * 2);
     }
 }

@@ -11,13 +11,17 @@
 //!
 //! Modules:
 //!
-//! * [`layout`] — where every volume and weight matrix lives: spatial 4×4
-//!   tiling with optional halo/full duplication (Fig. 10), per-vault address
-//!   allocation,
+//! * [`graph`] — the host compiler: [`compile_graph`] lowers a layer DAG (a
+//!   linear network is its trivial graph) into one [`MultiLayerProgram`],
+//!   assigning every volume and weight address with lifetime-based buffer
+//!   reuse,
+//! * [`layout`] — the vocabulary of a placement: spatial 4×4 tiling with
+//!   optional halo/full duplication (Fig. 10), per-vault addressing,
 //! * [`schedule`] — the per-PE neuron assignment and the per-vault operand
 //!   stream FSM (the paper's three nested counters, Fig. 8),
-//! * [`program`] — the compiler output: one [`LayerProgram`] per vault plus
-//!   one `PeLayerConfig` per PE (the host's configuration-register writes),
+//! * [`program`] — one compiled phase: a [`LayerProgram`] shared by every
+//!   vault plus one `PeLayerConfig` per PE (the host's
+//!   configuration-register writes),
 //! * [`Png`] — the cycle-level PNG unit gluing stream → vault channel →
 //!   NoC → write-back.
 
@@ -32,10 +36,6 @@ pub mod schedule;
 mod unit;
 
 pub use error::CompileError;
-pub use graph::{
-    channel_slice, compile_graph, graph_load_weights, phase_fc_weight_addr, MultiLayerProgram,
-};
-pub use program::{
-    compile_layer, try_compile_layer, try_load_volume, try_load_weights, LayerProgram, Mapping,
-};
+pub use graph::{channel_slice, compile_graph, phase_fc_weight_addr, MultiLayerProgram};
+pub use program::{LayerProgram, Mapping};
 pub use unit::{Png, PngHookup, PngStats, RUN_AHEAD_OPS};

@@ -1,13 +1,12 @@
-//! The host compiler: turning one network layer into PNG programs and PE
-//! configuration-register images (Fig. 4's "compile into state machine
-//! descriptions" step).
+//! One compiled phase: the PNG program and PE configuration-register
+//! image of one layer (Fig. 4's "compile into state machine descriptions"
+//! step). [`compile_graph`](crate::compile_graph) emits one per executable
+//! graph node.
 
 use crate::error::CompileError;
-use crate::layout::NetworkLayout;
 use neurocube_fixed::{Activation, Q88};
-use neurocube_nn::{ConvConnectivity, LayerSpec, NetworkSpec, Shape};
+use neurocube_nn::{ConvConnectivity, LayerSpec, Shape};
 use neurocube_pe::{PeLayerConfig, StateMode, WeightMode};
-use std::sync::Arc;
 
 /// The cube-wide mapping parameters the host chooses for a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,10 +40,11 @@ impl Mapping {
 }
 
 /// Everything the 16 PNGs and PEs need to execute one layer — the result of
-/// the host's per-layer programming step (§IV-C). Shared behind an [`Arc`].
+/// the host's per-layer programming step (§IV-C). Shared behind an
+/// [`Arc`](std::sync::Arc).
 #[derive(Clone, Debug)]
 pub struct LayerProgram {
-    /// Index of the layer in the network.
+    /// Index of the phase in its compiled program.
     pub layer_index: usize,
     /// The layer description.
     pub layer: LayerSpec,
@@ -181,148 +181,15 @@ impl LayerProgram {
     }
 }
 
-/// Compiles layer `index` of `net` into a shared [`LayerProgram`].
-///
-/// # Panics
-///
-/// Panics if `index` is out of range ([`try_compile_layer`] reports it as
-/// a typed error instead).
-pub fn compile_layer(
-    net: &NetworkSpec,
-    layout: &NetworkLayout,
-    index: usize,
-    mapping: Mapping,
-) -> Arc<LayerProgram> {
-    try_compile_layer(net, layout, index, mapping).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`compile_layer`].
-///
-/// # Errors
-///
-/// Returns [`CompileError::LayerIndexOutOfRange`] if `index` is beyond the
-/// network's depth.
-pub fn try_compile_layer(
-    net: &NetworkSpec,
-    layout: &NetworkLayout,
-    index: usize,
-    mapping: Mapping,
-) -> Result<Arc<LayerProgram>, CompileError> {
-    let layer = *net
-        .layers()
-        .get(index)
-        .ok_or(CompileError::LayerIndexOutOfRange {
-            index,
-            depth: net.depth(),
-        })?;
-    Ok(Arc::new(LayerProgram {
-        layer_index: index,
-        layer,
-        in_shape: net.layer_input(index),
-        out_shape: net.layer_output(index),
-        in_vol: layout.volumes[index].clone(),
-        out_vol: layout.volumes[index + 1].clone(),
-        weight_base: layout.weight_base[index].clone(),
-        activation: layer.activation(),
-        mapping,
-    }))
-}
-
-/// Loads a network's parameters into the DRAM image: FC weight matrices are
-/// written transposed into their owning vault's region. (Conv kernels are
-/// loaded into PE weight memories by the host during programming and are
-/// not streamed; their master copy is negligible.) Untimed, like the
-/// paper's host programming phase.
-///
-/// # Panics
-///
-/// Panics on a malformed parameter set ([`try_load_weights`] reports the
-/// mismatch as a typed error instead).
-pub fn load_weights(
-    net: &NetworkSpec,
-    params: &[Vec<Q88>],
-    layout: &NetworkLayout,
-    storage: &mut neurocube_dram::Storage,
-) {
-    try_load_weights(net, params, layout, storage).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`load_weights`].
-///
-/// # Errors
-///
-/// Returns [`CompileError::WeightLayerCount`] when `params` has the wrong
-/// layer count and [`CompileError::WeightImageSize`] when a layer's weight
-/// image does not match its declared weight count — checked for *every*
-/// layer (streamed or not) before anything is written, so a failed load
-/// leaves `storage` untouched.
-pub fn try_load_weights(
-    net: &NetworkSpec,
-    params: &[Vec<Q88>],
-    layout: &NetworkLayout,
-    storage: &mut neurocube_dram::Storage,
-) -> Result<(), CompileError> {
-    if params.len() != net.depth() {
-        return Err(CompileError::WeightLayerCount {
-            expected: net.depth(),
-            got: params.len(),
-        });
-    }
-    for (i, layer) in net.layers().iter().enumerate() {
-        let expected = layer.weight_count(net.layer_input(i));
-        if params[i].len() != expected {
-            return Err(CompileError::WeightImageSize {
-                layer: i,
-                expected,
-                got: params[i].len(),
-            });
-        }
-    }
-    for (i, layer) in net.layers().iter().enumerate() {
-        if !layer.weights_stream() {
-            continue;
-        }
-        let n_in = net.layer_input(i).len();
-        let out_vol = &layout.volumes[i + 1];
-        for v in 0..layout.vaults as u8 {
-            let count = out_vol.assigned_count(v);
-            for local in 0..count {
-                let neuron = out_vol.assigned_neuron(v, local);
-                for k in 0..n_in {
-                    let w = params[i][neuron * n_in + k];
-                    let addr = layout.fc_weight_addr(i, v, local, k as u64);
-                    storage.write_u16(addr, w.to_bits() as u16);
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Loads a volume's values into every vault that stores a copy of it
 /// (the host's untimed "map all data structures of NN into the physical
 /// address space of the cube" step, §IV-C).
-///
-/// # Panics
-///
-/// Panics when the payload length does not match the volume's shape
-/// ([`try_load_volume`] reports it as a typed error instead).
-pub fn load_volume(
-    vol: &crate::layout::VolumeLayout,
-    values: &[Q88],
-    vaults: usize,
-    storage: &mut neurocube_dram::Storage,
-) {
-    try_load_volume(vol, values, vaults, storage).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`load_volume`].
 ///
 /// # Errors
 ///
 /// Returns [`CompileError::VolumeSize`] when `values` does not match the
 /// volume's shape; nothing is written in that case.
-pub fn try_load_volume(
+pub fn load_volume(
     vol: &crate::layout::VolumeLayout,
     values: &[Q88],
     vaults: usize,
@@ -364,11 +231,16 @@ pub fn read_volume(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::NetworkLayout;
+    use crate::graph::{compile_graph, phase_fc_weight_addr, MultiLayerProgram};
     use neurocube_dram::MemoryConfig;
     use neurocube_nn::NetworkSpec;
 
-    fn build(duplicate: bool) -> (NetworkSpec, NetworkLayout, Mapping) {
+    fn compile(net: &NetworkSpec, duplicate: bool) -> MultiLayerProgram {
+        let map = MemoryConfig::hmc_int().address_map();
+        compile_graph(&net.to_graph(), Mapping::paper(duplicate), &map).unwrap()
+    }
+
+    fn build(duplicate: bool) -> (NetworkSpec, MultiLayerProgram) {
         let net = NetworkSpec::new(
             Shape::new(1, 16, 16),
             vec![
@@ -377,16 +249,14 @@ mod tests {
             ],
         )
         .unwrap();
-        let map = MemoryConfig::hmc_int().address_map();
-        let layout = NetworkLayout::build(&net, 4, 4, duplicate, 16, &map);
-        (net, layout, Mapping::paper(duplicate))
+        let prog = compile(&net, duplicate);
+        (net, prog)
     }
 
     #[test]
     fn conv_pe_config() {
-        let (net, layout, mapping) = build(false);
-        let prog = compile_layer(&net, &layout, 0, mapping);
-        let cfg = prog.pe_config(0).unwrap();
+        let (_, prog) = build(false);
+        let cfg = prog.phases[0].pe_config(0).unwrap();
         assert_eq!(cfg.conns_per_neuron, 9);
         assert_eq!(cfg.maps, 2);
         // 14x14 output over a 4x4 grid: corner tile is 3x3 = 9 pixels...
@@ -404,16 +274,16 @@ mod tests {
 
     #[test]
     fn fc_pe_config() {
-        let (net, layout, mapping) = build(false);
-        let prog = compile_layer(&net, &layout, 1, mapping);
-        let cfg = prog.pe_config(3).unwrap();
+        let (_, prog) = build(false);
+        let fc = &prog.phases[1];
+        let cfg = fc.pe_config(3).unwrap();
         assert_eq!(cfg.states, StateMode::Shared);
         assert_eq!(cfg.weights, WeightMode::Stream);
         assert_eq!(cfg.conns_per_neuron, 2 * 14 * 14);
         assert_eq!(cfg.maps, 1);
         // 8 outputs over 16 vaults: half the vaults idle.
         let total: u64 = (0..16u8)
-            .filter_map(|p| prog.pe_config(p))
+            .filter_map(|p| fc.pe_config(p))
             .map(|c| c.total_neurons())
             .sum();
         assert_eq!(total, 8);
@@ -421,14 +291,14 @@ mod tests {
 
     #[test]
     fn copy_vaults_empty_without_duplication() {
-        let (net, layout, mapping) = build(false);
-        let prog = compile_layer(&net, &layout, 0, mapping);
-        for n in (0..prog.out_shape.len()).step_by(37) {
-            let owner = prog.out_vol.owner(n);
-            assert!(prog.copy_vaults(n, owner).is_empty());
+        let (_, prog) = build(false);
+        let conv = &prog.phases[0];
+        for n in (0..conv.out_shape.len()).step_by(37) {
+            let owner = conv.out_vol.owner(n);
+            assert!(conv.copy_vaults(n, owner).is_empty());
         }
         for v in 0..16 {
-            assert_eq!(prog.expected_foreign_writebacks(v), 0);
+            assert_eq!(conv.expected_foreign_writebacks(v), 0);
         }
     }
 
@@ -445,74 +315,45 @@ mod tests {
             ],
         )
         .unwrap();
-        let map = MemoryConfig::hmc_int().address_map();
-        let layout = NetworkLayout::build(&net, 4, 4, true, 16, &map);
-        let prog = compile_layer(&net, &layout, 0, Mapping::paper(true));
+        let compiled = compile(&net, true);
+        let prog = &compiled.phases[0];
         let foreign: u64 = (0..16).map(|v| prog.expected_foreign_writebacks(v)).sum();
         assert!(foreign > 0, "halo duplication must require copies");
-        // A neuron on a tile boundary has at least one copy vault.
-        let boundary = prog.out_vol.owner(0); // neuron 0 sits in the top-left tile corner region
-        let _ = boundary;
         let copies: usize = (0..prog.out_shape.len())
             .map(|n| prog.copy_vaults(n, prog.out_vol.owner(n)).len())
             .sum();
         assert_eq!(copies as u64, foreign);
         // FC-consumed spatial volumes are NOT replicated (see layout docs):
-        let fc_net = NetworkSpec::new(
-            Shape::new(1, 16, 16),
-            vec![
-                LayerSpec::conv(2, 3, Activation::Tanh),
-                LayerSpec::fc(8, Activation::Sigmoid),
-            ],
-        )
-        .unwrap();
-        let fc_layout = NetworkLayout::build(&fc_net, 4, 4, true, 16, &map);
-        let fc_prog = compile_layer(&fc_net, &fc_layout, 0, Mapping::paper(true));
+        let (_, fc_compiled) = build(true);
         for v in 0..16 {
-            assert_eq!(fc_prog.expected_foreign_writebacks(v), 0);
+            assert_eq!(fc_compiled.phases[0].expected_foreign_writebacks(v), 0);
         }
     }
 
     #[test]
     fn weight_image_pooling_constant() {
-        let (net, layout, _) = build(false);
-        let _ = (net, layout);
         let net =
             NetworkSpec::new(Shape::new(1, 8, 8), vec![LayerSpec::AvgPool { size: 2 }]).unwrap();
-        let map = MemoryConfig::hmc_int().address_map();
-        let layout = NetworkLayout::build(&net, 4, 4, false, 16, &map);
-        let prog = compile_layer(&net, &layout, 0, Mapping::paper(false));
-        let img = prog.pe_weight_image(&[]);
+        let img = compile(&net, false).phases[0].pe_weight_image(&[]);
         assert_eq!(img, vec![Q88::from_f64(0.25); 4]);
     }
 
     #[test]
     fn load_and_read_volume_roundtrip() {
-        let (net, layout, _) = build(true);
+        let (net, prog) = build(true);
         let mut storage = neurocube_dram::Storage::new();
         let values: Vec<Q88> = (0..net.input_shape().len())
             .map(|i| Q88::from_bits(i as i16))
             .collect();
-        load_volume(&layout.volumes[0], &values, 16, &mut storage);
-        assert_eq!(read_volume(&layout.volumes[0], &storage), values);
-    }
-
-    #[test]
-    fn layer_index_out_of_range_is_typed() {
-        let (net, layout, mapping) = build(false);
-        let err = try_compile_layer(&net, &layout, 9, mapping).unwrap_err();
-        assert_eq!(
-            err,
-            CompileError::LayerIndexOutOfRange { index: 9, depth: 2 }
-        );
-        assert_eq!(err.to_string(), "layer index 9 out of range (depth 2)");
+        load_volume(&prog.input_vol, &values, 16, &mut storage).unwrap();
+        assert_eq!(read_volume(&prog.input_vol, &storage), values);
     }
 
     #[test]
     fn weight_layer_count_is_typed_and_writes_nothing() {
-        let (net, layout, _) = build(false);
+        let (_, prog) = build(false);
         let mut storage = neurocube_dram::Storage::new();
-        let err = try_load_weights(&net, &[], &layout, &mut storage).unwrap_err();
+        let err = prog.write_weights(&[], &mut storage).unwrap_err();
         assert_eq!(
             err,
             CompileError::WeightLayerCount {
@@ -520,29 +361,31 @@ mod tests {
                 got: 0
             }
         );
+        let addr = phase_fc_weight_addr(&prog.phases[1], 0, 0, 0);
+        assert_eq!(storage.read_u16(addr), 0);
     }
 
     #[test]
     fn weight_image_size_is_typed_and_checked_before_writes() {
-        let (net, layout, _) = build(false);
+        let (net, prog) = build(false);
         let mut params = net.init_params(1, 0.5);
         params[1].push(Q88::ZERO); // FC image too long; conv image [0] intact
         let mut storage = neurocube_dram::Storage::new();
-        let err = try_load_weights(&net, &params, &layout, &mut storage).unwrap_err();
+        let err = prog.write_weights(&params, &mut storage).unwrap_err();
         assert!(matches!(
             err,
             CompileError::WeightImageSize { layer: 1, .. }
         ));
         // Nothing was written: validation precedes all writes.
-        let addr = layout.fc_weight_addr(1, 0, 0, 0);
+        let addr = phase_fc_weight_addr(&prog.phases[1], 0, 0, 0);
         assert_eq!(storage.read_u16(addr), 0);
     }
 
     #[test]
     fn volume_size_is_typed() {
-        let (_, layout, _) = build(false);
+        let (_, prog) = build(false);
         let mut storage = neurocube_dram::Storage::new();
-        let err = try_load_volume(&layout.volumes[0], &[Q88::ONE], 16, &mut storage).unwrap_err();
+        let err = load_volume(&prog.input_vol, &[Q88::ONE], 16, &mut storage).unwrap_err();
         assert_eq!(
             err,
             CompileError::VolumeSize {
@@ -559,14 +402,13 @@ mod tests {
             vec![LayerSpec::fc(16, Activation::Identity)],
         )
         .unwrap();
-        let map = MemoryConfig::hmc_int().address_map();
-        let layout = NetworkLayout::build(&net, 4, 4, false, 16, &map);
+        let prog = compile(&net, false);
         let params: Vec<Vec<Q88>> = vec![(0..64).map(Q88::from_bits).collect()];
         let mut storage = neurocube_dram::Storage::new();
-        load_weights(&net, &params, &layout, &mut storage);
+        prog.write_weights(&params, &mut storage).unwrap();
         // Vault 0 owns output neuron 0 only; its weight for k=2 is
-        // params[0][0*4+2] = 2, stored at fc_weight_addr(0, 0, 0, 2).
-        let addr = layout.fc_weight_addr(0, 0, 0, 2);
+        // params[0][0*4+2] = 2, stored at phase_fc_weight_addr(fc, 0, 0, 2).
+        let addr = phase_fc_weight_addr(&prog.phases[0], 0, 0, 2);
         assert_eq!(storage.read_u16(addr), 2);
     }
 }

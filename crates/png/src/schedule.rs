@@ -643,16 +643,17 @@ impl WritebackCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::NetworkLayout;
-    use crate::program::{compile_layer, Mapping};
+    use crate::graph::compile_graph;
+    use crate::program::Mapping;
     use neurocube_dram::MemoryConfig;
     use neurocube_fixed::Activation;
     use neurocube_nn::{LayerSpec, NetworkSpec, Shape};
 
+    /// Phase `index` of `net` compiled as its graph.
     fn compile(net: &NetworkSpec, duplicate: bool, index: usize) -> Arc<LayerProgram> {
         let map = MemoryConfig::hmc_int().address_map();
-        let layout = NetworkLayout::build(net, 4, 4, duplicate, 16, &map);
-        compile_layer(net, &layout, index, Mapping::paper(duplicate))
+        let prog = compile_graph(&net.to_graph(), Mapping::paper(duplicate), &map).unwrap();
+        Arc::clone(&prog.phases[index])
     }
 
     /// Drains all 16 vault streams and checks each PE receives exactly the

@@ -905,12 +905,23 @@ impl StatSource for Png {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::NetworkLayout;
-    use crate::program::{compile_layer, load_volume, read_volume, Mapping};
+    use crate::graph::compile_graph;
+    use crate::program::{load_volume, read_volume, Mapping};
     use neurocube_dram::MemoryConfig;
     use neurocube_fixed::Activation;
     use neurocube_nn::{LayerSpec, NetworkSpec, Shape, Tensor};
     use neurocube_noc::{Network, Topology};
+
+    /// The one phase of single-layer `net`, compiled with duplication.
+    fn compile_dup(net: &NetworkSpec, map_cfg: &MemoryConfig) -> Arc<LayerProgram> {
+        let prog = compile_graph(
+            &net.to_graph(),
+            Mapping::paper(true),
+            &map_cfg.address_map(),
+        )
+        .unwrap();
+        Arc::clone(&prog.phases[0])
+    }
 
     /// A miniature end-to-end harness: PNGs + NoC, with a *perfect* PE stub
     /// that instantly bounces back results — exercising the PNG's fetch,
@@ -924,13 +935,12 @@ mod tests {
         )
         .unwrap();
         let map_cfg = MemoryConfig::hmc_int();
-        let layout = NetworkLayout::build(&net, 4, 4, true, 16, &map_cfg.address_map());
-        let prog = compile_layer(&net, &layout, 0, Mapping::paper(true));
+        let prog = compile_dup(&net, &map_cfg);
         let mut mem = MemorySystem::new(map_cfg);
         let mut net_fab = Network::new(Topology::mesh4x4());
 
         let input = Tensor::from_vec(1, 8, 8, (0..64).map(|i| Q88::from_bits(i as i16)).collect());
-        load_volume(&layout.volumes[0], input.as_slice(), 16, mem.storage_mut());
+        load_volume(&prog.in_vol, input.as_slice(), 16, mem.storage_mut()).unwrap();
 
         let mut pngs: Vec<Png> = (0..16u8).map(Png::hmc).collect();
         for p in &mut pngs {
@@ -1004,7 +1014,7 @@ mod tests {
         );
         let total: u64 = received.iter().sum();
         assert_eq!(total, net.macs_per_layer()[0]);
-        let out = read_volume(&layout.volumes[1], mem.storage());
+        let out = read_volume(&prog.out_vol, mem.storage());
         assert!(out.iter().all(|&q| q == Q88::from_f64(1.0)));
         let reads: u64 = pngs.iter().map(|p| p.stats().reads_issued).sum();
         assert!(reads < total, "reads {reads} should pack operands {total}");
@@ -1040,8 +1050,7 @@ mod tests {
         )
         .unwrap();
         let map_cfg = MemoryConfig::hmc_int();
-        let layout = NetworkLayout::build(&net, 4, 4, true, 16, &map_cfg.address_map());
-        let prog = compile_layer(&net, &layout, 0, Mapping::paper(true));
+        let prog = compile_dup(&net, &map_cfg);
         png.configure(Arc::clone(&prog));
         let from_mars = Packet { src: 200, ..stray };
         png.on_result(from_mars, 6);
@@ -1082,13 +1091,12 @@ mod tests {
         )
         .unwrap();
         let map_cfg = MemoryConfig::hmc_int();
-        let layout = NetworkLayout::build(&net, 4, 4, true, 16, &map_cfg.address_map());
-        let prog = compile_layer(&net, &layout, 0, Mapping::paper(true));
+        let prog = compile_dup(&net, &map_cfg);
         let mut mem = MemorySystem::new(map_cfg);
         let mut net_fab = Network::new(Topology::mesh4x4());
 
         let input = Tensor::from_vec(1, 8, 8, (0..64).map(|i| Q88::from_bits(i as i16)).collect());
-        load_volume(&layout.volumes[0], input.as_slice(), 16, mem.storage_mut());
+        load_volume(&prog.in_vol, input.as_slice(), 16, mem.storage_mut()).unwrap();
 
         let mut pngs: Vec<Png> = (0..16u8).map(Png::hmc).collect();
         for p in &mut pngs {

@@ -8,9 +8,9 @@
 //! the slot every replay and audit runs on — and memoizes the measured
 //! cycles as the model's `service_cycles`. The
 //! affinity-miss charge comes from the `golden::timing` host term — the
-//! sum of per-layer `programming_cycles` under a [`ProgrammingModel`] —
-//! so the scheduler and the analytical timing model can never disagree
-//! about what a reprogram costs.
+//! sum of per-phase `programming_cycles` under a [`ProgrammingModel`],
+//! one charge per model on one cube — so the scheduler and the analytical
+//! timing model can never disagree about what a reprogram costs.
 //!
 //! Scheduler-only tests can skip the expensive profiling run with
 //! [`ModelCatalog::register_synthetic`], which installs a model that has
@@ -21,20 +21,16 @@ use crate::cube::ServeCube;
 use neurocube::{ProgrammingModel, SystemConfig};
 use neurocube_cluster::{shard_graph, LinkConfig, ShardedGraph};
 use neurocube_fixed::Q88;
-use neurocube_golden::timing::{
-    graph_bounds, graph_service_envelope, layer_bounds, service_envelope, DEFAULT_SLACK,
-};
+use neurocube_golden::timing::{graph_bounds, graph_service_envelope, DEFAULT_SLACK};
 use neurocube_golden::CycleEnvelope;
 use neurocube_nn::{GraphSpec, NetworkSpec, Shape, Tensor};
 use std::sync::Arc;
 
 /// The servable payload of a registered model.
 pub enum ModelPayload {
-    /// A linear network and its weights, executed layer by layer.
-    Linear(NetworkSpec, Vec<Vec<Q88>>),
-    /// A compiled-graph tenant: the layer DAG and its per-node weights,
-    /// executed pipelined (one host programming round-trip per
-    /// inference).
+    /// A model on the slot's own cube: the layer DAG (a linear network as
+    /// its trivial graph) and its per-node weights, executed pipelined
+    /// (one host programming round-trip per inference).
     Graph(GraphSpec, Vec<Vec<Q88>>),
     /// A sharded tenant: a certified `neurocube_cluster` plan for a
     /// graph too large for one cube, executed on a cluster of member
@@ -53,7 +49,6 @@ impl ModelPayload {
     #[must_use]
     pub fn input_shape(&self) -> Shape {
         match self {
-            ModelPayload::Linear(spec, _) => spec.input_shape(),
             ModelPayload::Graph(graph, _) => graph.input_shape(),
             ModelPayload::Sharded(plan) => plan.input_shape(),
         }
@@ -101,8 +96,8 @@ pub struct ModelEntry {
     /// profiling run.
     pub service_cycles: u64,
     /// Host programming cycles charged when a cube switches to this
-    /// model (the `golden::timing` host term, summed — once per layer
-    /// for linear models, once per inference for compiled graphs).
+    /// model (the `golden::timing` host term: one programming charge for a
+    /// model on one cube, one per member cube for a sharded tenant).
     pub reprogram_cycles: u64,
     /// The certified service envelope from `golden::timing`: every
     /// measured inference of this model must land inside (the two-speed
@@ -161,8 +156,9 @@ impl ModelCatalog {
         self.programming
     }
 
-    /// Registers a real network under `name`, initializing weights from
-    /// `seed` and profiling one inference to measure service time.
+    /// Registers a linear network under `name` as its trivial graph
+    /// ([`ModelCatalog::register_graph`] of [`NetworkSpec::to_graph`]: the
+    /// same weights from `seed`, the same single programming charge).
     /// Returns the model's tag.
     ///
     /// # Panics
@@ -170,34 +166,7 @@ impl ModelCatalog {
     /// Panics on duplicate names or when the network does not fit the
     /// cube configuration.
     pub fn register(&mut self, name: &str, spec: NetworkSpec, seed: u64) -> u64 {
-        assert!(self.lookup(name).is_none(), "duplicate model name {name}");
-        let params = spec.init_params(seed, 0.25);
-
-        // The affinity-miss charge: the golden timing model's host term,
-        // summed over layers. With a uniform per-layer PNG count this
-        // equals `ProgrammingModel::network_cycles`, asserted here so the
-        // two formulations can never drift apart.
-        let reprogram_cycles: u64 = layer_bounds(&self.prog_cfg(), &spec)
-            .iter()
-            .map(|b| b.programming_cycles)
-            .sum();
-        let nodes = self.cfg.nodes() as u32;
-        assert_eq!(
-            reprogram_cycles,
-            self.programming
-                .network_cycles(std::iter::repeat_n(nodes, spec.depth())),
-            "golden host term and ProgrammingModel::network_cycles disagree"
-        );
-
-        // The certified service envelope (programming untimed, matching
-        // the profiling run).
-        let envelope = service_envelope(&self.cfg, &spec, DEFAULT_SLACK);
-        self.install(
-            name,
-            ModelPayload::Linear(spec, params),
-            reprogram_cycles,
-            envelope,
-        )
+        self.register_graph(name, spec.to_graph(), seed)
     }
 
     /// Registers a compiled-graph tenant under `name`, initializing
@@ -426,10 +395,11 @@ mod tests {
         let e = cat.entry(tag);
         assert_eq!(e.name, "tiny");
         assert!(e.service_cycles > 0);
-        // 4 layers × 16 nodes × 12 regs × 10 ns at 5 GHz.
+        // One charge for the whole chain: 16 nodes × 12 regs × 10 ns at
+        // 5 GHz.
         assert_eq!(
             e.reprogram_cycles,
-            ProgrammingModel::typical().network_cycles(std::iter::repeat_n(16, 4))
+            ProgrammingModel::typical().layer_cycles(16)
         );
         assert_eq!(cat.lookup("tiny").unwrap().tag, tag);
         assert!(cat.lookup("missing").is_none());
@@ -463,7 +433,11 @@ mod tests {
             assert!(e.envelope.upper > e.envelope.lower);
         }
         // The envelopes are the golden timing model's, bit for bit.
-        let lin_env = service_envelope(cat.config(), &workloads::tiny_convnet(), DEFAULT_SLACK);
+        let lin_env = graph_service_envelope(
+            cat.config(),
+            &workloads::tiny_convnet().to_graph(),
+            DEFAULT_SLACK,
+        );
         assert_eq!(cat.entry(lin).envelope, lin_env);
     }
 
@@ -516,16 +490,16 @@ mod tests {
         assert!(e.service_cycles > 0);
         assert!(matches!(e.payload, Some(ModelPayload::Graph(..))));
         assert_eq!(e.input_len(), 144);
-        // One host charge for the whole DAG, versus one per layer for the
-        // linear tenant.
+        // One host charge for the whole DAG, and for a linear tenant too:
+        // it is programmed as its graph.
         assert_eq!(
             e.reprogram_cycles,
             ProgrammingModel::typical().layer_cycles(16)
         );
         assert_eq!(
             cat.entry(lin).reprogram_cycles,
-            4 * e.reprogram_cycles,
-            "a 4-layer linear tenant pays the charge per layer"
+            e.reprogram_cycles,
+            "a 4-layer linear tenant pays one charge"
         );
     }
 

@@ -3,9 +3,10 @@
 //! The scheduler's affinity model is per *slot*: a slot keeps the last
 //! model it programmed, and a same-tag dispatch skips the reprogramming
 //! charge. [`ServeCube`] holds exactly one model under one tag — a
-//! linear network or a compiled graph programmed on the slot's own cube,
-//! or a sharded tenant's whole [`Cluster`] of member cubes — so a tag
-//! match is a hit and any other load replaces what the slot held. The
+//! compiled graph (a linear network is its trivial graph) programmed on
+//! the slot's own cube, or a sharded tenant's whole [`Cluster`] of member
+//! cubes — so a tag match is a hit and any other load replaces what the
+//! slot held. The
 //! replay's hits and misses therefore reproduce the schedule's tag-based
 //! predictions bit for bit no matter how tenant kinds interleave.
 //!
@@ -14,7 +15,7 @@
 //! warm timing the audits envelope) carries across tenants.
 
 use crate::catalog::ModelPayload;
-use neurocube::{LoadedGraph, LoadedNetwork, Neurocube, SystemConfig};
+use neurocube::{LoadedGraph, Neurocube, SystemConfig};
 use neurocube_cluster::Cluster;
 use neurocube_nn::Tensor;
 use neurocube_png::CompileError;
@@ -22,7 +23,6 @@ use neurocube_png::CompileError;
 /// What a slot holds: a model programmed on its own cube, or a sharded
 /// tenant's cluster.
 enum Held {
-    Linear(LoadedNetwork),
     Graph(LoadedGraph),
     Sharded(Cluster),
 }
@@ -58,8 +58,7 @@ impl ServeCube {
     ///
     /// Returns the [`CompileError`] of a graph or plan that cannot be
     /// placed under the slot's configuration; the slot keeps the model it
-    /// held. A linear network that does not fit panics (see
-    /// [`Neurocube::load`]).
+    /// held.
     pub(crate) fn ensure(
         &mut self,
         tag: u64,
@@ -69,9 +68,6 @@ impl ServeCube {
             return Ok(true);
         }
         let held = match payload {
-            ModelPayload::Linear(spec, params) => {
-                Held::Linear(self.cube.load(spec.clone(), params.clone()))
-            }
             ModelPayload::Graph(graph, params) => {
                 Held::Graph(self.cube.load_graph(graph, params.clone())?)
             }
@@ -93,12 +89,8 @@ impl ServeCube {
     /// Panics if the slot is fresh (nothing loaded).
     pub fn run_service(&mut self, input: &Tensor) -> (Tensor, u64) {
         match &mut self.held {
-            Some((_, Held::Linear(net))) => {
-                let (out, report) = self.cube.run_inference(net, input);
-                (out, report.total_cycles())
-            }
             Some((_, Held::Graph(graph))) => {
-                let (out, report) = self.cube.run_graph_inference(graph, input);
+                let (out, report) = self.cube.run_inference(graph, input);
                 (out, report.total_cycles())
             }
             Some((_, Held::Sharded(cluster))) => {
@@ -124,10 +116,11 @@ mod tests {
         Arc::new(shard_graph(cfg, &graph, &params, &LinkConfig::hmc_ext(4)).unwrap())
     }
 
+    /// A linear network, held as its graph.
     fn linear() -> ModelPayload {
-        let spec = workloads::tiny_convnet();
-        let params = spec.init_params(1, 0.25);
-        ModelPayload::Linear(spec, params)
+        let graph = workloads::tiny_convnet().to_graph();
+        let params = graph.init_params(1, 0.25);
+        ModelPayload::Graph(graph, params)
     }
 
     fn graph() -> ModelPayload {
@@ -171,7 +164,7 @@ mod tests {
         let loaded = big
             .load_graph(&plan.graph, plan.params.clone())
             .expect("the big cube holds the whole graph");
-        let (reference, _) = big.run_graph_inference(&loaded, &input);
+        let (reference, _) = big.run_inference(&loaded, &input);
         assert_eq!(out.as_slice(), reference.as_slice());
     }
 
@@ -194,34 +187,6 @@ mod tests {
         assert_eq!(slot.loaded_tag(), Some(10));
         assert!(!sharded.ensure_on(&mut slot, 20), "linear → sharded misses");
         assert!(!graph.ensure_on(&mut slot, 30), "sharded → graph misses");
-    }
-
-    /// Linear and graph loads share the slot cube's DRAM image, so each
-    /// invalidates the other: a graph displaced by a linear model is a
-    /// miss on its return, and the reloaded graph reproduces a fresh
-    /// slot's output bit for bit.
-    #[test]
-    fn graph_affinity_cross_invalidates_with_linear_models() {
-        let (lin, graph) = (linear(), graph());
-        let input = Tensor::zeros(1, 12, 12);
-
-        let mut fresh = ServeCube::new(SystemConfig::paper(true));
-        assert!(!graph.ensure_on(&mut fresh, 30));
-        let (fresh_out, _) = fresh.run_service(&input);
-
-        let mut reused = ServeCube::new(SystemConfig::paper(true));
-        assert!(!graph.ensure_on(&mut reused, 30));
-        assert!(graph.ensure_on(&mut reused, 30), "same tag hits");
-        assert_eq!(reused.loaded_tag(), Some(30));
-        assert!(!lin.ensure_on(&mut reused, 10), "linear load is a miss");
-        assert_eq!(reused.loaded_tag(), Some(10));
-        let _ = reused.run_service(&input);
-        assert!(
-            !graph.ensure_on(&mut reused, 30),
-            "the linear model overwrote the graph's weights: a reload"
-        );
-        let (out, _) = reused.run_service(&input);
-        assert_eq!(out, fresh_out, "reloaded graph diverges from fresh");
     }
 
     /// A slot that served other tenants in between reloads a model and
@@ -249,32 +214,20 @@ mod tests {
         }
     }
 
-    /// `run_service` runs whichever kind holds the slot: the same output
-    /// as the cube's own entry point for that kind.
+    /// `run_service` on a model held by the slot's own cube is the cube's
+    /// own inference: same output, same cycles as a fresh cube's.
     #[test]
     fn run_service_dispatches_on_the_held_kind() {
         let input = Tensor::zeros(1, 12, 12);
-        let mut slot = ServeCube::new(SystemConfig::paper(true));
-
         let spec = workloads::tiny_convnet();
         let params = spec.init_params(1, 0.25);
         let mut direct = Neurocube::new(SystemConfig::paper(true));
-        let loaded = direct.load(spec.clone(), params.clone());
-        ModelPayload::Linear(spec, params).ensure_on(&mut slot, 10);
-        assert_eq!(
-            slot.run_service(&input).0,
-            direct.run_inference(&loaded, &input).0
-        );
+        let loaded = direct.load(spec, params);
+        let (out, report) = direct.run_inference(&loaded, &input);
 
-        let graph = workloads::residual_toy();
-        let params = graph.init_params(5, 0.25);
-        let mut direct = Neurocube::new(SystemConfig::paper(true));
-        let loaded = direct.load_graph(&graph, params.clone()).unwrap();
-        ModelPayload::Graph(graph, params).ensure_on(&mut slot, 30);
-        assert_eq!(
-            slot.run_service(&input).0,
-            direct.run_graph_inference(&loaded, &input).0
-        );
+        let mut slot = ServeCube::new(SystemConfig::paper(true));
+        linear().ensure_on(&mut slot, 10);
+        assert_eq!(slot.run_service(&input), (out, report.total_cycles()));
     }
 
     #[test]

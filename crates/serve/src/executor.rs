@@ -2,8 +2,9 @@
 //!
 //! The scheduler plans in virtual time; this module carries the plan out:
 //! each [`DispatchRecord`] becomes real `Neurocube` inferences on a
-//! [`ServeCube`] slot (its own cube for linear and graph tenants, a
-//! cluster for sharded ones), with the payload's `ensure_on`
+//! [`ServeCube`] slot (its own cube for a graph — a linear network is its
+//! trivial graph — a cluster for a sharded tenant), with the payload's
+//! `ensure_on`
 //! reproducing exactly the affinity hits and misses the scheduler
 //! predicted (asserted per record).
 //!
@@ -67,9 +68,9 @@ fn replay_cube(catalog: &ModelCatalog, trace: &[Request], records: &[&DispatchRe
             .payload
             .as_ref()
             .expect("synthetic models cannot be executed; register real networks");
-        // Linear tenants program per layer, graph tenants compile once
-        // and run pipelined, sharded tenants attach a whole cluster.
-        // All three share the slot's single affinity position.
+        // Graph tenants compile once and run pipelined, sharded tenants
+        // attach a whole cluster. Both share the slot's single affinity
+        // position.
         let hit = payload.ensure_on(&mut cube, rec.model);
         assert_eq!(
             hit, rec.affinity_hit,
@@ -192,7 +193,12 @@ mod tests {
     /// times, `execute`'s counters and the cycle count of every
     /// `run_service` on a directly driven slot are frozen constants — any
     /// change to how a slot loads, holds, switches or runs a model shows
-    /// up here first.
+    /// up here first. The service times were recorded at a62524c; the
+    /// counters and the cycle fold at 8de9fbe with the linear tenant
+    /// registered as its graph. A linear tenant used to pay one
+    /// programming charge per layer on a switch and now pays one per
+    /// model, which reshapes the schedule (there it was `[9, 11,
+    /// 15_689_397_101_876_691_554]` and `10_004_060_265_505_554_496`).
     #[test]
     fn three_tenant_kinds_interleave_on_each_slot_with_pinned_cycles() {
         use crate::cube::ServeCube;
@@ -252,8 +258,8 @@ mod tests {
             (service, counters, cycles),
             (
                 vec![2_816, 2_816, 9_536],
-                [9, 11, 15_689_397_101_876_691_554],
-                10_004_060_265_505_554_496
+                [10, 14, 18_345_226_349_613_690_458],
+                9_135_962_838_401_606_272
             ),
             "the slot's pinned cycles or values moved"
         );

@@ -43,7 +43,7 @@ use crate::executor::{fold_checksum, ExecMode};
 use crate::request::Request;
 use crate::scheduler::DispatchRecord;
 use neurocube_fault::{draw, Bernoulli};
-use neurocube_golden::{CycleEnvelope, Divergence, GoldenGraph, GoldenNet};
+use neurocube_golden::{CycleEnvelope, GoldenGraph};
 use neurocube_sim::{BatchRunner, Histogram, StatsRegistry};
 use std::fmt;
 
@@ -286,39 +286,17 @@ pub struct TwoSpeedReport {
     pub stats: StatsRegistry,
 }
 
-/// A golden functional reference, one per executable model.
-enum GoldenRef {
-    Net(GoldenNet),
-    Graph(GoldenGraph),
-}
-
-impl GoldenRef {
-    fn of(payload: &ModelPayload) -> GoldenRef {
-        match payload {
-            ModelPayload::Linear(spec, params) => {
-                GoldenRef::Net(GoldenNet::from_quantized(spec.clone(), params.clone()))
-            }
-            ModelPayload::Graph(graph, params) => {
-                GoldenRef::Graph(GoldenGraph::from_quantized(graph.clone(), params.clone()))
-            }
-            // A sharded tenant's functional contract is the ORIGINAL
-            // graph's — the cluster must be bitwise invisible to values,
-            // so the single-big-cube golden reference checks it.
-            ModelPayload::Sharded(plan) => GoldenRef::Graph(GoldenGraph::from_quantized(
-                plan.graph.clone(),
-                plan.params.clone(),
-            )),
+/// The golden functional reference of an executable model. A sharded
+/// tenant's functional contract is the ORIGINAL graph's — the cluster must
+/// be bitwise invisible to values, so the single-big-cube golden reference
+/// checks it.
+fn golden_of(payload: &ModelPayload) -> GoldenGraph {
+    match payload {
+        ModelPayload::Graph(graph, params) => {
+            GoldenGraph::from_quantized(graph.clone(), params.clone())
         }
-    }
-
-    fn check_output(
-        &self,
-        input: &neurocube_nn::Tensor,
-        output: &neurocube_nn::Tensor,
-    ) -> Result<(), Divergence> {
-        match self {
-            GoldenRef::Net(net) => net.check_output(input, output),
-            GoldenRef::Graph(graph) => graph.check_output(input, output),
+        ModelPayload::Sharded(plan) => {
+            GoldenGraph::from_quantized(plan.graph.clone(), plan.params.clone())
         }
     }
 }
@@ -348,7 +326,7 @@ struct CubeAudit {
 /// profiling conditions — in dispatch order.
 fn audit_cube(
     catalog: &ModelCatalog,
-    goldens: &[Option<GoldenRef>],
+    goldens: &[Option<GoldenGraph>],
     models: &[ModelAudit],
     trace: &[Request],
     records: &[(u64, &DispatchRecord)],
@@ -475,11 +453,11 @@ pub fn execute_two_speed(
         needed[usize::try_from(records[usize::try_from(d).expect("fits")].model)
             .expect("tag fits usize")] = true;
     }
-    let goldens: Vec<Option<GoldenRef>> = catalog
+    let goldens: Vec<Option<GoldenGraph>> = catalog
         .entries()
         .map(|e| {
             if needed[usize::try_from(e.tag).expect("tag fits usize")] {
-                e.payload.as_ref().map(GoldenRef::of)
+                e.payload.as_ref().map(golden_of)
             } else {
                 None
             }

@@ -332,6 +332,35 @@ impl StatsRegistry {
             && self.histograms.is_empty()
     }
 
+    /// 64-bit FNV-1a fold of every key and value, in key order: counters,
+    /// then metrics and gauges (as `f64` bits), then every histogram
+    /// bucket. Two registries that differ anywhere differ here, up to
+    /// hash collision — one number to pin a whole run's statistics by.
+    pub fn digest(&self) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        for (k, v) in &self.counters {
+            fold(k.as_bytes());
+            fold(&v.to_le_bytes());
+        }
+        for (k, v) in self.metrics.iter().chain(&self.gauges) {
+            fold(k.as_bytes());
+            fold(&v.to_bits().to_le_bytes());
+        }
+        for (k, hist) in &self.histograms {
+            fold(k.as_bytes());
+            for (value, count) in hist.buckets() {
+                fold(&value.to_le_bytes());
+                fold(&count.to_le_bytes());
+            }
+        }
+        h
+    }
+
     /// Per-phase difference `self - earlier`.
     ///
     /// Counters and metrics subtract; gauges keep the value in `self`.
@@ -603,6 +632,45 @@ mod tests {
         assert!((delta.metric("x.energy_j") - 3.0).abs() < 1e-12);
         // Gauges are instantaneous: the diff carries the newer level.
         assert_eq!(delta.gauge("x.level"), 12.5);
+    }
+
+    #[test]
+    fn digest_folds_every_key_and_value() {
+        // The FNV-1a offset basis: nothing folded.
+        assert_eq!(StatsRegistry::new().digest(), 0xcbf2_9ce4_8422_2325);
+        let fake = Fake {
+            ops: 10,
+            energy: 1.5,
+        };
+        let base = StatsRegistry::collect([("x", &fake as &dyn StatSource)]);
+        assert_eq!(base.digest(), base.clone().digest());
+        let mut hist = Histogram::new();
+        hist.record_n(4, 3);
+        let variants = [
+            StatsRegistry::collect([("y", &fake as &dyn StatSource)]),
+            StatsRegistry::collect([(
+                "x",
+                &Fake {
+                    ops: 11,
+                    energy: 1.5,
+                } as &dyn StatSource,
+            )]),
+            StatsRegistry::collect([(
+                "x",
+                &Fake {
+                    ops: 10,
+                    energy: 1.5 + f64::EPSILON,
+                } as &dyn StatSource,
+            )]),
+            {
+                let mut r = base.clone();
+                r.scoped("x").histogram("h", &hist);
+                r
+            },
+        ];
+        for v in &variants {
+            assert_ne!(v.digest(), base.digest(), "{:?}", v.first_difference(&base));
+        }
     }
 
     #[test]

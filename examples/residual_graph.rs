@@ -59,7 +59,7 @@ fn main() {
             .map(|i| Q88::from_f64(((i % 12) as f64 - 6.0) / 6.0))
             .collect(),
     );
-    let (output, report) = cube.run_graph_inference(&loaded, &input);
+    let (output, report) = cube.run_inference(&loaded, &input);
     println!("\npipelined run (programmed once):\n{report}");
 
     // 4. The replay baseline reprograms the cube before every phase. Same

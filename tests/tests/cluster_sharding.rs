@@ -159,7 +159,7 @@ proptest! {
         let loaded = cube
             .load_graph(&graph, params.clone())
             .expect("the big cube holds the whole model");
-        let (reference, _) = cube.run_graph_inference(&loaded, &input);
+        let (reference, _) = cube.run_inference(&loaded, &input);
         prop_assert_eq!(
             out.as_slice(), reference.as_slice(),
             "sharded output diverges from the single-big-cube reference ({:?})", case

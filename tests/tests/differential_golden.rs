@@ -22,8 +22,8 @@ use common::diff_case;
 use neurocube::{Neurocube, SystemConfig};
 use neurocube_dram::{Channel, ChannelConfig, Request, RequestKind, Storage};
 use neurocube_fixed::Activation;
-use neurocube_golden::{channel_stream_cycles, check_inference_report, GoldenNet, DEFAULT_SLACK};
-use neurocube_nn::{LayerSpec, NetworkSpec, Shape, Tensor};
+use neurocube_golden::{channel_stream_cycles, check_graph_report, GoldenGraph, DEFAULT_SLACK};
+use neurocube_nn::{LayerSpec, NetworkSpec, Shape};
 use proptest::prelude::*;
 use proptest::test_runner::{ProptestConfig, TestCaseError, TestRunner};
 
@@ -36,17 +36,11 @@ proptest! {
     fn sim_outputs_within_golden_envelope(case in diff_case()) {
         let cfg = SystemConfig::paper(case.dup);
         let params = case.net.init_params(case.seed, 0.25);
-        let golden = GoldenNet::from_quantized(case.net.clone(), params.clone());
+        let golden = GoldenGraph::from_quantized(case.net.to_graph(), params.clone());
         let mut cube = Neurocube::new(cfg);
         let loaded = cube.load(case.net.clone(), params);
         let input = neurocube_bench::ramp_input(&case.net);
-        cube.set_input(&loaded, &input);
-        for i in 0..case.net.depth() {
-            cube.run_layer(&loaded, i);
-        }
-        let volumes: Vec<Tensor> = (1..=case.net.depth())
-            .map(|i| cube.read_volume(&loaded, i))
-            .collect();
+        let (volumes, _) = cube.run_graph_replay_collect(&loaded, &input);
         golden
             .check(&input, &volumes)
             .map_err(|d| TestCaseError::fail(format!("{d} (dup={})", case.dup)))?;
@@ -58,7 +52,7 @@ proptest! {
     fn sim_cycles_within_analytical_envelope(case in diff_case()) {
         let cfg = SystemConfig::paper(case.dup);
         let report = neurocube_bench::run_inference(cfg.clone(), &case.net, case.seed);
-        check_inference_report(&cfg, &case.net, &report, DEFAULT_SLACK)
+        check_graph_report(&cfg, &case.net.to_graph(), &report, DEFAULT_SLACK)
             .map_err(|v| TestCaseError::fail(format!("{v} (dup={})", case.dup)))?;
     }
 }
@@ -97,7 +91,7 @@ fn paper_workloads_within_tight_envelope() {
     ] {
         let cfg = SystemConfig::paper(dup);
         let report = neurocube_bench::run_inference(cfg.clone(), &net, 7);
-        check_inference_report(&cfg, &net, &report, 8.0)
+        check_graph_report(&cfg, &net.to_graph(), &report, 8.0)
             .unwrap_or_else(|v| panic!("dup={dup}: {v}"));
     }
 }
@@ -204,12 +198,12 @@ fn system_level_tccd_defect_violates_lower_bound() {
 
     // A faithful implementation of the intended timing passes.
     let honest = neurocube_bench::run_inference(intended.clone(), &net, 11);
-    check_inference_report(&intended, &net, &honest, DEFAULT_SLACK)
+    check_graph_report(&intended, &net.to_graph(), &honest, DEFAULT_SLACK)
         .expect("faithful simulator must sit inside the envelope");
 
     // The defective one lands below the lower bound and is caught.
     let report = neurocube_bench::run_inference(buggy, &net, 11);
-    let violation = check_inference_report(&intended, &net, &report, DEFAULT_SLACK)
+    let violation = check_graph_report(&intended, &net.to_graph(), &report, DEFAULT_SLACK)
         .expect_err("dropped t_CCD must violate the DRAM lower bound");
     assert!(
         violation.measured < violation.lower,

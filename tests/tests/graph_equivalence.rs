@@ -8,11 +8,9 @@
 //!
 //! 1. Pipelined output == per-layer replay output, and both attribute the
 //!    same node labels and MAC counts per phase.
-//! 2. The linear embedding of a plain `NetworkSpec` produces the same
-//!    values as the linear runner (`run_inference`).
-//! 3. Event-horizon fast-forwarding is observationally invisible for
+//! 2. Event-horizon fast-forwarding is observationally invisible for
 //!    multi-layer programs: skip vs naive agree on every observable.
-//! 4. Graph runs on `BatchRunner` threads are bitwise identical to
+//! 3. Graph runs on `BatchRunner` threads are bitwise identical to
 //!    serial runs.
 
 mod common;
@@ -62,29 +60,7 @@ proptest! {
         }
     }
 
-    /// Property 2: the linear embedding is interchangeable with the
-    /// linear runner — same values from `GraphSpec::linear(net)` as from
-    /// `run_inference(net)`.
-    #[test]
-    fn linear_embedding_matches_linear_runner(case in common::diff_case()) {
-        let cfg = SystemConfig::paper(case.dup);
-        let graph = case.net.to_graph();
-        let piped = run_graph_mode(cfg.clone(), &graph, case.seed, Some(true), true);
-        let params = case.net.init_params(case.seed, 0.25);
-        let mut cube = neurocube::Neurocube::new(cfg);
-        cube.set_cycle_skip(Some(true));
-        let loaded = cube.load(case.net.clone(), params);
-        let input = neurocube_bench::ramp_input(&case.net);
-        let (output, report) = cube.run_inference(&loaded, &input);
-        prop_assert_eq!(
-            piped.output.as_slice(), output.as_slice(),
-            "graph embedding diverges from the linear runner (dup={}, seed={})",
-            case.dup, case.seed
-        );
-        prop_assert_eq!(piped.report.layers.len(), report.layers.len());
-    }
-
-    /// Property 3: event-horizon fast-forwarding stays observationally
+    /// Property 2: event-horizon fast-forwarding stays observationally
     /// invisible for multi-layer programs — per-phase cycles, final
     /// cycle counter, output and the entire statistics registry.
     #[test]
@@ -116,7 +92,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(4)))]
 
-    /// Property 4: graph runs are batch/serial deterministic — the same
+    /// Property 3: graph runs are batch/serial deterministic — the same
     /// case on `BatchRunner` threads is bitwise identical to a serial
     /// run, per slot, mixing pipelined and replay slots.
     #[test]

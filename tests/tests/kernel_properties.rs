@@ -40,14 +40,17 @@ fn counters_are_monotonic_across_layers() {
     let params = spec.init_params(9, 0.25);
     let mut cube = Neurocube::new(SystemConfig::paper(true));
     let loaded = cube.load(spec.clone(), params);
-    cube.set_input(&loaded, &input_for(&spec));
+    let input = input_for(&spec);
+    // Each run attributes its phases by diffing the registry at every
+    // phase boundary, and diff() panics if any counter decreased; chaining
+    // the snapshots between runs covers the run boundaries too.
     let mut snapshots = vec![cube.stats_registry()];
-    for i in 0..spec.depth() {
-        let _ = cube.run_layer(&loaded, i);
-        snapshots.push(cube.stats_registry());
-    }
-    // diff() panics if any counter decreased, so chaining every adjacent
-    // pair checks monotonicity of every counter at every layer boundary.
+    let _ = cube.run_inference(&loaded, &input);
+    snapshots.push(cube.stats_registry());
+    let _ = cube.run_graph_replay(&loaded, &input);
+    snapshots.push(cube.stats_registry());
+    let _ = cube.run_training_step(&loaded, &input);
+    snapshots.push(cube.stats_registry());
     let mut total_macs = 0;
     for pair in snapshots.windows(2) {
         let delta = pair[1].diff(&pair[0]);
@@ -57,7 +60,7 @@ fn counters_are_monotonic_across_layers() {
     assert_eq!(
         total_macs,
         snapshots.last().unwrap().sum_suffix(".mac_ops"),
-        "per-layer deltas must add up to the lifetime total"
+        "per-run deltas must add up to the lifetime total"
     );
 }
 
