@@ -16,7 +16,7 @@
 //!
 //! The zero-rate sweep point is asserted bitwise identical to a run with
 //! no injector attached — the fault machinery is provably free when off.
-//! Every point is seed-replayable: the same `NEUROCUBE_FAULT_SEED` (here
+//! Every point is seed-replayable: the same `FaultConfig` seed (here
 //! pinned per workload) reproduces the same faults bit for bit.
 
 use neurocube::SystemConfig;

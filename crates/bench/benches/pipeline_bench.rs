@@ -157,8 +157,8 @@ fn main() {
     for w in workloads() {
         let mut cfg = SystemConfig::paper(w.dup);
         cfg.programming = Some(ProgrammingModel::typical());
-        let piped = run_graph_mode(cfg.clone(), &w.graph, w.seed, Some(true), true);
-        let replay = run_graph_mode(cfg, &w.graph, w.seed, Some(true), false);
+        let piped = run_graph_mode(cfg.clone(), &w.graph, w.seed, true, true);
+        let replay = run_graph_mode(cfg, &w.graph, w.seed, true, false);
         assert_eq!(
             piped.output.as_slice(),
             replay.output.as_slice(),

@@ -3,7 +3,7 @@
 //! the inter-cube SerDes fabric.
 //!
 //! Two questions, each over fabrics of 16, 32 and 64 cubes joined by
-//! HMC-class external SerDes links (`NEUROCUBE_CLUSTER_*` knobs apply):
+//! HMC-class external SerDes links on a ring (`LinkConfig::hmc_ext`):
 //!
 //! * **Weak scaling** — the model grows with the fabric: a deep MLP
 //!   whose 256×256 stages each exceed a shrunken vault region, so the
@@ -265,7 +265,7 @@ fn main() {
     for fabric in FABRICS {
         let depth = fabric / 4;
         let (graph, params) = deep_mlp(depth);
-        let link = LinkConfig::from_env(fabric);
+        let link = LinkConfig::hmc_ext(fabric);
         let plan = shard_graph(&cfg, &graph, &params, &link).expect("the model shards");
         let p = measure(fabric, depth, plan, &cfg);
         print_point("weak", &p);
@@ -277,7 +277,7 @@ fn main() {
     let (graph, params) = deep_mlp(depth);
     let mut strong: Vec<Point> = Vec::new();
     for fabric in FABRICS {
-        let link = LinkConfig::from_env(fabric);
+        let link = LinkConfig::hmc_ext(fabric);
         let plan = shard_graph(&cfg, &graph, &params, &link).expect("the model shards");
         let p = measure(fabric, depth, plan, &cfg);
         print_point("strong", &p);

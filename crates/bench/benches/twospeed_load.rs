@@ -372,7 +372,7 @@ fn main() {
         "rate 1.0 must fold the executor's checksum"
     );
     let speedup = replay_wall / analytical_wall;
-    let min_speedup = neurocube_sim::env_f64("NEUROCUBE_BENCH_TWOSPEED_MIN_SPEEDUP")
+    let min_speedup = neurocube_bench::env_f64("NEUROCUBE_BENCH_TWOSPEED_MIN_SPEEDUP")
         .unwrap_or(DEFAULT_MIN_SPEEDUP);
     println!(
         "\nspeedup: full replay {:.1} ms vs analytical {:.4} ms -> {:.0}x (gate {:.0}x)",

@@ -1,14 +1,15 @@
 //! Per-stage wall-clock profile of one `bench_sim` workload.
 //!
-//! Runs exactly one workload from the benchmark table in one mode, so the
-//! `NEUROCUBE_STAGE_PROFILE=1` breakdown is attributable to a single run:
+//! Runs exactly one workload from the benchmark table in one mode with the
+//! cube's stage profile on (`Neurocube::set_stage_profile`), so the
+//! per-stage breakdown printed to stderr is attributable to a single run:
 //!
 //! ```text
-//! NEUROCUBE_STAGE_PROFILE=1 cargo run --release -p neurocube-bench \
+//! cargo run --release -p neurocube-bench \
 //!     --example profile_one -- fig14_conv_k7_nodup skip
 //! ```
 //!
-//! The second argument is `skip`, `naive`, or omitted (follow `NEUROCUBE_NO_SKIP`).
+//! The second argument is `skip` (the default when omitted) or `naive`.
 //! An optional third argument repeats the run N times and reports the
 //! fastest (wall-clock noise on shared hardware swamps single runs). An
 //! optional fourth argument is a substring filter: every final-registry
@@ -16,7 +17,8 @@
 //! the PNGs spent their null ticks).
 //! Run with no arguments to list the workload names.
 
-use neurocube_bench::{bench_workloads, run_inference_mode, run_inference_stats};
+use neurocube::Neurocube;
+use neurocube_bench::{bench_workloads, ramp_input, run_inference_stats};
 use std::time::Instant;
 
 fn main() {
@@ -34,9 +36,8 @@ fn main() {
         .find(|w| w.name == *name)
         .unwrap_or_else(|| panic!("unknown workload {name:?} (run with no args for the list)"));
     let skip = match args.get(1).map(String::as_str) {
-        Some("skip") => Some(true),
-        Some("naive") => Some(false),
-        None => None,
+        Some("skip") | None => true,
+        Some("naive") => false,
         Some(other) => panic!("unknown mode {other:?} (want skip|naive)"),
     };
     let reps: u32 = args
@@ -47,11 +48,15 @@ fn main() {
     let mut last = None;
     for _ in 0..reps.max(1) {
         let start = Instant::now();
-        let (report, _, telemetry) = run_inference_mode(w.cfg.clone(), &w.spec, w.seed, skip);
+        let mut cube = Neurocube::new(w.cfg.clone());
+        cube.set_cycle_skip(skip);
+        cube.set_stage_profile(true);
+        let loaded = cube.load(w.spec.clone(), w.spec.init_params(w.seed, 0.25));
+        let (_, report) = cube.run_inference(&loaded, &ramp_input(&w.spec));
         best_secs = best_secs.min(start.elapsed().as_secs_f64());
-        last = Some((report, telemetry));
+        last = Some((report, cube.horizon_jumps(), cube.skipped_cycles()));
     }
-    let (report, telemetry) = last.expect("at least one rep");
+    let (report, jumps, skipped) = last.expect("at least one rep");
     let cycles = report.total_cycles();
     println!(
         "{}: {} cycles in {:.3}s = {:.0} cycles/s ({} jumps, {} skipped)",
@@ -59,8 +64,8 @@ fn main() {
         cycles,
         best_secs,
         cycles as f64 / best_secs,
-        telemetry.horizon_jumps,
-        telemetry.skipped_cycles,
+        jumps,
+        skipped,
     );
     if let Some(filter) = args.get(3) {
         let (_, stats) = run_inference_stats(w.cfg.clone(), &w.spec, w.seed);

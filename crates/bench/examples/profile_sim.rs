@@ -1,14 +1,14 @@
-//! Developer profiling driver: one workload, both loop modes, with
-//! `NEUROCUBE_STAGE_PROFILE=1` this prints the kernel's per-stage
-//! wall-clock breakdown. Usage:
+//! Developer profiling driver: one workload, both loop modes, each with
+//! the cube's stage profile on (`Neurocube::set_stage_profile`), so the
+//! kernel's per-stage wall-clock breakdown is printed to stderr. Usage:
 //!
 //! ```sh
-//! NEUROCUBE_STAGE_PROFILE=1 cargo run --release -p neurocube-bench \
+//! cargo run --release -p neurocube-bench \
 //!     --example profile_sim [conv_k7|conv_k3|fc|ddr3]
 //! ```
 
-use neurocube::SystemConfig;
-use neurocube_bench::run_inference_mode;
+use neurocube::{Neurocube, SystemConfig};
+use neurocube_bench::ramp_input;
 use neurocube_fixed::Activation;
 use neurocube_nn::{LayerSpec, NetworkSpec, Shape};
 use std::time::Instant;
@@ -52,13 +52,17 @@ fn main() {
     for skip in [false, true] {
         eprintln!("=== {which} skip={skip} ===");
         let t0 = Instant::now();
-        let (report, _, tel) = run_inference_mode(cfg.clone(), &spec, 14, Some(skip));
+        let mut cube = Neurocube::new(cfg.clone());
+        cube.set_cycle_skip(skip);
+        cube.set_stage_profile(true);
+        let loaded = cube.load(spec.clone(), spec.init_params(14, 0.25));
+        let (_, report) = cube.run_inference(&loaded, &ramp_input(&spec));
         eprintln!(
             "total {:.2}s for {} cycles ({} skipped in {} jumps)",
             t0.elapsed().as_secs_f64(),
             report.total_cycles(),
-            tel.skipped_cycles,
-            tel.horizon_jumps,
+            cube.skipped_cycles(),
+            cube.horizon_jumps(),
         );
     }
 }

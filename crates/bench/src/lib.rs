@@ -8,27 +8,51 @@
 //! [`scene_scale`]): `full` runs the paper's exact geometry, the default
 //! `fast` runs a proportionally reduced input that preserves every
 //! qualitative shape at a fraction of the wall-clock time.
+//!
+//! The harnesses are the only code that reads the environment ([`env_u64`],
+//! [`env_f64`] and the path variables); the library crates take every
+//! setting as a value.
 
 #![forbid(unsafe_code)]
+
+mod env;
+
+use env::env_str;
+pub use env::{env_f64, env_u64};
 
 use neurocube::{Neurocube, RunReport, SystemConfig};
 use neurocube_fault::FaultConfig;
 use neurocube_fixed::Q88;
 use neurocube_nn::{GraphSpec, NetworkSpec, Shape, Tensor};
-use neurocube_sim::{env_str, BatchRunner, StatsRegistry};
+use neurocube_sim::{BatchRunner, StatsRegistry};
 use std::fs::File;
 use std::io::Write;
 use std::path::PathBuf;
 
-/// The scene-labeling input resolution selected by `NEUROCUBE_SCALE`:
-/// `full` → the paper's 320×240, `fast` (default) → 160×120,
-/// `tiny` → 80×60 (CI smoke runs).
-pub fn scene_scale() -> (usize, usize, &'static str) {
-    match env_str("NEUROCUBE_SCALE").as_deref() {
-        Some("full") => (240, 320, "full (paper 320x240)"),
-        Some("tiny") => (60, 80, "tiny (80x60)"),
-        _ => (120, 160, "fast (160x120)"),
+/// [`scene_scale`] for a given `NEUROCUBE_SCALE` value, with an error in
+/// place of the panic.
+fn parse_scale(value: Option<&str>) -> Result<(usize, usize, &'static str), String> {
+    match value {
+        None | Some("fast") => Ok((120, 160, "fast (160x120)")),
+        Some("full") => Ok((240, 320, "full (paper 320x240)")),
+        Some("tiny") => Ok((60, 80, "tiny (80x60)")),
+        Some(other) => Err(format!(
+            "NEUROCUBE_SCALE={other:?} is not a scale (valid: fast, full, tiny; unset means fast)"
+        )),
     }
+}
+
+/// The scene-labeling input resolution `(height, width, label)` selected
+/// by `NEUROCUBE_SCALE`: `full` → the paper's 320×240, `fast` or unset →
+/// 160×120, `tiny` → 80×60 (CI smoke runs).
+///
+/// # Panics
+///
+/// Panics, naming the valid spellings, when the variable is set to
+/// anything but `fast`, `full` or `tiny`, so a typo never silently runs
+/// the default scale.
+pub fn scene_scale() -> (usize, usize, &'static str) {
+    parse_scale(env_str("NEUROCUBE_SCALE").as_deref()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Deterministic pseudo-image input for throughput runs (values don't
@@ -56,7 +80,7 @@ pub fn run_inference_stats(
     spec: &NetworkSpec,
     seed: u64,
 ) -> (RunReport, StatsRegistry) {
-    let (report, stats, _) = run_inference_mode(cfg, spec, seed, None);
+    let (report, stats, _) = run_inference_mode(cfg, spec, seed, true);
     (report, stats)
 }
 
@@ -71,17 +95,16 @@ pub struct SkipTelemetry {
 }
 
 /// Like [`run_inference_stats`], but with explicit control over
-/// event-horizon fast-forwarding: `Some(true)` forces skipping on,
-/// `Some(false)` forces the naive per-cycle oracle, `None` follows
-/// `NEUROCUBE_NO_SKIP` as it reads when the run's cycle loop is built.
-/// Returns the run's fast-forward telemetry alongside the report — the
-/// wall-clock benchmark uses this to compare both modes and prove they
-/// agree bitwise.
+/// event-horizon fast-forwarding: `true` skips (the default everywhere
+/// else), `false` ticks every cycle (the naive oracle). Returns the
+/// run's fast-forward telemetry alongside the report — the wall-clock
+/// benchmark uses this to compare both modes and prove they agree
+/// bitwise.
 pub fn run_inference_mode(
     cfg: SystemConfig,
     spec: &NetworkSpec,
     seed: u64,
-    skip: Option<bool>,
+    skip: bool,
 ) -> (RunReport, StatsRegistry, SkipTelemetry) {
     let run = run_graph_mode(cfg, &spec.to_graph(), seed, skip, true);
     (run.report, run.stats, run.telemetry)
@@ -207,7 +230,7 @@ pub fn run_graph_mode(
     cfg: SystemConfig,
     graph: &GraphSpec,
     seed: u64,
-    skip: Option<bool>,
+    skip: bool,
     pipelined: bool,
 ) -> GraphRunOutput {
     let params = graph.init_params(seed, 0.25);
@@ -247,9 +270,9 @@ pub struct FaultRun {
 }
 
 /// Like [`run_inference_stats`], but with an explicit fault configuration
-/// (`None` detaches any environment-attached injector) and the output
-/// tensor returned, so sweeps can measure accuracy degradation against a
-/// zero-fault reference.
+/// (`None` runs without an injector) and the output tensor returned, so
+/// sweeps can measure accuracy degradation against a zero-fault
+/// reference.
 pub fn run_inference_faulty(
     cfg: SystemConfig,
     spec: &NetworkSpec,
@@ -363,4 +386,22 @@ pub fn print_layer_panels(report: &RunReport) {
         report.throughput_gops_at(300.0e6),
         100.0 * report.lateral_fraction(),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scale_accepts_exactly_the_documented_spellings() {
+        assert_eq!(parse_scale(None).unwrap().0, 120);
+        assert_eq!(parse_scale(Some("fast")).unwrap().0, 120);
+        assert_eq!(parse_scale(Some("full")).unwrap().0, 240);
+        assert_eq!(parse_scale(Some("tiny")).unwrap().0, 60);
+        for typo in ["paper", "small", "Full", " full", "fast "] {
+            let err = parse_scale(Some(typo)).expect_err(typo);
+            assert!(err.contains("valid: fast, full, tiny"), "{err}");
+            assert!(err.contains(&format!("{typo:?}")), "{err}");
+        }
+    }
 }

@@ -94,7 +94,7 @@ pub struct Cluster {
     transfers: Vec<Transfer>,
     /// Cycle each cube's egress serializer frees up.
     link_free_at: Vec<u64>,
-    skip_override: Option<bool>,
+    skip: bool,
     // cluster.* stats — all event-driven, so bitwise identical across
     // skip/naive and serial/threaded runs.
     transfers_sent: u64,
@@ -150,7 +150,7 @@ impl Cluster {
             stage_done_at: vec![0; stages],
             transfers: Vec::new(),
             link_free_at: vec![0; n],
-            skip_override: None,
+            skip: true,
             transfers_sent: 0,
             bytes_sent: 0,
             deliveries: 0,
@@ -171,13 +171,12 @@ impl Cluster {
         self.now
     }
 
-    /// Forces event-horizon fast-forward on or off for subsequent runs,
-    /// in the cluster loop and in every member cube alike (otherwise the
-    /// `NEUROCUBE_NO_SKIP` environment default applies to both).
+    /// Sets event-horizon fast-forward on (the default) or off for
+    /// subsequent runs, in the cluster loop and in every member cube alike.
     pub fn set_cycle_skip(&mut self, enabled: bool) {
-        self.skip_override = Some(enabled);
+        self.skip = enabled;
         for cube in &mut self.cubes {
-            cube.set_cycle_skip(Some(enabled));
+            cube.set_cycle_skip(enabled);
         }
     }
 
@@ -282,11 +281,11 @@ impl Cluster {
     }
 
     fn build_loop(&self) -> CycleLoop<Cluster> {
-        let mut l = CycleLoop::new();
-        if let Some(skip) = self.skip_override {
-            l = l.with_skip(skip);
-        }
-        l.stage(Ingress).stage(Egress).stage(AdvanceClusterClock)
+        CycleLoop::new()
+            .with_skip(self.skip)
+            .stage(Ingress)
+            .stage(Egress)
+            .stage(AdvanceClusterClock)
     }
 
     /// Whether job `j` can enter stage `s` right now (input complete,

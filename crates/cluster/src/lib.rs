@@ -6,10 +6,9 @@
 //! joining cubes with SerDes links — in three layers:
 //!
 //! * [`link`] — the fabric model: [`ClusterTopology`] (ring / 2D mesh),
-//!   [`LinkConfig`] (bandwidth, latency, pJ/bit, with
-//!   `NEUROCUBE_CLUSTER_*` environment overrides read fresh per
-//!   construction), and the cycle/Joule charge formulas shared with
-//!   `neurocube_golden::timing` and `neurocube_power::hmc`.
+//!   [`LinkConfig`] (bandwidth, latency, pJ/bit; [`LinkConfig::hmc_ext`]
+//!   is the HMC-class default), and the cycle/Joule charge formulas
+//!   shared with `neurocube_golden::timing` and `neurocube_power::hmc`.
 //! * [`shard`] — the planner: [`shard_graph`] cuts a validated
 //!   [`GraphSpec`](neurocube_nn::GraphSpec) into pipeline stages and
 //!   tensor-parallel bands, costed with certified per-stage lower bounds

@@ -71,24 +71,6 @@ impl ClusterTopology {
             }
         }
     }
-
-    /// Parses a `NEUROCUBE_CLUSTER_TOPOLOGY` value for a cluster of
-    /// `cubes` cubes: `ring`, `mesh` (near-square), or `meshWxH` with an
-    /// explicit grid. Returns `None` for anything else or a grid too small
-    /// for the cluster.
-    pub fn parse(s: &str, cubes: usize) -> Option<ClusterTopology> {
-        match s {
-            "ring" => Some(ClusterTopology::Ring(cubes)),
-            "mesh" => Some(ClusterTopology::square_mesh(cubes)),
-            _ => {
-                let dims = s.strip_prefix("mesh")?;
-                let (w, h) = dims.split_once('x')?;
-                let (width, height) = (w.parse().ok()?, h.parse().ok()?);
-                let t = ClusterTopology::Mesh { width, height };
-                (t.cubes() >= cubes && width > 0 && height > 0).then_some(t)
-            }
-        }
-    }
 }
 
 /// One cluster's SerDes link parameters: the topology plus the per-link
@@ -115,33 +97,6 @@ impl LinkConfig {
             latency_ns: 100.0,
             pj_per_bit: SERDES_PJ_PER_BIT,
         }
-    }
-
-    /// [`LinkConfig::hmc_ext`] with the `NEUROCUBE_CLUSTER_*` environment
-    /// knobs applied — read fresh on every call (no caching), so tests can
-    /// set and unset them per construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `NEUROCUBE_CLUSTER_TOPOLOGY` is set to something
-    /// [`ClusterTopology::parse`] rejects — a misconfiguration, not a
-    /// condition to silently default away.
-    pub fn from_env(cubes: usize) -> LinkConfig {
-        let mut link = LinkConfig::hmc_ext(cubes);
-        if let Some(s) = neurocube_sim::env::cluster_topology() {
-            link.topology = ClusterTopology::parse(&s, cubes)
-                .unwrap_or_else(|| panic!("NEUROCUBE_CLUSTER_TOPOLOGY: unrecognized value {s:?}"));
-        }
-        if let Some(g) = neurocube_sim::env::cluster_link_gbps() {
-            link.bandwidth_gbps = g;
-        }
-        if let Some(ns) = neurocube_sim::env::cluster_link_ns() {
-            link.latency_ns = ns;
-        }
-        if let Some(pj) = neurocube_sim::env::cluster_pj_bit() {
-            link.pj_per_bit = pj;
-        }
-        link
     }
 
     /// Reference-clock cycles for `bytes` to cross `hops` links (pacing
@@ -202,31 +157,6 @@ mod tests {
                 height: 4
             }
         );
-    }
-
-    #[test]
-    fn topology_strings_parse() {
-        assert_eq!(
-            ClusterTopology::parse("ring", 6),
-            Some(ClusterTopology::Ring(6))
-        );
-        assert_eq!(
-            ClusterTopology::parse("mesh", 16),
-            Some(ClusterTopology::Mesh {
-                width: 4,
-                height: 4
-            })
-        );
-        assert_eq!(
-            ClusterTopology::parse("mesh8x2", 16),
-            Some(ClusterTopology::Mesh {
-                width: 8,
-                height: 2
-            })
-        );
-        assert_eq!(ClusterTopology::parse("mesh2x2", 16), None); // too small
-        assert_eq!(ClusterTopology::parse("torus", 4), None);
-        assert_eq!(ClusterTopology::parse("mesh8", 4), None);
     }
 
     #[test]

@@ -82,9 +82,11 @@ pub struct Neurocube {
     /// exactly one copy of the credit state. Initialized to `u64::MAX`
     /// per node — the "no progress seen" value that never gates.
     progress: Vec<u64>,
-    /// Per-cube override of the fast-forward default; `None` follows
-    /// `NEUROCUBE_NO_SKIP` as it reads when each pass's cycle loop is built.
-    skip_override: Option<bool>,
+    /// Whether each pass's cycle loop fast-forwards (default `true`).
+    skip: bool,
+    /// Whether each pass's cycle loop prints its per-stage wall-clock
+    /// profile (default `false`).
+    stage_profile: bool,
     /// Cumulative fast-forward jumps across all passes run on this cube.
     horizon_jumps: u64,
     /// Cumulative cycles crossed by fast-forward jumps instead of ticking.
@@ -166,7 +168,7 @@ impl Neurocube {
             })
             .collect();
         let nodes = cfg.nodes();
-        let mut cube = Neurocube {
+        Ok(Neurocube {
             cfg,
             mem,
             net,
@@ -175,18 +177,13 @@ impl Neurocube {
             attach_groups,
             now: 0,
             progress: vec![u64::MAX; nodes],
-            skip_override: None,
+            skip: true,
+            stage_profile: false,
             horizon_jumps: 0,
             skipped_cycles: 0,
             faults: None,
             graph_run: None,
-        };
-        // Environment default: NEUROCUBE_FAULT_RATE / _SEED / _ECC attach
-        // an injector at construction (explicit `set_fault_config` wins).
-        if let Some(fault_cfg) = FaultConfig::from_env() {
-            cube.set_fault_config(Some(fault_cfg));
-        }
-        Ok(cube)
+        })
     }
 
     /// Attaches (or detaches, with `None`) a deterministic fault injector:
@@ -269,14 +266,20 @@ impl Neurocube {
         self.now
     }
 
-    /// Overrides the fast-forward setting for this cube: `Some(true)`
-    /// forces event-horizon skipping on, `Some(false)` forces the naive
-    /// per-cycle loop (the differential oracle), `None` follows
-    /// `NEUROCUBE_NO_SKIP`, re-read each time a pass builds its cycle
-    /// loop. Both modes produce bitwise-identical cycle counts and
-    /// statistics.
-    pub fn set_cycle_skip(&mut self, enabled: Option<bool>) {
-        self.skip_override = enabled;
+    /// Sets the fast-forward mode for subsequent runs: `true` (the
+    /// default) skips quiescent stretches by event horizon, `false` ticks
+    /// every cycle (the differential oracle). Both modes produce
+    /// bitwise-identical cycle counts and statistics.
+    pub fn set_cycle_skip(&mut self, enabled: bool) {
+        self.skip = enabled;
+    }
+
+    /// Sets the per-stage wall-clock profile for subsequent runs: when on,
+    /// every pass prints its stage breakdown (ns per tick, ticked and
+    /// skipped cycles, which stage vetoed fast-forward) to stderr. Off by
+    /// default; it changes no simulated value.
+    pub fn set_stage_profile(&mut self, enabled: bool) {
+        self.stage_profile = enabled;
     }
 
     /// Fast-forward jumps taken across every pass run on this cube.
@@ -516,18 +519,17 @@ impl Neurocube {
             .stage(AdvanceClock)
     }
 
-    /// Builds the pipeline with this cube's fast-forward setting, hands it
-    /// and the cube to `drive`, and folds the jumps it took into the
-    /// cube's cumulative telemetry — the one way any run enters the cycle
-    /// loop.
+    /// Builds the pipeline with this cube's fast-forward and profile
+    /// settings, hands it and the cube to `drive`, and folds the jumps it
+    /// took into the cube's cumulative telemetry — the one way any run
+    /// enters the cycle loop.
     fn with_pipeline<R>(
         &mut self,
         drive: impl FnOnce(&mut CycleLoop<Neurocube>, &mut Neurocube) -> R,
     ) -> R {
-        let mut pipeline = Self::pipeline();
-        if let Some(enabled) = self.skip_override {
-            pipeline = pipeline.with_skip(enabled);
-        }
+        let mut pipeline = Self::pipeline()
+            .with_skip(self.skip)
+            .with_profile(self.stage_profile);
         let out = drive(&mut pipeline, self);
         self.horizon_jumps += pipeline.jumps();
         self.skipped_cycles += pipeline.skipped_cycles();
@@ -1322,7 +1324,7 @@ mod tests {
 
         let run = |skip: bool| {
             let mut cube = Neurocube::new(SystemConfig::paper(true));
-            cube.set_cycle_skip(Some(skip));
+            cube.set_cycle_skip(skip);
             let loaded = cube.load(spec.clone(), params.clone());
             let (out, report) = cube.run_inference(&loaded, &input);
             let cycles: Vec<u64> = report.layers.iter().map(|l| l.cycles).collect();
@@ -1411,7 +1413,7 @@ mod tests {
         let cfg = FaultConfig::uniform(0xFA017, 2e-5);
         let run = |skip: bool| {
             let mut cube = Neurocube::new(SystemConfig::paper(true));
-            cube.set_cycle_skip(Some(skip));
+            cube.set_cycle_skip(skip);
             cube.set_fault_config(Some(cfg.clone()));
             let loaded = cube.load(spec.clone(), params.clone());
             let (out, report) = cube.run_inference(&loaded, &input);
@@ -1554,7 +1556,7 @@ mod tests {
         let input = graph_input();
         let run = |skip: bool| {
             let mut cube = Neurocube::new(SystemConfig::paper(true));
-            cube.set_cycle_skip(Some(skip));
+            cube.set_cycle_skip(skip);
             let loaded = cube.load_graph(&graph, params.clone()).unwrap();
             let (out, report) = cube.run_inference(&loaded, &input);
             let cycles: Vec<u64> = report.layers.iter().map(|l| l.cycles).collect();
@@ -1594,7 +1596,7 @@ mod tests {
         });
         let run = |skip: bool| {
             let mut cube = Neurocube::new(cfg.clone());
-            cube.set_cycle_skip(Some(skip));
+            cube.set_cycle_skip(skip);
             let loaded = cube.load_graph(&graph, params.clone()).unwrap();
             cube.catch_up(20_000);
             assert_eq!(cube.now(), 20_000);

@@ -56,8 +56,8 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
-    /// A config with every rate set to `rate` (the single-knob sweep the
-    /// `NEUROCUBE_FAULT_RATE` variable exposes).
+    /// A config with every rate set to `rate` (the single-knob sweep of
+    /// the `fault_sweep` bench).
     #[must_use]
     pub fn uniform(seed: u64, rate: f64) -> FaultConfig {
         FaultConfig {
@@ -88,25 +88,6 @@ impl FaultConfig {
         ]
         .iter()
         .any(|&r| r > 0.0)
-    }
-
-    /// Reads the process-wide fault configuration from the environment
-    /// (see `crates/sim`'s `env` module for the parsing rules):
-    ///
-    /// * `NEUROCUBE_FAULT_RATE` — uniform rate for every domain; unset,
-    ///   empty, unparseable or `0` means "no injector".
-    /// * `NEUROCUBE_FAULT_SEED` — fault seed (default `0`).
-    /// * `NEUROCUBE_FAULT_ECC` — truthy enables the SECDED model.
-    #[must_use]
-    pub fn from_env() -> Option<FaultConfig> {
-        let rate = neurocube_sim::env_f64("NEUROCUBE_FAULT_RATE")?;
-        if rate.is_nan() || rate <= 0.0 {
-            return None;
-        }
-        let seed = neurocube_sim::env_u64("NEUROCUBE_FAULT_SEED").unwrap_or(0);
-        let mut cfg = FaultConfig::uniform(seed, rate);
-        cfg.ecc = neurocube_sim::env_flag("NEUROCUBE_FAULT_ECC");
-        Some(cfg)
     }
 }
 

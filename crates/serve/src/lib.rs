@@ -48,9 +48,7 @@ pub use cube::ServeCube;
 pub use executor::{execute, ExecMode};
 pub use request::{Outcome, RejectReason, Request};
 pub use scheduler::{serve, serve_mode, DispatchRecord, ServeConfig, ServeReport};
-pub use traffic::{
-    generate, LoadProfile, Scenario, TrafficSpec, UnknownScenario, DOMAIN_TRAFFIC, SCENARIOS,
-};
+pub use traffic::{generate, LoadProfile, Scenario, TrafficSpec, DOMAIN_TRAFFIC, SCENARIOS};
 pub use twospeed::{
     execute_two_speed, AuditRecord, AuditSampler, AuditViolation, TwoSpeedConfig, TwoSpeedReport,
     DOMAIN_AUDIT,

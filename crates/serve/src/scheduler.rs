@@ -68,23 +68,6 @@ impl ServeConfig {
             queue_cap: 64,
         }
     }
-
-    /// Defaults overridden by the `NEUROCUBE_SERVE_*` environment knobs
-    /// (pool, max batch, max delay — see `neurocube_sim::env`).
-    #[must_use]
-    pub fn from_env(default_pool: usize) -> ServeConfig {
-        let mut cfg = ServeConfig::new(default_pool);
-        if let Some(p) = neurocube_sim::serve_pool() {
-            cfg.pool = usize::try_from(p).expect("pool fits usize");
-        }
-        if let Some(b) = neurocube_sim::serve_max_batch() {
-            cfg.max_batch = usize::try_from(b).expect("max batch fits usize");
-        }
-        if let Some(d) = neurocube_sim::serve_max_delay() {
-            cfg.max_delay = d;
-        }
-        cfg
-    }
 }
 
 /// One batch placed on one cube.
@@ -492,8 +475,9 @@ pub fn serve(catalog: &ModelCatalog, cfg: &ServeConfig, trace: &[Request]) -> Se
 }
 
 /// Like [`serve`], with explicit control over event-horizon
-/// fast-forwarding (`None` inherits the `NEUROCUBE_NO_SKIP` process
-/// default) — the differential suites run both modes in one process.
+/// fast-forwarding: `Some(false)` ticks every virtual cycle (the naive
+/// oracle), `Some(true)` and `None` skip — the differential suites run
+/// both modes in one process.
 #[must_use]
 pub fn serve_mode(
     catalog: &ModelCatalog,
@@ -502,10 +486,10 @@ pub fn serve_mode(
     skip: Option<bool>,
 ) -> ServeReport {
     let mut bus = ServeBus::new(catalog, cfg, trace);
-    let mut cl = CycleLoop::new().stage(ArrivalStage).stage(DispatchStage);
-    if let Some(s) = skip {
-        cl = cl.with_skip(s);
-    }
+    let mut cl = CycleLoop::new()
+        .with_skip(skip.unwrap_or(true))
+        .stage(ArrivalStage)
+        .stage(DispatchStage);
     cl.run(
         &mut bus,
         0,
@@ -760,11 +744,6 @@ mod tests {
         assert_eq!(naive.stats.first_difference(&fast.stats), None);
         assert!(naive.completed() > 0);
     }
-
-    // `ServeConfig::from_env` reads fixed process-global variables, so
-    // its set/unset tests live in `tests/tests/env_knobs.rs` behind the
-    // shared `EnvGuard` mutex — an unguarded set/unset dance here would
-    // race against any parallel test touching the same names.
 
     #[test]
     fn empty_traces_serve_trivially() {

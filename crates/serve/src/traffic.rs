@@ -20,7 +20,6 @@
 
 use crate::catalog::{input_payload, ModelCatalog};
 use crate::request::Request;
-use std::fmt;
 
 /// Arrival-process shapes the generator can produce.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,17 +33,6 @@ pub enum LoadProfile {
 }
 
 impl LoadProfile {
-    /// Parses the `NEUROCUBE_SERVE_LOAD` spelling of a profile.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<LoadProfile> {
-        match name {
-            "poisson" => Some(LoadProfile::Poisson),
-            "bursty" => Some(LoadProfile::Bursty),
-            "diurnal" => Some(LoadProfile::Diurnal),
-            _ => None,
-        }
-    }
-
     /// Multiplier applied to the mean inter-arrival gap before request
     /// `i` (deterministic, index-keyed).
     #[must_use]
@@ -127,11 +115,10 @@ impl TrafficSpec {
 }
 
 /// A named trace-driven serving scenario: an arrival shape plus a
-/// priority-tier mix, selectable by name through
-/// `NEUROCUBE_SERVE_SCENARIO` (see [`Scenario::from_env`]).
+/// priority-tier mix (the presets are [`SCENARIOS`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Scenario {
-    /// The scenario's `NEUROCUBE_SERVE_SCENARIO` spelling.
+    /// The scenario's name in reports.
     pub name: &'static str,
     /// Arrival-process shape.
     pub profile: LoadProfile,
@@ -162,51 +149,6 @@ pub const SCENARIOS: [Scenario; 3] = [
         tiers: &[(0, 3), (1, 1), (3, 2)],
     },
 ];
-
-/// A scenario name that matches no preset — the typed error
-/// `NEUROCUBE_SERVE_SCENARIO` parsing returns instead of panicking.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UnknownScenario(pub String);
-
-impl fmt::Display for UnknownScenario {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown serving scenario {:?} (valid: steady, diurnal, rush)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for UnknownScenario {}
-
-impl Scenario {
-    /// Resolves a scenario by its `NEUROCUBE_SERVE_SCENARIO` spelling.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownScenario`] when no preset matches.
-    pub fn parse(name: &str) -> Result<&'static Scenario, UnknownScenario> {
-        SCENARIOS
-            .iter()
-            .find(|s| s.name == name)
-            .ok_or_else(|| UnknownScenario(name.to_string()))
-    }
-
-    /// Reads `NEUROCUBE_SERVE_SCENARIO`: `Ok(None)` when unset or empty
-    /// (the caller's default applies), `Ok(Some)` on a valid name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownScenario`] when the variable names no preset —
-    /// a typed error, never a panic.
-    pub fn from_env() -> Result<Option<&'static Scenario>, UnknownScenario> {
-        match neurocube_sim::serve_scenario() {
-            None => Ok(None),
-            Some(name) => Scenario::parse(&name).map(Some),
-        }
-    }
-}
 
 /// PRNG domain for traffic draws, disjoint from the fault domains
 /// (`0x01..=0x05` prefixes in `fault::domain`).
@@ -456,19 +398,14 @@ mod tests {
     }
 
     #[test]
-    fn scenarios_parse_by_name_and_reject_unknowns_typed() {
-        let s = Scenario::parse("diurnal").expect("preset exists");
-        assert_eq!(s.profile, LoadProfile::Diurnal);
-        let err = Scenario::parse("weekend").unwrap_err();
-        assert_eq!(err, UnknownScenario("weekend".to_string()));
-        assert!(err.to_string().contains("valid: steady, diurnal, rush"));
+    fn scenario_presets_reshape_profile_and_priorities() {
         for preset in &SCENARIOS {
-            assert_eq!(Scenario::parse(preset.name), Ok(preset));
-            assert!(!preset.tiers.is_empty());
+            assert!(!preset.tiers.is_empty(), "{}", preset.name);
         }
+        let rush = SCENARIOS.iter().find(|s| s.name == "rush").expect("preset");
         let cat = catalog();
-        let spec = TrafficSpec::poisson(9, 250.0, 128, vec![("b".to_string(), 1)])
-            .with_scenario(Scenario::parse("rush").unwrap());
+        let spec =
+            TrafficSpec::poisson(9, 250.0, 128, vec![("b".to_string(), 1)]).with_scenario(rush);
         assert_eq!(spec.profile, LoadProfile::Bursty);
         let trace = generate(&cat, &spec);
         assert!(trace.iter().all(|r| [0, 1, 3].contains(&r.priority)));

@@ -130,18 +130,6 @@ impl TwoSpeedConfig {
         }
     }
 
-    /// Defaults overridden by the environment: `NEUROCUBE_SERVE_SEED`
-    /// for the audit seed and `NEUROCUBE_SERVE_AUDIT_RATE` for the rate
-    /// (see `neurocube_sim::env`). The defect knob has no environment
-    /// override — it exists for the test suites only.
-    #[must_use]
-    pub fn from_env(default_seed: u64, default_rate: f64) -> TwoSpeedConfig {
-        TwoSpeedConfig::new(
-            neurocube_sim::serve_seed().unwrap_or(default_seed),
-            neurocube_sim::serve_audit_rate().unwrap_or(default_rate),
-        )
-    }
-
     /// The sampler this config induces.
     #[must_use]
     pub fn sampler(&self) -> AuditSampler {

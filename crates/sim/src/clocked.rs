@@ -6,10 +6,9 @@
 //! ([`Clocked::next_event`]), and the loop jumps the clock straight to
 //! the earliest such horizon, letting each stage bulk-charge the skipped
 //! cycles ([`Clocked::skip`]) so that every counter a run reports is
-//! bitwise identical to the naive cycle-by-cycle loop. Setting
-//! `NEUROCUBE_NO_SKIP=1` in the environment disables fast-forward for
-//! every loop built while it is set, keeping the naive loop alive as a
-//! differential oracle.
+//! bitwise identical to the naive cycle-by-cycle loop. A loop built with
+//! [`CycleLoop::with_skip`]`(false)` ticks every cycle, keeping the naive
+//! loop alive as a differential oracle.
 
 /// One pipeline stage of a cycle-level simulator.
 ///
@@ -118,18 +117,18 @@ pub struct JumpRecord {
 /// order within a cycle; the bus's notion of "current cycle" is whatever
 /// the caller passes as `start` plus the number of completed cycles.
 ///
-/// When fast-forward is enabled (the default, unless `NEUROCUBE_NO_SKIP`
-/// is set), the loop asks every stage for its [`Clocked::next_event`]
-/// before ticking a cycle. If all stages report a future horizon, the
-/// clock jumps to the earliest one — capped at the next watchdog check
-/// boundary, so completion and progress are sampled at exactly the same
-/// absolute cycles (with identical bus state) as the naive loop, making
-/// the two modes bitwise identical in everything they report.
+/// When fast-forward is enabled (the default), the loop asks every stage
+/// for its [`Clocked::next_event`] before ticking a cycle. If all stages
+/// report a future horizon, the clock jumps to the earliest one — capped
+/// at the next watchdog check boundary, so completion and progress are
+/// sampled at exactly the same absolute cycles (with identical bus state)
+/// as the naive loop, making the two modes bitwise identical in
+/// everything they report.
 pub struct CycleLoop<B: ?Sized> {
     stages: Vec<Box<dyn Clocked<B>>>,
     watchdog: Watchdog,
     skip: bool,
-    /// `NEUROCUBE_STAGE_PROFILE`: [`CycleLoop::run`] and
+    /// [`CycleLoop::with_profile`]: [`CycleLoop::run`] and
     /// [`CycleLoop::run_until`] accumulate per-stage wall-clock time and
     /// print a breakdown to stderr when they complete.
     /// Costs one `Instant` pair per stage per cycle while on; a single
@@ -168,18 +167,14 @@ impl<B: ?Sized> Default for CycleLoop<B> {
 }
 
 impl<B: ?Sized> CycleLoop<B> {
-    /// Creates an empty loop with the default [`Watchdog`]. The
-    /// `NEUROCUBE_NO_SKIP` and `NEUROCUBE_STAGE_PROFILE` flags (see
-    /// [`crate::env`] for the one truthiness rule all `NEUROCUBE_*` flags
-    /// share) are resolved here, once per loop and never cached across
-    /// loops, so a loop built after either variable changes sees the new
-    /// value.
+    /// Creates an empty loop with the default [`Watchdog`], fast-forward
+    /// on and the stage profile off.
     pub fn new() -> Self {
         CycleLoop {
             stages: Vec::new(),
             watchdog: Watchdog::default(),
-            skip: !crate::env::env_flag("NEUROCUBE_NO_SKIP"),
-            profile: crate::env::env_flag("NEUROCUBE_STAGE_PROFILE"),
+            skip: true,
+            profile: false,
             probe_from: 0,
             veto_counts: Vec::new(),
             jumps: 0,
@@ -195,11 +190,18 @@ impl<B: ?Sized> CycleLoop<B> {
         self
     }
 
-    /// Overrides the fast-forward setting for this loop, regardless of
-    /// `NEUROCUBE_NO_SKIP`. Tests and differential harnesses use this to
-    /// run both modes inside one process.
+    /// Sets fast-forward for this loop; `false` is the naive per-cycle
+    /// oracle. Tests and differential harnesses use this to run both
+    /// modes inside one process.
     pub fn with_skip(mut self, enabled: bool) -> Self {
         self.skip = enabled;
+        self
+    }
+
+    /// Sets the per-stage wall-clock profile, which [`CycleLoop::run`]
+    /// and [`CycleLoop::run_until`] print to stderr when they complete.
+    pub fn with_profile(mut self, enabled: bool) -> Self {
+        self.profile = enabled;
         self
     }
 
@@ -483,7 +485,7 @@ impl<B: ?Sized> CycleLoop<B> {
         end
     }
 
-    /// The `NEUROCUBE_STAGE_PROFILE` breakdown of one finished drive.
+    /// The [`CycleLoop::with_profile`] breakdown of one finished drive.
     fn print_profile(&self, pace: &Pace, cycles: u64) {
         let total: u64 = pace.stage_nanos.iter().sum();
         eprintln!(

@@ -27,14 +27,8 @@
 
 mod batch;
 mod clocked;
-pub mod env;
 mod stats;
 
 pub use batch::BatchRunner;
 pub use clocked::{Clocked, CycleLoop, JumpRecord, Watchdog, EVENT_LOOP_LEASH};
-pub use env::{
-    cluster_link_gbps, cluster_link_ns, cluster_pj_bit, cluster_topology, env_f64, env_flag,
-    env_str, env_u64, serve_audit_rate, serve_load, serve_max_batch, serve_max_delay, serve_pool,
-    serve_scenario, serve_seed,
-};
 pub use stats::{Histogram, ScopedStats, StatSource, StatsRegistry};

@@ -96,14 +96,8 @@ fn drive_network(pkts: &[Packet]) -> u64 {
     net.fault_counts().unroutable
 }
 
-/// Case budget: `PROPTEST_CASES` when set (`ci.sh` pins 64 for the
-/// standard gate, 512 for `--faults`), otherwise `default`.
-fn cases(default: u32) -> u32 {
-    neurocube_sim::env_u64("PROPTEST_CASES").map_or(default, |v| v as u32)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(64)))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// No packet sequence can panic a lenient PE, and replaying the
     /// sequence reproduces the drop count exactly.

@@ -19,14 +19,8 @@ use neurocube_golden::{check_graph_report, plan_graph, GoldenGraph, DEFAULT_SLAC
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-/// Case budget: `PROPTEST_CASES` when set (`ci.sh` pins 32 for the
-/// standard gate, 512 for `--compile`), otherwise `default`.
-fn cases(default: u32) -> u32 {
-    neurocube_sim::env_u64("PROPTEST_CASES").map_or(default, |v| v as u32)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(8)))]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Property 1: every node volume stays inside the golden graph
     /// model's composed error envelope. Volumes are collected by the
@@ -55,7 +49,7 @@ proptest! {
     fn graph_cycles_within_analytical_envelope(case in graph_case()) {
         let cfg = SystemConfig::paper(case.dup);
         let out = neurocube_bench::run_graph_mode(
-            cfg.clone(), &case.graph, case.seed, Some(true), true,
+            cfg.clone(), &case.graph, case.seed, true, true,
         );
         check_graph_report(&cfg, &case.graph, &out.report, DEFAULT_SLACK)
             .map_err(|v| TestCaseError::fail(format!("{v} (dup={})", case.dup)))?;
@@ -72,7 +66,7 @@ proptest! {
             (false, plan.partitioned_cycles),
         ] {
             let out = neurocube_bench::run_graph_mode(
-                SystemConfig::paper(dup), &case.graph, case.seed, Some(true), true,
+                SystemConfig::paper(dup), &case.graph, case.seed, true, true,
             );
             prop_assert!(
                 out.report.total_cycles() >= predicted,
@@ -94,7 +88,7 @@ fn toy_graphs_within_envelope_under_both_mappings() {
     ] {
         for dup in [true, false] {
             let cfg = SystemConfig::paper(dup);
-            let out = neurocube_bench::run_graph_mode(cfg.clone(), &graph, 7, Some(true), true);
+            let out = neurocube_bench::run_graph_mode(cfg.clone(), &graph, 7, true, true);
             check_graph_report(&cfg, &graph, &out.report, DEFAULT_SLACK)
                 .unwrap_or_else(|v| panic!("{name} dup={dup}: {v}"));
             let labels: Vec<usize> = out.report.layers.iter().map(|l| l.layer_index).collect();

@@ -22,24 +22,18 @@ use neurocube_sim::BatchRunner;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-/// Case budget: `PROPTEST_CASES` when set (`ci.sh` pins 32 for the
-/// standard gate, 512 for `--compile`), otherwise `default`.
-fn cases(default: u32) -> u32 {
-    neurocube_sim::env_u64("PROPTEST_CASES").map_or(default, |v| v as u32)
-}
-
 fn run(case: &GraphCase, skip: bool, pipelined: bool) -> GraphRunOutput {
     run_graph_mode(
         SystemConfig::paper(case.dup),
         &case.graph,
         case.seed,
-        Some(skip),
+        skip,
         pipelined,
     )
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(8)))]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Property 1: compiled-pipelined execution is value-exact against
     /// the per-layer replay baseline, phase by phase.
@@ -90,7 +84,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(4)))]
+    #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Property 3: graph runs are batch/serial deterministic — the same
     /// case on `BatchRunner` threads is bitwise identical to a serial
@@ -147,10 +141,10 @@ fn pipelining_beats_replay_on_toy_graphs() {
     ] {
         let mut cfg = SystemConfig::paper(true);
         cfg.programming = Some(neurocube::ProgrammingModel::typical());
-        let piped = run_graph_mode(cfg.clone(), &graph, 7, Some(true), true)
+        let piped = run_graph_mode(cfg.clone(), &graph, 7, true, true)
             .report
             .total_cycles();
-        let replay = run_graph_mode(cfg, &graph, 7, Some(true), false)
+        let replay = run_graph_mode(cfg, &graph, 7, true, false)
             .report
             .total_cycles();
         assert!(

@@ -17,12 +17,6 @@ use neurocube_fixed::{
 };
 use proptest::prelude::*;
 
-/// Case budget: `PROPTEST_CASES` when set (`ci.sh` pins 64 for the
-/// standard gate, 512 for `--fuzz`), otherwise `default`.
-fn cases(default: u32) -> u32 {
-    neurocube_sim::env_u64("PROPTEST_CASES").map_or(default, |v| v as u32)
-}
-
 /// Deterministic anchor: a workload seeded with real zeros (every third
 /// weight, every other input pixel) classifies gated lanes, and not every
 /// lane — the always-on `sparsity.*` counters are live.
@@ -99,7 +93,7 @@ fn boundary_operand() -> impl Strategy<Value = i16> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(64)))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// `accumulate_wide_lanes` matches `MacUnit::accumulate` (Wide32) bit
     /// for bit after *every* step of a boundary-biased operand sequence —

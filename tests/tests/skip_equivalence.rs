@@ -5,10 +5,7 @@
 //! per-layer cycle counts, the final cycle counter, the output tensor and
 //! the entire statistics registry.
 //!
-//! The modes are selected through [`Neurocube::set_cycle_skip`], not the
-//! `NEUROCUBE_NO_SKIP` environment variable: every cycle loop re-reads the
-//! variable when it is built and tests run multithreaded, so mutating it
-//! mid-run would race the other cases in this binary.
+//! The modes are selected per cube through [`Neurocube::set_cycle_skip`].
 
 mod common;
 
@@ -38,7 +35,7 @@ fn run_mode_faulty(case: &DiffCase, skip: bool, fault: Option<FaultConfig>) -> O
     let cfg = SystemConfig::paper(case.dup);
     let params = case.net.init_params(case.seed, 0.25);
     let mut cube = Neurocube::new(cfg);
-    cube.set_cycle_skip(Some(skip));
+    cube.set_cycle_skip(skip);
     cube.set_fault_config(fault);
     let loaded = cube.load(case.net.clone(), params);
     let input = neurocube_bench::ramp_input(&case.net);
@@ -54,15 +51,8 @@ fn run_mode_faulty(case: &DiffCase, skip: bool, fault: Option<FaultConfig>) -> O
     }
 }
 
-/// Case budget: `PROPTEST_CASES` when set (`ci.sh` pins 64 for the
-/// standard gate, 512 for `--faults`), otherwise `default`. Explicit
-/// `with_cases` would silently ignore the environment.
-fn cases(default: u32) -> u32 {
-    neurocube_sim::env_u64("PROPTEST_CASES").map_or(default, |v| v as u32)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(12)))]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Skip vs no-skip runs of the same random network agree on every
     /// observable. On divergence the failing statistic is named (via
