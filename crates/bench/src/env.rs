@@ -9,7 +9,7 @@
 
 /// String value: `None` when unset, empty, or not valid UTF-8.
 #[must_use]
-pub fn env_str(name: &str) -> Option<String> {
+pub(crate) fn env_str(name: &str) -> Option<String> {
     std::env::var_os(name)
         .filter(|v| !v.is_empty())?
         .into_string()

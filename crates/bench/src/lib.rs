@@ -14,6 +14,7 @@
 //! setting as a value.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod env;
 

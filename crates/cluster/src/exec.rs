@@ -31,8 +31,8 @@
 //!   gathers the part slices into the stage output value, and enqueues
 //!   the onward transfers: one per (source part, destination part) pair,
 //!   serialized on the source cube's egress link and charged cycles
-//!   ([`LinkConfig::transfer_cycles`]) and Joules
-//!   ([`LinkConfig::transfer_j`]) as it leaves.
+//!   (`LinkConfig::transfer_cycles`) and Joules
+//!   (`LinkConfig::transfer_j`) as it leaves.
 //!
 //! The loop therefore jumps from link arrival to stage completion; an
 //! idle cube costs its events, not its cycles, and a running cube skips
@@ -625,7 +625,7 @@ mod tests {
         for skip in [true, false] {
             let runs = [1, 4].map(|workers| {
                 let (cfg, plan, input) = sharded_setup();
-                assert!(plan.stages.iter().any(|s| s.is_banded()));
+                assert!(plan.stages.iter().any(|s| s.parts.len() > 1));
                 let mut cluster = Cluster::new(&cfg, plan).unwrap();
                 cluster.runner = BatchRunner::with_threads(workers);
                 cluster.set_cycle_skip(skip);
@@ -691,7 +691,7 @@ mod tests {
             let (cfg, plan, input) = sharded_setup();
             let mut cluster = Cluster::new(&cfg, plan).unwrap();
             cluster.runner = BatchRunner::with_threads(4);
-            assert!(cluster.plan.stages[0].is_banded());
+            assert!(cluster.plan.stages[0].parts.len() > 1);
             let part = &cluster.plan.stages[0].parts[wedge];
             let mut wedged_cfg = cfg.clone();
             wedged_cfg.memory.channel.queue_capacity = 0;

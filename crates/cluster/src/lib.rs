@@ -5,15 +5,15 @@
 //! This crate lifts that cap the way Neurostream-class systems do — by
 //! joining cubes with SerDes links — in three layers:
 //!
-//! * [`link`] — the fabric model: [`ClusterTopology`] (ring / 2D mesh),
+//! * `link` — the fabric model: [`ClusterTopology`] (ring / 2D mesh),
 //!   [`LinkConfig`] (bandwidth, latency, pJ/bit; [`LinkConfig::hmc_ext`]
 //!   is the HMC-class default), and the cycle/Joule charge formulas
 //!   shared with `neurocube_golden::timing` and `neurocube_power::hmc`.
-//! * [`shard`] — the planner: [`shard_graph`] cuts a validated
+//! * `shard` — the planner: [`shard_graph`] cuts a validated
 //!   [`GraphSpec`](neurocube_nn::GraphSpec) into pipeline stages and
 //!   tensor-parallel bands, costed with certified per-stage lower bounds
 //!   plus link terms, and returns the cheapest feasible [`ShardedGraph`].
-//! * [`exec`] — the executor: a [`Cluster`] runs each stage to
+//! * `exec` — the executor: a [`Cluster`] runs each stage to
 //!   completion on its part cubes' private clocks and sequences only what
 //!   couples cubes — link arrivals and stage completions — through one
 //!   `CycleLoop`, with transfers as explicit clocked link stages that
@@ -22,11 +22,12 @@
 //!   exactly).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod exec;
-pub mod link;
-pub mod shard;
+mod exec;
+mod link;
+mod shard;
 
 pub use exec::{Cluster, ClusterReport};
 pub use link::{ClusterTopology, LinkConfig};

@@ -102,18 +102,18 @@ impl LinkConfig {
     /// Reference-clock cycles for `bytes` to cross `hops` links (pacing
     /// plus per-hop latency) — the golden lower bound the executor charges
     /// verbatim.
-    pub fn transfer_cycles(&self, bytes: u64, hops: u64) -> u64 {
+    pub(crate) fn transfer_cycles(&self, bytes: u64, hops: u64) -> u64 {
         link_transfer_cycles(bytes, hops, self.bandwidth_gbps, self.latency_ns)
     }
 
     /// Cycles the *source* egress serializer is busy with `bytes` — the
     /// back-to-back pacing term, without latency.
-    pub fn serialization_cycles(&self, bytes: u64) -> u64 {
+    pub(crate) fn serialization_cycles(&self, bytes: u64) -> u64 {
         link_serialization_cycles(bytes, self.bandwidth_gbps)
     }
 
     /// SerDes energy in Joules for `bytes` across `hops` links.
-    pub fn transfer_j(&self, bytes: u64, hops: u64) -> f64 {
+    pub(crate) fn transfer_j(&self, bytes: u64, hops: u64) -> f64 {
         serdes_transfer_j(bytes, hops, self.pj_per_bit)
     }
 }

@@ -62,13 +62,6 @@ pub struct ShardStage {
     pub out_shape: Shape,
 }
 
-impl ShardStage {
-    /// `true` when the stage is tensor-parallel (more than one part).
-    pub fn is_banded(&self) -> bool {
-        self.parts.len() > 1
-    }
-}
-
 /// A placed, costed sharding of one graph across a cluster — the tenant
 /// payload a [`crate::Cluster`] executes and `serve` catalogs.
 #[derive(Clone, Debug)]

@@ -2,8 +2,9 @@
 
 use neurocube_dram::MemoryConfig;
 use neurocube_fixed::AccumulatorWidth;
-use neurocube_noc::{NodeId, Topology};
+use neurocube_noc::{NocError, NodeId, Topology};
 use neurocube_png::Mapping;
+use std::fmt;
 
 /// Configuration of a Neurocube instance: memory technology, NoC topology,
 /// data-duplication policy and MAC accumulator width.
@@ -166,7 +167,7 @@ impl SystemConfig {
     }
 
     /// `true` when every region's PNG sits at its own mesh node.
-    pub fn identity_attach(&self) -> bool {
+    pub(crate) fn identity_attach(&self) -> bool {
         self.attach
             .iter()
             .enumerate()
@@ -175,37 +176,116 @@ impl SystemConfig {
 
     /// Validates internal consistency.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the region count does not match the node count, or if
+    /// Returns the first broken invariant: the region count does not match
+    /// the node count, `attach` does not hold one entry per region,
     /// duplication is requested on a shared-controller memory (write-back
-    /// copies need per-node PNGs to demultiplex).
-    pub fn validate(&self) {
-        assert_eq!(
-            self.memory.regions as usize,
-            self.nodes(),
-            "one memory region per PE"
-        );
-        assert_eq!(
-            self.attach.len(),
-            self.nodes(),
-            "one attach entry per region"
-        );
-        if !self.identity_attach() {
-            assert!(
-                !self.duplicate,
-                "duplication requires per-node vault controllers"
-            );
+    /// copies need per-node PNGs to demultiplex), or the PNG run-ahead
+    /// window can put more operands in flight than a PE cache sub-bank
+    /// holds.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let nodes = self.nodes();
+        if self.memory.regions as usize != nodes {
+            return Err(ConfigError::RegionCount {
+                regions: self.memory.regions as usize,
+                nodes,
+            });
+        }
+        if self.attach.len() != nodes {
+            return Err(ConfigError::AttachLength {
+                attach: self.attach.len(),
+                nodes,
+            });
+        }
+        if self.duplicate && !self.identity_attach() {
+            return Err(ConfigError::DuplicationNeedsIdentityAttach);
         }
         // Deadlock-freedom coupling: every operand a PNG may have in
         // flight must fit the PE cache — up to ceil(window/16) ops per
         // OP-ID residue class, at most 17 packets each (FC dataflow).
-        assert!(
-            self.run_ahead_ops.div_ceil(16) * 17 <= self.cache_entries_per_bank as u64,
-            "run-ahead window {} overflows {}-entry cache sub-banks",
-            self.run_ahead_ops,
-            self.cache_entries_per_bank
-        );
+        if self.run_ahead_ops.div_ceil(16) * 17 > self.cache_entries_per_bank as u64 {
+            return Err(ConfigError::RunAheadOverflow {
+                run_ahead_ops: self.run_ahead_ops,
+                cache_entries_per_bank: self.cache_entries_per_bank,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Why a [`SystemConfig`] cannot be built into a
+/// [`Neurocube`](crate::Neurocube).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The memory does not have one region per PE.
+    RegionCount {
+        /// Regions the memory provides.
+        regions: usize,
+        /// PEs the topology wires.
+        nodes: usize,
+    },
+    /// `attach` does not hold one entry per memory region.
+    AttachLength {
+        /// Entries in `attach`.
+        attach: usize,
+        /// Regions (one per PE).
+        nodes: usize,
+    },
+    /// Duplication was requested on a memory whose regions share
+    /// controllers.
+    DuplicationNeedsIdentityAttach,
+    /// The PNG run-ahead window can put more operands in flight than a PE
+    /// cache sub-bank holds, which can deadlock the cube.
+    RunAheadOverflow {
+        /// The configured window, in operations.
+        run_ahead_ops: u64,
+        /// The configured sub-bank capacity.
+        cache_entries_per_bank: usize,
+    },
+    /// The target fabric cannot be constructed (oversized topology).
+    Noc(NocError),
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::RegionCount { regions, nodes } => write!(
+                f,
+                "one memory region per PE: {regions} regions for {nodes} PEs"
+            ),
+            ConfigError::AttachLength { attach, nodes } => write!(
+                f,
+                "one attach entry per region: {attach} entries for {nodes} regions"
+            ),
+            ConfigError::DuplicationNeedsIdentityAttach => {
+                write!(f, "duplication requires per-node vault controllers")
+            }
+            ConfigError::RunAheadOverflow {
+                run_ahead_ops,
+                cache_entries_per_bank,
+            } => write!(
+                f,
+                "run-ahead window {run_ahead_ops} overflows \
+                 {cache_entries_per_bank}-entry cache sub-banks"
+            ),
+            ConfigError::Noc(e) => write!(f, "fabric not constructible: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ConfigError::Noc(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<NocError> for ConfigError {
+    fn from(e: NocError) -> ConfigError {
+        ConfigError::Noc(e)
     }
 }
 
@@ -223,7 +303,7 @@ mod tests {
     #[test]
     fn paper_config_is_identity_attached() {
         let cfg = SystemConfig::paper(true);
-        cfg.validate();
+        cfg.validate().unwrap();
         assert!(cfg.identity_attach());
         assert_eq!(cfg.nodes(), 16);
         assert_eq!(cfg.grid(), (4, 4));
@@ -233,7 +313,7 @@ mod tests {
     #[test]
     fn ddr3_attaches_eight_regions_per_controller() {
         let cfg = SystemConfig::ddr3();
-        cfg.validate();
+        cfg.validate().unwrap();
         assert!(!cfg.identity_attach());
         assert_eq!(cfg.attach[0], 0);
         assert_eq!(cfg.attach[7], 0);
@@ -245,7 +325,7 @@ mod tests {
     #[test]
     fn channel_sweep_attach_points() {
         let cfg = SystemConfig::hmc_with_channels(4);
-        cfg.validate();
+        cfg.validate().unwrap();
         assert_eq!(cfg.attach[0], 0);
         assert_eq!(cfg.attach[5], 4);
         assert_eq!(cfg.attach[10], 8);
@@ -263,10 +343,92 @@ mod tests {
         assert!(SystemConfig::paper(true).programming.is_none());
     }
 
+    /// Each invariant broken in turn: `try_new` reports it as a value.
+    #[test]
+    fn try_new_rejects_each_broken_invariant() {
+        let region_count = {
+            let mut cfg = SystemConfig::paper(true);
+            cfg.memory.regions = 8;
+            cfg
+        };
+        let attach_length = {
+            let mut cfg = SystemConfig::paper(true);
+            cfg.attach.pop();
+            cfg
+        };
+        let duplicated_ddr3 = SystemConfig {
+            duplicate: true,
+            ..SystemConfig::ddr3()
+        };
+        let run_ahead = SystemConfig {
+            run_ahead_ops: 64,
+            ..SystemConfig::paper(true)
+        };
+        let oversized_mesh = {
+            let mut cfg = SystemConfig::paper(false);
+            cfg.topology = Topology::Mesh {
+                width: 12,
+                height: 12,
+            };
+            cfg.memory.regions = 144;
+            cfg.attach = (0..144).collect();
+            cfg
+        };
+        let cases = [
+            (
+                region_count,
+                ConfigError::RegionCount {
+                    regions: 8,
+                    nodes: 16,
+                },
+            ),
+            (
+                attach_length,
+                ConfigError::AttachLength {
+                    attach: 15,
+                    nodes: 16,
+                },
+            ),
+            (duplicated_ddr3, ConfigError::DuplicationNeedsIdentityAttach),
+            (
+                run_ahead,
+                ConfigError::RunAheadOverflow {
+                    run_ahead_ops: 64,
+                    cache_entries_per_bank: 64,
+                },
+            ),
+            (
+                oversized_mesh,
+                ConfigError::Noc(NocError::MeshTooLarge {
+                    nodes: 144,
+                    max: 128,
+                }),
+            ),
+        ];
+        for (cfg, want) in cases {
+            match crate::Neurocube::try_new(cfg) {
+                Err(got) => assert_eq!(got, want),
+                Ok(_) => panic!("expected {want}"),
+            }
+        }
+    }
+
+    #[test]
+    fn noc_errors_wrap_with_source() {
+        use std::error::Error;
+        let e = ConfigError::from(NocError::MeshTooLarge {
+            nodes: 144,
+            max: 128,
+        });
+        assert!(e.to_string().contains("fabric not constructible"));
+        assert!(e.to_string().contains("144 routers"));
+        assert!(e.source().is_some());
+    }
+
     #[test]
     fn fully_connected_grid_is_4x4() {
         let cfg = SystemConfig::fully_connected_noc(true);
-        cfg.validate();
+        cfg.validate().unwrap();
         assert_eq!(cfg.grid(), (4, 4));
         assert_eq!(cfg.topology.ports(), 17);
     }

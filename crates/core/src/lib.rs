@@ -31,6 +31,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod config;
@@ -38,7 +39,7 @@ mod report;
 mod system;
 mod training;
 
-pub use config::{ProgrammingModel, SystemConfig};
+pub use config::{ConfigError, ProgrammingModel, SystemConfig};
 pub use report::{FaultSummary, LayerReport, RunReport};
 pub use system::{LoadedGraph, Neurocube};
 pub use training::{training_ops, training_passes, PassKind};

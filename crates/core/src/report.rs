@@ -115,21 +115,6 @@ pub struct FaultSummary {
     pub dropped_packets: u64,
 }
 
-impl FaultSummary {
-    /// True when no fault of any kind materialized (ECC may still have
-    /// charged its per-word overhead).
-    pub fn is_clean(&self) -> bool {
-        self.dram_read_flips == 0
-            && self.dram_stuck_bits == 0
-            && self.dram_upsets == 0
-            && self.noc_corrupt == 0
-            && self.noc_drops == 0
-            && self.noc_misroutes == 0
-            && self.pe_mac_faults == 0
-            && self.dropped_packets == 0
-    }
-}
-
 impl fmt::Display for FaultSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -254,6 +239,21 @@ impl fmt::Display for RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultSummary {
+        /// True when no fault of any kind materialized (ECC may still have
+        /// charged its per-word overhead).
+        pub(crate) fn is_clean(&self) -> bool {
+            self.dram_read_flips == 0
+                && self.dram_stuck_bits == 0
+                && self.dram_upsets == 0
+                && self.noc_corrupt == 0
+                && self.noc_drops == 0
+                && self.noc_misroutes == 0
+                && self.pe_mac_faults == 0
+                && self.dropped_packets == 0
+        }
+    }
 
     fn layer(cycles: u64, macs: u64) -> LayerReport {
         LayerReport {

@@ -1,6 +1,6 @@
 //! The assembled Neurocube and its cycle loop.
 
-use crate::config::SystemConfig;
+use crate::config::{ConfigError, SystemConfig};
 use crate::report::{FaultSummary, LayerReport, RunReport};
 use crate::training::{training_passes, PassKind};
 use neurocube_dram::MemorySystem;
@@ -108,10 +108,8 @@ impl Neurocube {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent (see
-    /// [`SystemConfig::validate`]) or the topology exceeds the fabric's
-    /// hard limits (see [`Neurocube::try_new`] for the non-panicking
-    /// constructor).
+    /// Panics with the error's message wherever [`Neurocube::try_new`]
+    /// returns one.
     pub fn new(cfg: SystemConfig) -> Neurocube {
         match Neurocube::try_new(cfg) {
             Ok(cube) => cube,
@@ -119,24 +117,18 @@ impl Neurocube {
         }
     }
 
-    /// Builds an idle Neurocube, surfacing fabric-construction failures
-    /// (oversized topologies) as [`CompileError::Noc`] instead of
-    /// panicking.
-    ///
-    /// # Panics
-    ///
-    /// Still panics if the configuration is inconsistent (see
-    /// [`SystemConfig::validate`]) — those are caller bugs, not inputs.
+    /// Builds an idle Neurocube.
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError::Noc`] when the topology wires more routers
-    /// or ports than the fabric's occupancy masks and arbiter pointers can
-    /// index.
-    pub fn try_new(cfg: SystemConfig) -> Result<Neurocube, CompileError> {
-        cfg.validate();
-        let mem = MemorySystem::new(cfg.memory.clone());
+    /// Returns the [`ConfigError`] that [`SystemConfig::validate`] reports
+    /// for an inconsistent configuration, or [`ConfigError::Noc`] when the
+    /// topology wires more routers or ports than the fabric's occupancy
+    /// masks and arbiter pointers can index.
+    pub fn try_new(cfg: SystemConfig) -> Result<Neurocube, ConfigError> {
+        cfg.validate()?;
         let net = Network::try_new(cfg.topology)?;
+        let mem = MemorySystem::new(cfg.memory.clone());
         let pes = (0..cfg.nodes() as u8)
             .map(|p| ProcessingElement::with_cache(p, cfg.accumulator, cfg.cache_entries_per_bank))
             .collect();
@@ -207,11 +199,6 @@ impl Neurocube {
         for png in &mut self.pngs {
             png.set_lenient(lenient);
         }
-    }
-
-    /// The attached fault configuration, if any.
-    pub fn fault_config(&self) -> Option<&FaultConfig> {
-        self.faults.as_ref()
     }
 
     /// Aggregated fault counters across every component, or `None` when no
@@ -383,7 +370,7 @@ impl Neurocube {
     /// Multi-line diagnostic snapshot of every component's counters —
     /// for performance debugging and the ablation reports. One `key =
     /// value` line per statistic, in deterministic key order.
-    pub fn debug_dump(&self) -> String {
+    pub(crate) fn debug_dump(&self) -> String {
         self.stats_registry().dump()
     }
 

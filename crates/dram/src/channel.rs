@@ -105,14 +105,6 @@ pub struct RefreshModel {
 }
 
 impl RefreshModel {
-    /// JEDEC-typical refresh at the 5 GHz reference clock.
-    pub fn jedec() -> RefreshModel {
-        RefreshModel {
-            interval: 39_000,
-            duration: 1_750,
-        }
-    }
-
     /// The bandwidth fraction refresh steals.
     pub fn overhead(&self) -> f64 {
         self.duration as f64 / self.interval as f64
@@ -164,7 +156,7 @@ impl ChannelConfig {
 
     /// Average bytes per reference cycle this configuration can sustain,
     /// ignoring row misses.
-    pub fn avg_bytes_per_cycle(&self) -> f64 {
+    pub(crate) fn avg_bytes_per_cycle(&self) -> f64 {
         let burst_cycles =
             f64::from(self.burst_len) * f64::from(self.cpw_num) / f64::from(self.cpw_den);
         let total = burst_cycles + f64::from(self.inter_burst_gap);
@@ -172,7 +164,7 @@ impl ChannelConfig {
     }
 
     /// Average bandwidth in GB/s at the 5 GHz reference clock.
-    pub fn avg_bandwidth_gbps(&self) -> f64 {
+    pub(crate) fn avg_bandwidth_gbps(&self) -> f64 {
         self.avg_bytes_per_cycle() * crate::REF_CLOCK_HZ / 1e9
     }
 }
@@ -804,16 +796,6 @@ impl Channel {
         })
     }
 
-    /// Words read since construction.
-    pub fn words_read(&self) -> u64 {
-        self.words_read
-    }
-
-    /// Words written since construction.
-    pub fn words_written(&self) -> u64 {
-        self.words_written
-    }
-
     /// Row-buffer misses (activations) since construction.
     pub fn row_misses(&self) -> u64 {
         self.row_misses
@@ -856,7 +838,7 @@ impl Channel {
     /// alongside its 32 data bits and those bits are charged at the same
     /// pJ/bit (decode-logic energy is accounted separately — see
     /// `neurocube_power::secded_overhead_j`).
-    pub fn energy_joules(&self) -> f64 {
+    pub(crate) fn energy_joules(&self) -> f64 {
         let mut bits = self.bits_transferred();
         if let Some(f) = &self.faults {
             if f.ecc_enabled() {
@@ -870,6 +852,12 @@ impl Channel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// JEDEC-typical refresh at the 5 GHz reference clock.
+    const JEDEC_REFRESH: RefreshModel = RefreshModel {
+        interval: 39_000,
+        duration: 1_750,
+    };
 
     fn run_reads(cfg: ChannelConfig, n: usize) -> (u64, Vec<u64>) {
         let mut ch = Channel::new(cfg);
@@ -1009,7 +997,7 @@ mod tests {
             now += 1;
         }
         assert_eq!(storage.read_u32(0x10), 0x1234_5678);
-        assert_eq!(ch.words_written(), 1);
+        assert_eq!(ch.words_written, 1);
         assert_eq!(ch.bits_transferred(), 32);
         assert!((ch.energy_joules() - 32.0 * 3.7e-12).abs() < 1e-18);
     }
@@ -1108,8 +1096,8 @@ mod tests {
         let mut cfg = ChannelConfig::hmc_int();
         cfg.queue_capacity = 4096;
         let mut with = cfg;
-        with.refresh = Some(RefreshModel::jedec());
-        assert!((RefreshModel::jedec().overhead() - 0.0449).abs() < 0.01);
+        with.refresh = Some(JEDEC_REFRESH);
+        assert!((JEDEC_REFRESH.overhead() - 0.0449).abs() < 0.01);
         let mut results = Vec::new();
         for c in [cfg, with] {
             let mut ch = Channel::new(c);
@@ -1181,7 +1169,7 @@ mod tests {
             (
                 completions,
                 ch.busy_cycles(),
-                ch.words_read(),
+                ch.words_read,
                 ch.row_misses(),
                 ch.refreshes(),
             )

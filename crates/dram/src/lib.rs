@@ -25,6 +25,7 @@
 //! ratios are preserved without floating-point drift.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod address;
@@ -46,11 +47,16 @@ pub use system::{MemoryConfig, MemorySystem};
 pub const REF_CLOCK_HZ: f64 = 5.0e9;
 
 /// Converts nanoseconds to (rounded-up) reference cycles.
-///
-/// ```
-/// use neurocube_dram::ns_to_cycles;
-/// assert_eq!(ns_to_cycles(27.5), 138); // HMC tCL + tRCD
-/// ```
-pub fn ns_to_cycles(ns: f64) -> u64 {
+fn ns_to_cycles(ns: f64) -> u64 {
     (ns * 1e-9 * REF_CLOCK_HZ).ceil() as u64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ns_to_cycles_rounds_up() {
+        assert_eq!(ns_to_cycles(27.5), 138); // HMC tCL + tRCD
+    }
 }

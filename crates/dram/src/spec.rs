@@ -30,9 +30,10 @@ impl fmt::Display for Interface {
 /// # Examples
 ///
 /// ```
-/// use neurocube_dram::MemorySpec;
+/// use neurocube_dram::MEMORY_SPECS;
 ///
-/// let hmc = MemorySpec::hmc_internal();
+/// let hmc = &MEMORY_SPECS[4];
+/// assert_eq!(hmc.name, "HMC-Int");
 /// assert_eq!(hmc.max_channels, 16);
 /// assert_eq!(hmc.aggregate_peak_bandwidth_gbps(), 160.0);
 /// ```
@@ -72,7 +73,7 @@ impl MemorySpec {
     }
 
     /// Wide I/O 2 (JESD229-2), mobile 3D stacking.
-    pub const fn wide_io2() -> MemorySpec {
+    pub(crate) const fn wide_io2() -> MemorySpec {
         MemorySpec {
             name: "Wide I/O 2",
             interface: Interface::Stacked3D,
@@ -86,7 +87,7 @@ impl MemorySpec {
     }
 
     /// High Bandwidth Memory (JESD235).
-    pub const fn hbm() -> MemorySpec {
+    pub(crate) const fn hbm() -> MemorySpec {
         MemorySpec {
             name: "HBM",
             interface: Interface::Interposer2p5D,
@@ -115,7 +116,7 @@ impl MemorySpec {
 
     /// Hybrid Memory Cube, internal vault interface — what the Neurocube's
     /// logic die actually sees (one channel per vault).
-    pub const fn hmc_internal() -> MemorySpec {
+    pub(crate) const fn hmc_internal() -> MemorySpec {
         MemorySpec {
             name: "HMC-Int",
             interface: Interface::Stacked3D,
@@ -131,11 +132,6 @@ impl MemorySpec {
     /// Peak bandwidth with every channel active, GB/s.
     pub fn aggregate_peak_bandwidth_gbps(&self) -> f64 {
         self.peak_bw_gbps * f64::from(self.max_channels)
-    }
-
-    /// Words per second per channel at peak bandwidth.
-    pub fn peak_words_per_sec(&self) -> f64 {
-        self.peak_bw_gbps * 1e9 / (f64::from(self.word_bits) / 8.0)
     }
 }
 
@@ -195,14 +191,6 @@ mod tests {
         let ddr3 = MemorySpec::ddr3();
         assert!(ddr3.peak_bw_gbps > hmc.peak_bw_gbps);
         assert!(hmc.aggregate_peak_bandwidth_gbps() > 6.0 * ddr3.aggregate_peak_bandwidth_gbps());
-    }
-
-    #[test]
-    fn words_per_second() {
-        // HMC-Int: 10 GB/s over 4-byte words = 2.5 G words/s.
-        assert_eq!(MemorySpec::hmc_internal().peak_words_per_sec(), 2.5e9);
-        // DDR3: 12.8 GB/s over 8-byte words = 1.6 G words/s.
-        assert_eq!(MemorySpec::ddr3().peak_words_per_sec(), 1.6e9);
     }
 
     #[test]

@@ -60,26 +60,16 @@ impl Storage {
         Storage::default()
     }
 
-    /// Number of 64 KiB pages actually materialized.
-    pub fn resident_pages(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Resident simulated bytes (pages × page size).
-    pub fn resident_bytes(&self) -> usize {
-        self.pages.len() * PAGE_SIZE
-    }
-
     /// Whether the page holding `addr` has been materialized. Never-written
     /// pages read as zero without existing; callers that would *write*
     /// (e.g. fault injection flipping a stored bit) can use this to avoid
     /// materializing a 64 KiB page for a cell nothing will ever read.
-    pub fn page_resident(&self, addr: u64) -> bool {
+    pub(crate) fn page_resident(&self, addr: u64) -> bool {
         self.pages.contains_key(&(addr >> PAGE_SHIFT))
     }
 
     /// Reads one byte.
-    pub fn read_u8(&self, addr: u64) -> u8 {
+    pub(crate) fn read_u8(&self, addr: u64) -> u8 {
         match self.pages.get(&(addr >> PAGE_SHIFT)) {
             Some(page) => page[(addr as usize) & (PAGE_SIZE - 1)],
             None => 0,
@@ -87,7 +77,7 @@ impl Storage {
     }
 
     /// Writes one byte, materializing the page if needed.
-    pub fn write_u8(&mut self, addr: u64, value: u8) {
+    pub(crate) fn write_u8(&mut self, addr: u64, value: u8) {
         let page = self
             .pages
             .entry(addr >> PAGE_SHIFT)
@@ -126,12 +116,12 @@ impl Storage {
     }
 
     /// Writes a little-endian `u32`.
-    pub fn write_u32(&mut self, addr: u64, value: u32) {
+    pub(crate) fn write_u32(&mut self, addr: u64, value: u32) {
         self.write_bytes(addr, &value.to_le_bytes());
     }
 
     /// Bulk write starting at `addr`, one page lookup per touched page.
-    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
+    pub(crate) fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
         let off = (addr as usize) & (PAGE_SIZE - 1);
         if off + bytes.len() <= PAGE_SIZE {
             let page = self
@@ -145,16 +135,22 @@ impl Storage {
             }
         }
     }
-
-    /// Bulk read of `len` bytes starting at `addr`.
-    pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len).map(|i| self.read_u8(addr + i as u64)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Storage {
+        /// Number of 64 KiB pages actually materialized.
+        fn resident_pages(&self) -> usize {
+            self.pages.len()
+        }
+
+        fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
+            (0..len).map(|i| self.read_u8(addr + i as u64)).collect()
+        }
+    }
 
     #[test]
     fn zero_before_write() {
@@ -198,7 +194,6 @@ mod tests {
         mem.write_u8(0, 1);
         mem.write_u8(1 << 30, 2); // 1 GiB away
         assert_eq!(mem.resident_pages(), 2);
-        assert_eq!(mem.resident_bytes(), 2 * PAGE_SIZE);
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl MemoryConfig {
 /// use neurocube_dram::{MemoryConfig, MemorySystem, Request, RequestKind};
 ///
 /// let mut mem = MemorySystem::new(MemoryConfig::hmc_int());
-/// mem.storage_mut().write_u32(0, 42);
+/// mem.storage_mut().write_u16(0, 42);
 /// mem.try_enqueue(0, Request { addr: 0, tag: 1, kind: RequestKind::Read });
 /// let mut got = None;
 /// for now in 0..1000 {
@@ -264,17 +264,17 @@ impl MemorySystem {
     }
 
     /// Total bits transferred across all channels.
-    pub fn total_bits_transferred(&self) -> u64 {
+    pub(crate) fn total_bits_transferred(&self) -> u64 {
         self.channels.iter().map(Channel::bits_transferred).sum()
     }
 
     /// Total DRAM access energy in joules.
-    pub fn total_energy_joules(&self) -> f64 {
+    pub(crate) fn total_energy_joules(&self) -> f64 {
         self.channels.iter().map(Channel::energy_joules).sum()
     }
 
     /// Total row activations across all channels.
-    pub fn total_row_misses(&self) -> u64 {
+    pub(crate) fn total_row_misses(&self) -> u64 {
         self.channels.iter().map(Channel::row_misses).sum()
     }
 

@@ -28,6 +28,8 @@
 //! assert exactly that.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
+#![warn(missing_docs)]
 
 mod config;
 mod lens;
@@ -39,7 +41,6 @@ pub use lens::{
     DramFaultCounts, DramFaults, LinkFault, NocFaultCounts, NocFaults, PeFaultCounts, PeFaults,
 };
 pub use prng::{draw, unit, Bernoulli};
-pub use schedule::FaultSchedule;
 
 /// SECDED(39,32): check bits stored and moved per protected 32-bit word.
 pub const SECDED_CHECK_BITS: u32 = 7;
@@ -47,29 +48,29 @@ pub const SECDED_CHECK_BITS: u32 = 7;
 /// Domain codes separating the per-component PRNG streams. Two components
 /// drawing at the same cycle with the same salt must still see independent
 /// values, so each keys its draws with a distinct domain.
-pub mod domain {
+mod domain {
     /// Transient bit-flips on reads served by DRAM channel `ch`.
-    pub fn dram_read(ch: u16) -> u64 {
+    pub(crate) fn dram_read(ch: u16) -> u64 {
         0x0100_0000_0000_0000 | u64::from(ch)
     }
 
     /// Static stuck-at cell map of DRAM channel `ch` (keyed by address,
     /// not cycle — the defect is permanent).
-    pub fn dram_stuck(ch: u16) -> u64 {
+    pub(crate) fn dram_stuck(ch: u16) -> u64 {
         0x0200_0000_0000_0000 | u64::from(ch)
     }
 
     /// Background upset schedule of DRAM channel `ch` (keyed by event
     /// index, not cycle — arrivals are a geometric renewal process).
-    pub fn dram_upset(ch: u16) -> u64 {
+    pub(crate) fn dram_upset(ch: u16) -> u64 {
         0x0300_0000_0000_0000 | u64::from(ch)
     }
 
     /// Per-link-hop NoC fault events.
-    pub const NOC_LINK: u64 = 0x0400_0000_0000_0000;
+    pub(crate) const NOC_LINK: u64 = 0x0400_0000_0000_0000;
 
     /// Transient MAC faults in PE `pe`.
-    pub fn pe_mac(pe: u16) -> u64 {
+    pub(crate) fn pe_mac(pe: u16) -> u64 {
         0x0500_0000_0000_0000 | u64::from(pe)
     }
 }

@@ -25,7 +25,7 @@ fn quarter(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
 
 /// One 64-bit draw keyed by `(seed, domain, cycle, salt)`.
 ///
-/// `seed` is the run's fault seed, `domain` a [`crate::domain`] code,
+/// `seed` is the run's fault seed, `domain` a `crate::domain` code,
 /// `cycle` the absolute simulation cycle (or an event/address counter for
 /// time-independent domains), and `salt` disambiguates multiple draws at
 /// the same key point.

@@ -17,7 +17,7 @@ const SALT_GAP: u64 = 0;
 
 /// A deterministic stream of absolute fault cycles.
 #[derive(Clone, Debug)]
-pub struct FaultSchedule {
+pub(crate) struct FaultSchedule {
     seed: u64,
     domain: u64,
     /// Per-cycle event probability; `0` disables the stream.
@@ -31,7 +31,7 @@ pub struct FaultSchedule {
 impl FaultSchedule {
     /// Builds the schedule and materializes the first arrival cycle.
     #[must_use]
-    pub fn new(seed: u64, domain: u64, rate: f64) -> FaultSchedule {
+    pub(crate) fn new(seed: u64, domain: u64, rate: f64) -> FaultSchedule {
         let mut s = FaultSchedule {
             seed,
             domain,
@@ -66,20 +66,20 @@ impl FaultSchedule {
     /// Absolute cycle of the next scheduled event (`u64::MAX` = never).
     #[inline]
     #[must_use]
-    pub fn next_at(&self) -> u64 {
+    pub(crate) fn next_at(&self) -> u64 {
         self.next_at
     }
 
     /// Whether an event is due at or before `now`.
     #[inline]
     #[must_use]
-    pub fn due(&self, now: u64) -> bool {
+    pub(crate) fn due(&self, now: u64) -> bool {
         self.next_at <= now
     }
 
     /// Consumes the due event and returns a payload draw for it (pure in
     /// the event index), advancing `next_at` to the following arrival.
-    pub fn pop(&mut self, salt: u64) -> u64 {
+    pub(crate) fn pop(&mut self, salt: u64) -> u64 {
         debug_assert_ne!(self.next_at, u64::MAX, "pop on a disabled schedule");
         let payload = draw(self.seed, self.domain, self.k, salt);
         self.k += 1;

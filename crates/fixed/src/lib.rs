@@ -30,6 +30,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod lanes;
@@ -38,6 +39,6 @@ mod mac;
 mod q88;
 
 pub use lanes::{accumulate_narrow_lanes, accumulate_wide_lanes, wide_result_bits};
-pub use lut::{Activation, ActivationLut, LUT_ENTRIES};
+pub use lut::{Activation, ActivationLut};
 pub use mac::{dot, AccumulatorWidth, MacUnit};
 pub use q88::{ParseQ88Error, Q88};

@@ -18,7 +18,7 @@ use std::sync::Arc;
 /// `Q1.7.8` input range gives a quantization step of `0.25` in input space,
 /// refined around zero where sigmoidal activations actually vary (see
 /// [`ActivationLut::new`] for the two-segment indexing scheme).
-pub const LUT_ENTRIES: usize = 1024;
+pub(crate) const LUT_ENTRIES: usize = 1024;
 
 /// The activation functions the Neurocube host can program into a PNG's LUT.
 ///

@@ -47,7 +47,6 @@ pub struct MacUnit {
     width: AccumulatorWidth,
     wide_acc: i64,
     narrow_acc: Q88,
-    ops: u64,
 }
 
 impl MacUnit {
@@ -57,7 +56,6 @@ impl MacUnit {
             width,
             wide_acc: 0,
             narrow_acc: Q88::ZERO,
-            ops: 0,
         }
     }
 
@@ -76,7 +74,6 @@ impl MacUnit {
                 self.narrow_acc = self.narrow_acc.saturating_add(weight.saturating_mul(state));
             }
         }
-        self.ops += 1;
     }
 
     /// Reads the accumulated sum, renormalized and saturated to `Q1.7.8`.
@@ -90,19 +87,11 @@ impl MacUnit {
         }
     }
 
-    /// Clears the accumulator for the next output neuron. The operation
-    /// counter is preserved (it tracks lifetime MAC operations for the power
-    /// model's activity factor).
+    /// Clears the accumulator for the next output neuron.
     #[inline]
     pub fn clear(&mut self) {
         self.wide_acc = 0;
         self.narrow_acc = Q88::ZERO;
-    }
-
-    /// Total multiply-accumulate operations performed since construction.
-    #[inline]
-    pub fn ops_performed(&self) -> u64 {
-        self.ops
     }
 
     /// The accumulator width this unit was built with.
@@ -144,7 +133,6 @@ mod tests {
             mac.accumulate(Q88::from_f64(0.5), Q88::from_f64(0.5));
         }
         assert_eq!(mac.result().to_f64(), 25.0);
-        assert_eq!(mac.ops_performed(), 100);
     }
 
     #[test]
@@ -168,12 +156,11 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_value_but_not_op_count() {
+    fn clear_resets_value() {
         let mut mac = MacUnit::new(AccumulatorWidth::Wide32);
         mac.accumulate(Q88::ONE, Q88::ONE);
         mac.clear();
         assert_eq!(mac.result(), Q88::ZERO);
-        assert_eq!(mac.ops_performed(), 1);
     }
 
     #[test]

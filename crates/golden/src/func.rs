@@ -47,7 +47,7 @@ const ACC_MIN: f64 = i32::MIN as f64 / 65536.0;
 ///
 /// Panics if `input` does not match `in_shape` or the layer does not fit
 /// its input volume.
-pub fn eval_layer(
+pub(crate) fn eval_layer(
     layer: &LayerSpec,
     in_shape: Shape,
     params: &[Q88],
@@ -83,7 +83,7 @@ pub fn eval_layer(
 
 /// The maximum absolute weight row sum `W1 = max_n Σ_k |w_nk|` of one
 /// layer — its worst-case error amplification factor.
-pub fn layer_row_sum_max(layer: &LayerSpec, in_shape: Shape, params: &[Q88]) -> f64 {
+pub(crate) fn layer_row_sum_max(layer: &LayerSpec, in_shape: Shape, params: &[Q88]) -> f64 {
     let out_len = layer
         .output_shape(in_shape)
         .expect("layer fits its input volume")
@@ -160,7 +160,7 @@ impl std::error::Error for Divergence {}
 /// loads; all execution is ideal double precision with only the
 /// hardware's *saturation* behaviour (non-expansive, so it preserves the
 /// envelope) mirrored. Every node consumes the channel concatenation of
-/// its sources (`Concat` nodes copy; `Layer` nodes run [`eval_layer`]),
+/// its sources (`Concat` nodes copy; `Layer` nodes run `eval_layer`),
 /// and the error-envelope recurrence composes along the DAG — a node's
 /// input error is the worst of its sources' envelopes, since
 /// concatenation mixes but never amplifies error.

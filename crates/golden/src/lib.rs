@@ -6,7 +6,7 @@
 //! reference next to their cycle-accurate backends. This crate is our
 //! version of that oracle, split into two independent models:
 //!
-//! * [`func`] — a double-precision functional reference of a layer DAG's
+//! * `func` — a double-precision functional reference of a layer DAG's
 //!   forward execution (a linear network is its trivial graph). It shares
 //!   only the *declarative* parts of the stack (layer geometry and the
 //!   canonical connection map) with the simulator; all arithmetic is ideal `f64`. Because every error source
@@ -27,15 +27,15 @@
 //! reported as a minimal counterexample.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod func;
+mod func;
 pub mod timing;
 
-pub use func::{eval_layer, layer_row_sum_max, Divergence, GoldenGraph};
+pub use func::{Divergence, GoldenGraph};
 pub use timing::{
     channel_stream_cycles, check_graph_report, graph_bounds, graph_service_envelope,
     link_serialization_cycles, link_transfer_cycles, phase_bounds, pipeline_envelope, plan_graph,
-    program_bound, CycleEnvelope, EnvelopeViolation, GraphPlan, LayerBound, TimingViolation,
-    DEFAULT_SLACK, LINK_HANDOFF_SLACK_CYCLES,
+    CycleEnvelope, EnvelopeViolation, GraphPlan, LayerBound, TimingViolation, DEFAULT_SLACK,
 };

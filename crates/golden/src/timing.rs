@@ -69,7 +69,7 @@ pub struct LayerBound {
 /// the end-of-layer write-back drain. Calibrated against the paper
 /// workloads (the smallest layers measure ≈120 cycles above `slack ×
 /// lower`); the lower bound needs no such term.
-pub const FIXED_OVERHEAD_CYCLES: u64 = 512;
+pub(crate) const FIXED_OVERHEAD_CYCLES: u64 = 512;
 
 /// Default multiplicative slack of the upper envelope. Small layers are
 /// *latency*-bound, not throughput-bound: with few operands in flight
@@ -143,7 +143,11 @@ impl std::error::Error for TimingViolation {}
 /// (the graph node the phase executes); `programming_cycles` is left at 0
 /// for the caller to assign, since a pipelined run charges programming
 /// once per inference while per-phase replay charges every phase.
-pub fn program_bound(cfg: &SystemConfig, prog: &LayerProgram, layer_index: usize) -> LayerBound {
+pub(crate) fn program_bound(
+    cfg: &SystemConfig,
+    prog: &LayerProgram,
+    layer_index: usize,
+) -> LayerBound {
     let nodes = cfg.nodes();
     let vaults = prog.mapping.vaults();
     let conns = u64::from(prog.conns());
@@ -428,7 +432,7 @@ pub fn graph_service_envelope(cfg: &SystemConfig, graph: &GraphSpec, slack: f64)
 /// start) that does not scale with payload size. The lower bound charges
 /// nothing for it — a handoff can in principle complete the cycle the
 /// payload lands.
-pub const LINK_HANDOFF_SLACK_CYCLES: u64 = 64;
+pub(crate) const LINK_HANDOFF_SLACK_CYCLES: u64 = 64;
 
 /// Reference cycles an inter-cube SerDes transfer occupies end to end:
 /// serialization of `bytes` at `bandwidth_gbps` plus `hops` store-and-
@@ -465,7 +469,7 @@ pub fn link_serialization_cycles(bytes: u64, bandwidth_gbps: f64) -> u64 {
 /// envelope of one inference: stages serialize (a stage cannot start
 /// before its predecessor's payload lands), links charge
 /// [`link_transfer_cycles`]-exact cycles, and each of the `handoffs`
-/// cube-to-cube boundaries may add up to [`LINK_HANDOFF_SLACK_CYCLES`]
+/// cube-to-cube boundaries may add up to `LINK_HANDOFF_SLACK_CYCLES`
 /// of ingest bookkeeping on the upper edge only.
 #[must_use]
 pub fn pipeline_envelope(
@@ -528,28 +532,28 @@ pub fn plan_graph(cfg: &SystemConfig, graph: &GraphSpec) -> GraphPlan {
     }
 }
 
-/// A [`LayerProgram`]-level summary used by tests and docs: the exact
-/// number of operand packets the schedule will emit for one layer
-/// (the conservation property the packet-serialization term relies on).
-pub fn operand_packets(prog: &LayerProgram) -> u64 {
-    let vaults = prog.mapping.vaults() as u8;
-    let conns = u64::from(prog.conns());
-    if prog.is_fc() {
-        (0..vaults)
-            .map(|p| conns * (prog.out_vol.assigned_count(p) + prog.groups_of(p)))
-            .sum()
-    } else {
-        (0..vaults)
-            .map(|p| conns * prog.out_vol.assigned_count(p))
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use neurocube_fixed::Activation;
     use neurocube_nn::{LayerSpec, NetworkSpec, Shape};
+
+    /// The exact number of operand packets the schedule will emit for one
+    /// layer (the conservation property the packet-serialization term
+    /// relies on).
+    fn operand_packets(prog: &LayerProgram) -> u64 {
+        let vaults = prog.mapping.vaults() as u8;
+        let conns = u64::from(prog.conns());
+        if prog.is_fc() {
+            (0..vaults)
+                .map(|p| conns * (prog.out_vol.assigned_count(p) + prog.groups_of(p)))
+                .sum()
+        } else {
+            (0..vaults)
+                .map(|p| conns * prog.out_vol.assigned_count(p))
+                .sum()
+        }
+    }
 
     /// A conv → pool → FC chain as its graph.
     fn small_net() -> GraphSpec {

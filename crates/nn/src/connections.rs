@@ -38,7 +38,7 @@ pub struct Connection {
 /// Decomposes a flat output-neuron index into `(channel, y, x)` for the
 /// given output shape.
 #[inline]
-pub fn neuron_coords(out_shape: Shape, flat: usize) -> (usize, usize, usize) {
+pub(crate) fn neuron_coords(out_shape: Shape, flat: usize) -> (usize, usize, usize) {
     debug_assert!(flat < out_shape.len());
     let plane = out_shape.height * out_shape.width;
     let c = flat / plane;

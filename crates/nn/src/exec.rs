@@ -91,7 +91,7 @@ impl Executor {
     }
 
     /// Mutable per-layer weights (used by the trainer).
-    pub fn params_mut(&mut self) -> &mut [Vec<Q88>] {
+    pub(crate) fn params_mut(&mut self) -> &mut [Vec<Q88>] {
         &mut self.params
     }
 
@@ -110,7 +110,7 @@ impl Executor {
     /// # Panics
     ///
     /// Panics if `input`'s shape disagrees with the spec.
-    pub fn forward_layer(&self, i: usize, input: &Tensor) -> (Tensor, Tensor) {
+    pub(crate) fn forward_layer(&self, i: usize, input: &Tensor) -> (Tensor, Tensor) {
         let in_shape = self.spec.layer_input(i);
         assert_eq!(
             (input.channels(), input.height(), input.width()),
@@ -153,7 +153,7 @@ impl Executor {
 
     /// Runs the whole network keeping pre-activation values too
     /// (needed by the trainer): returns `(pre, post)` per layer.
-    pub fn forward_detailed(&self, input: &Tensor) -> Vec<(Tensor, Tensor)> {
+    pub(crate) fn forward_detailed(&self, input: &Tensor) -> Vec<(Tensor, Tensor)> {
         let mut outputs: Vec<(Tensor, Tensor)> = Vec::with_capacity(self.spec.depth());
         for i in 0..self.spec.depth() {
             let (pre, post) = {

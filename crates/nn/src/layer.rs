@@ -211,7 +211,7 @@ impl LayerSpec {
 
     /// Stored synaptic weights (average pooling uses an implicit constant
     /// weight and stores none).
-    pub fn weight_count(&self, input: Shape) -> usize {
+    pub(crate) fn weight_count(&self, input: Shape) -> usize {
         match *self {
             LayerSpec::Conv2d {
                 out_channels,

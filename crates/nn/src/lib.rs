@@ -24,6 +24,7 @@
 //! * [`footprint`] — the memory-requirement analysis behind Fig. 1.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod connections;
@@ -32,7 +33,6 @@ pub mod footprint;
 mod graph;
 mod layer;
 mod network;
-pub mod params_io;
 pub mod recurrent;
 mod tensor;
 mod train;

@@ -138,7 +138,7 @@ impl NetworkSpec {
     }
 
     /// The output volume of layer `i`.
-    pub fn layer_output(&self, i: usize) -> Shape {
+    pub(crate) fn layer_output(&self, i: usize) -> Shape {
         self.shapes[i + 1]
     }
 
@@ -163,7 +163,7 @@ impl NetworkSpec {
     }
 
     /// Stored weights per layer.
-    pub fn weights_per_layer(&self) -> Vec<usize> {
+    pub(crate) fn weights_per_layer(&self) -> Vec<usize> {
         self.layers
             .iter()
             .enumerate()

@@ -100,7 +100,7 @@ impl Tensor {
 
     /// Flat index of `(c, y, x)`.
     #[inline]
-    pub fn index_of(&self, c: usize, y: usize, x: usize) -> usize {
+    pub(crate) fn index_of(&self, c: usize, y: usize, x: usize) -> usize {
         debug_assert!(c < self.channels && y < self.height && x < self.width);
         (c * self.height + y) * self.width + x
     }
@@ -137,11 +137,6 @@ impl Tensor {
     /// The flat value slice in canonical order.
     pub fn as_slice(&self) -> &[Q88] {
         &self.data
-    }
-
-    /// Mutable flat value slice.
-    pub fn as_mut_slice(&mut self) -> &mut [Q88] {
-        &mut self.data
     }
 
     /// Index of the maximum element (first on ties) — the classifier argmax.

@@ -17,14 +17,14 @@ use rand::{RngExt, SeedableRng};
 
 /// Number of scene-labeling output classes (the Stanford background dataset
 /// has 8 semantic classes).
-pub const SCENE_CLASSES: usize = 8;
+pub(crate) const SCENE_CLASSES: usize = 8;
 
 /// Hidden width of the scene-labeling classifier's first fully connected
 /// layer (reconstructed; see `DESIGN.md` — the paper states the first FC
 /// layer dominates operation count, which holds for 256; 256 outputs also
 /// give every PE a full 16-neuron MAC group, matching the paper's
 /// near-constant per-layer throughput in Fig. 12(c)).
-pub const SCENE_HIDDEN: usize = 256;
+pub(crate) const SCENE_HIDDEN: usize = 256;
 
 /// The paper's 7-layer scene-labeling ConvNN (Fig. 9) for an arbitrary
 /// input resolution: conv7×7/16 → pool2 → conv7×7/64 → pool2 → conv7×7/256

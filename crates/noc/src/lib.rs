@@ -25,6 +25,7 @@
 //! buffer occupancy (equivalent to credit counting for single-flit packets).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod network;
@@ -35,6 +36,5 @@ mod topology;
 
 pub use network::{Network, NocError};
 pub use packet::{NodeId, Packet, PacketKind};
-pub use router::BUFFER_DEPTH;
 pub use stats::NocStats;
 pub use topology::Topology;

@@ -97,13 +97,13 @@ impl Packet {
     /// `true` when the destination node differs from the source node, i.e.
     /// the packet must traverse at least one mesh link ("lateral traffic" in
     /// the paper's Figs. 14–15).
-    pub const fn is_lateral(self) -> bool {
+    pub(crate) const fn is_lateral(self) -> bool {
         self.dst != self.src
     }
 
     /// `true` for packets that terminate at a vault/PNG (memory port) rather
     /// than a PE.
-    pub const fn is_for_memory(self) -> bool {
+    pub(crate) const fn is_for_memory(self) -> bool {
         matches!(self.kind, PacketKind::Result)
     }
 }

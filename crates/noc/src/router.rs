@@ -13,7 +13,7 @@ use crate::packet::{Packet, PacketKind};
 
 /// Packet-buffer depth of every input and output channel (§III-C: "a
 /// 16-depth packet buffer for each input and output channel").
-pub const BUFFER_DEPTH: usize = 16;
+pub(crate) const BUFFER_DEPTH: usize = 16;
 
 /// Ring-index mask; the depth is a power of two by construction.
 const RING_MASK: usize = BUFFER_DEPTH - 1;
@@ -58,7 +58,7 @@ pub(crate) struct FlatQueues {
 }
 
 impl FlatQueues {
-    pub fn new(queues: usize) -> FlatQueues {
+    pub(crate) fn new(queues: usize) -> FlatQueues {
         FlatQueues {
             slots: vec![EMPTY_FLIT; queues * BUFFER_DEPTH],
             head: vec![0; queues],
@@ -67,17 +67,17 @@ impl FlatQueues {
     }
 
     #[inline]
-    pub fn len(&self, q: usize) -> usize {
+    pub(crate) fn len(&self, q: usize) -> usize {
         usize::from(self.len[q])
     }
 
     #[inline]
-    pub fn is_full(&self, q: usize) -> bool {
+    pub(crate) fn is_full(&self, q: usize) -> bool {
         self.len(q) >= BUFFER_DEPTH
     }
 
     #[inline]
-    pub fn front(&self, q: usize) -> Option<&Flit> {
+    pub(crate) fn front(&self, q: usize) -> Option<&Flit> {
         if self.len[q] == 0 {
             None
         } else {
@@ -86,7 +86,7 @@ impl FlatQueues {
     }
 
     #[inline]
-    pub fn front_mut(&mut self, q: usize) -> Option<&mut Flit> {
+    pub(crate) fn front_mut(&mut self, q: usize) -> Option<&mut Flit> {
         if self.len[q] == 0 {
             None
         } else {
@@ -97,7 +97,7 @@ impl FlatQueues {
     /// Appends at the tail. Callers check [`is_full`](Self::is_full) first
     /// (that refusal *is* the credit-based flow control).
     #[inline]
-    pub fn push_back(&mut self, q: usize, f: Flit) {
+    pub(crate) fn push_back(&mut self, q: usize, f: Flit) {
         let n = usize::from(self.len[q]);
         debug_assert!(n < BUFFER_DEPTH, "push into a full ring");
         let tail = (usize::from(self.head[q]) + n) & RING_MASK;
@@ -106,7 +106,7 @@ impl FlatQueues {
     }
 
     #[inline]
-    pub fn pop_front(&mut self, q: usize) -> Option<Flit> {
+    pub(crate) fn pop_front(&mut self, q: usize) -> Option<Flit> {
         if self.len[q] == 0 {
             return None;
         }
@@ -119,7 +119,7 @@ impl FlatQueues {
 
     /// Total buffered flits across a contiguous queue range (diagnostics
     /// and consistency asserts).
-    pub fn occupancy_range(&self, range: std::ops::Range<usize>) -> usize {
+    pub(crate) fn occupancy_range(&self, range: std::ops::Range<usize>) -> usize {
         self.len[range].iter().map(|&n| usize::from(n)).sum()
     }
 }

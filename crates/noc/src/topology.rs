@@ -42,7 +42,7 @@ impl Topology {
 
     /// Number of router-to-router ports on each router (excluding the PE
     /// and memory ports).
-    pub fn mesh_ports(&self) -> usize {
+    pub(crate) fn mesh_ports(&self) -> usize {
         match *self {
             Topology::Mesh { .. } => 4,
             Topology::FullyConnected { nodes } => usize::from(nodes) - 1,
@@ -129,7 +129,7 @@ impl Topology {
 
     /// The input port on the *receiving* router corresponding to a link
     /// leaving `cur` through `port` (links are bidirectional pairs).
-    pub fn reverse_port(&self, cur: NodeId, port: usize) -> usize {
+    pub(crate) fn reverse_port(&self, cur: NodeId, port: usize) -> usize {
         match *self {
             // East pairs with west, south with north.
             Topology::Mesh { .. } => port ^ 1,

@@ -16,10 +16,10 @@
 use neurocube_noc::{Packet, PacketKind};
 
 /// Number of cache sub-banks (one per OP-ID residue class).
-pub const CACHE_SUB_BANKS: usize = 16;
+pub(crate) const CACHE_SUB_BANKS: usize = 16;
 
 /// Maximum entries per sub-bank ("max 64 entries", §V-B).
-pub const SUB_BANK_ENTRIES: usize = 64;
+pub(crate) const SUB_BANK_ENTRIES: usize = 64;
 
 /// Filler for never-written slots of the flat bank array.
 const EMPTY_SLOT: Packet = Packet {
@@ -33,7 +33,7 @@ const EMPTY_SLOT: Packet = Packet {
 
 /// The out-of-order packet cache.
 #[derive(Clone, Debug)]
-pub struct PacketCache {
+pub(crate) struct PacketCache {
     /// Flat sub-bank storage: bank `b` owns
     /// `slots[b * entries_per_bank .. b * entries_per_bank + len[b]]`.
     slots: Vec<Packet>,
@@ -51,7 +51,7 @@ impl Default for PacketCache {
 
 impl PacketCache {
     /// An empty cache with the paper's 64-entry sub-banks.
-    pub fn new() -> PacketCache {
+    pub(crate) fn new() -> PacketCache {
         PacketCache::with_capacity(SUB_BANK_ENTRIES)
     }
 
@@ -61,7 +61,7 @@ impl PacketCache {
     /// # Panics
     ///
     /// Panics if `entries_per_bank` is zero.
-    pub fn with_capacity(entries_per_bank: usize) -> PacketCache {
+    pub(crate) fn with_capacity(entries_per_bank: usize) -> PacketCache {
         assert!(entries_per_bank > 0, "sub-banks need capacity");
         PacketCache {
             slots: vec![EMPTY_SLOT; entries_per_bank * CACHE_SUB_BANKS],
@@ -74,14 +74,14 @@ impl PacketCache {
 
     /// The sub-bank a packet with `op_id` maps to.
     #[inline]
-    pub fn bank_of(op_id: u8) -> usize {
+    pub(crate) fn bank_of(op_id: u8) -> usize {
         usize::from(op_id) % CACHE_SUB_BANKS
     }
 
     /// Inserts a packet; `false` (with no state change) when its sub-bank is
     /// full — the PE must then stop accepting packets from the NoC, which is
     /// exactly the backpressure path that throttles a too-fast PNG.
-    pub fn try_insert(&mut self, pkt: Packet) -> bool {
+    pub(crate) fn try_insert(&mut self, pkt: Packet) -> bool {
         let bank = Self::bank_of(pkt.op_id);
         let n = usize::from(self.len[bank]);
         if n >= self.entries_per_bank {
@@ -94,19 +94,12 @@ impl PacketCache {
         true
     }
 
-    /// Removes and returns every cached packet with the given OP-ID, and the
-    /// cycle cost of the full sub-bank search that found them:
+    /// Removes every cached packet with the given OP-ID, appending it to a
+    /// caller-owned buffer (the PE reuses one scratch vector across firings
+    /// to keep the fire path allocation-free), and returns the cycle cost
+    /// of the full sub-bank search that found them:
     /// `max(16, entries scanned)`.
-    pub fn take_matching(&mut self, op_id: u8) -> (Vec<Packet>, u64) {
-        let mut hits = Vec::new();
-        let cost = self.take_matching_into(op_id, &mut hits);
-        (hits, cost)
-    }
-
-    /// Like [`take_matching`](Self::take_matching), but appends the hits to
-    /// a caller-owned buffer (the PE reuses one scratch vector across
-    /// firings to keep the fire path allocation-free).
-    pub fn take_matching_into(&mut self, op_id: u8, hits: &mut Vec<Packet>) -> u64 {
+    pub(crate) fn take_matching_into(&mut self, op_id: u8, hits: &mut Vec<Packet>) -> u64 {
         let bank = Self::bank_of(op_id);
         let base = bank * self.entries_per_bank;
         let scanned = usize::from(self.len[bank]);
@@ -129,35 +122,13 @@ impl PacketCache {
 
     /// Total buffered packets across all sub-banks.
     #[inline]
-    pub fn occupancy(&self) -> usize {
+    pub(crate) fn occupancy(&self) -> usize {
         self.total
     }
 
     /// Highest total occupancy ever observed (sizing statistic).
-    pub fn high_water(&self) -> usize {
+    pub(crate) fn high_water(&self) -> usize {
         self.high_water
-    }
-
-    /// `true` when nothing is cached.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Diagnostic: the `(src, mac, data)` of entries with the given OP-ID.
-    pub fn debug_entries(&self, op_id: u8) -> Vec<(u8, u8, u16)> {
-        let bank = Self::bank_of(op_id);
-        let base = bank * self.entries_per_bank;
-        self.slots[base..base + usize::from(self.len[bank])]
-            .iter()
-            .filter(|p| p.op_id == op_id)
-            .map(|p| (p.src, p.mac_id, p.data))
-            .collect()
-    }
-
-    /// Free slots in the sub-bank that `op_id` maps to.
-    pub fn free_in_bank(&self, op_id: u8) -> usize {
-        self.entries_per_bank - usize::from(self.len[Self::bank_of(op_id)])
     }
 }
 
@@ -165,6 +136,18 @@ impl PacketCache {
 mod tests {
     use super::*;
     use neurocube_noc::PacketKind;
+
+    impl PacketCache {
+        fn take_matching(&mut self, op_id: u8) -> (Vec<Packet>, u64) {
+            let mut hits = Vec::new();
+            let cost = self.take_matching_into(op_id, &mut hits);
+            (hits, cost)
+        }
+
+        fn free_in_bank(&self, op_id: u8) -> usize {
+            self.entries_per_bank - usize::from(self.len[Self::bank_of(op_id)])
+        }
+    }
 
     fn pkt(op_id: u8, mac_id: u8) -> Packet {
         Packet {
@@ -212,7 +195,7 @@ mod tests {
         );
         let (hits, _) = c.take_matching(35);
         assert_eq!(hits[0].mac_id, 4);
-        assert!(c.is_empty());
+        assert_eq!(c.occupancy(), 0);
     }
 
     #[test]
@@ -252,6 +235,5 @@ mod tests {
         let _ = c.take_matching(1);
         assert_eq!(c.occupancy(), 6);
         assert_eq!(c.high_water(), 8);
-        assert!(!c.is_empty());
     }
 }

@@ -55,12 +55,12 @@ impl PeLayerConfig {
     }
 
     /// Neuron groups (MAC-array firings × connections) per output map.
-    pub fn groups_per_map(&self) -> u64 {
+    pub(crate) fn groups_per_map(&self) -> u64 {
         self.neurons_per_map.div_ceil(u64::from(self.n_mac))
     }
 
     /// Total neuron groups for the layer.
-    pub fn total_groups(&self) -> u64 {
+    pub(crate) fn total_groups(&self) -> u64 {
         self.groups_per_map() * u64::from(self.maps)
     }
 
@@ -79,7 +79,7 @@ impl PeLayerConfig {
 
     /// The weight row used by group `group` (output map index, clamped to
     /// the available rows).
-    pub fn weight_row(&self, group: u64) -> u32 {
+    pub(crate) fn weight_row(&self, group: u64) -> u32 {
         let map = (group / self.groups_per_map()) as u32;
         match self.weights {
             WeightMode::Local { rows, .. } => map.min(rows.saturating_sub(1)),

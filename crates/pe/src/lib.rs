@@ -23,12 +23,12 @@
 //!   each consumes its own streamed weight.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod cache;
 mod config;
 mod unit;
 
-pub use cache::{PacketCache, CACHE_SUB_BANKS, SUB_BANK_ENTRIES};
 pub use config::{PeLayerConfig, StateMode, WeightMode};
 pub use unit::{PeStats, ProcessingElement};

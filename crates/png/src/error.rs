@@ -4,7 +4,6 @@
 //! data loading is a [`CompileError`], returned as a `Result`.
 
 use neurocube_nn::GraphError;
-use neurocube_noc::NocError;
 use std::fmt;
 
 /// Errors produced by the host compiler and loaders.
@@ -44,8 +43,6 @@ pub enum CompileError {
     },
     /// The graph itself failed validation.
     Graph(GraphError),
-    /// The target fabric cannot be constructed (oversized topology).
-    Noc(NocError),
     /// A cluster was asked to run on zero cubes.
     EmptyPool,
     /// The sharding planner ran out of cubes: no legal split of the graph
@@ -81,7 +78,6 @@ impl fmt::Display for CompileError {
                 write!(f, "volume payload has {got} values, expected {expected}")
             }
             CompileError::Graph(e) => write!(f, "invalid graph: {e}"),
-            CompileError::Noc(e) => write!(f, "fabric not constructible: {e}"),
             CompileError::EmptyPool => write!(f, "a cluster needs at least one cube"),
             CompileError::ClusterOverCapacity { needed, available } => write!(
                 f,
@@ -95,7 +91,6 @@ impl std::error::Error for CompileError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CompileError::Graph(e) => Some(e),
-            CompileError::Noc(e) => Some(e),
             _ => None,
         }
     }
@@ -104,12 +99,6 @@ impl std::error::Error for CompileError {
 impl From<GraphError> for CompileError {
     fn from(e: GraphError) -> CompileError {
         CompileError::Graph(e)
-    }
-}
-
-impl From<NocError> for CompileError {
-    fn from(e: NocError) -> CompileError {
-        CompileError::Noc(e)
     }
 }
 
@@ -155,17 +144,5 @@ mod tests {
             e.to_string(),
             "cluster over capacity: placement needs 5 cubes, 3 available"
         );
-    }
-
-    #[test]
-    fn noc_errors_wrap_with_source() {
-        use std::error::Error;
-        let e = CompileError::from(NocError::MeshTooLarge {
-            nodes: 144,
-            max: 128,
-        });
-        assert!(e.to_string().contains("fabric not constructible"));
-        assert!(e.to_string().contains("144 routers"));
-        assert!(e.source().is_some());
     }
 }

@@ -8,7 +8,7 @@
 //! * **Concat is aliasing, not computation.** Channel-stacking maps each
 //!   part onto a channel slice of one shared buffer (channels are the
 //!   outermost spatial coordinate, so a slice is just a per-vault base
-//!   offset — [`channel_slice`]). Producers write their slice directly;
+//!   offset — `channel_slice`). Producers write their slice directly;
 //!   a `Concat` node compiles to nothing. Multi-input element-wise nodes
 //!   reuse the same trick: their operands are laid out as one stacked
 //!   buffer the add consumes with a 1×1 kernel.
@@ -48,7 +48,7 @@ use std::sync::Arc;
 /// # Panics
 ///
 /// Panics when a proper slice of a flat volume is requested.
-pub fn channel_slice(vol: &VolumeLayout, lo: usize, hi: usize) -> VolumeLayout {
+pub(crate) fn channel_slice(vol: &VolumeLayout, lo: usize, hi: usize) -> VolumeLayout {
     debug_assert!(lo < hi && hi <= vol.shape.channels);
     if lo == 0 && hi == vol.shape.channels {
         return vol.clone();
@@ -135,11 +135,6 @@ impl MultiLayerProgram {
     /// The graph node a phase executes.
     pub fn node_of(&self, phase: usize) -> usize {
         self.phase_nodes[phase]
-    }
-
-    /// Name of the graph node a phase executes.
-    pub fn phase_name(&self, phase: usize) -> &str {
-        &self.graph.nodes()[self.phase_nodes[phase]].name
     }
 
     /// The last phase writing into node `i`'s output buffer region —
@@ -600,7 +595,7 @@ pub fn compile_graph(
 /// # Panics
 ///
 /// Panics if the phase's weights do not stream.
-pub fn phase_fc_weight_addr(prog: &LayerProgram, vault: NodeId, local: u64, k: u64) -> u64 {
+pub(crate) fn phase_fc_weight_addr(prog: &LayerProgram, vault: NodeId, local: u64, k: u64) -> u64 {
     let bases = prog
         .weight_base
         .as_ref()
@@ -653,7 +648,7 @@ mod tests {
         for dup in [false, true] {
             let prog = compile_graph(&residual_toy(), Mapping::paper(dup), &map).unwrap();
             assert_eq!(prog.phases.len(), 5); // no Concat nodes: all execute
-            assert_eq!(prog.phase_name(0), "stem");
+            assert_eq!(prog.graph.nodes()[prog.node_of(0)].name, "stem");
             // Programs agree with the graph's shapes.
             for (p, phase) in prog.phases.iter().enumerate() {
                 let i = prog.node_of(p);

@@ -67,7 +67,7 @@ impl Rect {
 /// The grid rectangle owned by grid cell `(gx, gy)` of a `gw × gh` grid
 /// over an `h × w` plane (even split with remainders going to the trailing
 /// cells, matching integer division boundaries `i * n / g`).
-pub fn grid_rect(h: usize, w: usize, gw: usize, gh: usize, gx: usize, gy: usize) -> Rect {
+pub(crate) fn grid_rect(h: usize, w: usize, gw: usize, gh: usize, gx: usize, gy: usize) -> Rect {
     Rect {
         y0: gy * h / gh,
         y1: (gy + 1) * h / gh,
@@ -188,12 +188,12 @@ impl VolumeLayout {
 
     /// Bytes the volume would occupy with no duplication (the Fig. 12(d)
     /// baseline for the overhead percentage).
-    pub fn bytes_minimal(&self) -> u64 {
+    pub(crate) fn bytes_minimal(&self) -> u64 {
         (self.shape.len() * 2) as u64
     }
 
     /// Total bytes stored across all vaults (≥ [`bytes_minimal`](Self::bytes_minimal)).
-    pub fn bytes_total(&self) -> u64 {
+    pub(crate) fn bytes_total(&self) -> u64 {
         (0..self.base.len())
             .map(|v| self.bytes_in_vault(v as NodeId))
             .sum()
@@ -203,7 +203,7 @@ impl VolumeLayout {
     /// outermost, then tile rows, then tile columns (spatial), or ascending
     /// slice order (flat). Index `i` of this sequence is the neuron that
     /// vault `v`'s PE computes as its `i`-th output.
-    pub fn assigned_neuron(&self, vault: NodeId, i: u64) -> usize {
+    pub(crate) fn assigned_neuron(&self, vault: NodeId, i: u64) -> usize {
         let v = usize::from(vault);
         match &self.kind {
             VolumeKind::Spatial { owned, .. } => {
@@ -234,7 +234,7 @@ impl VolumeLayout {
 
     /// Neurons per feature map owned by vault `v` (tile area for spatial,
     /// whole slice for flat volumes, which have a single "map").
-    pub fn assigned_per_map(&self, vault: NodeId) -> u64 {
+    pub(crate) fn assigned_per_map(&self, vault: NodeId) -> u64 {
         match &self.kind {
             VolumeKind::Spatial { owned, .. } => owned[usize::from(vault)].area() as u64,
             VolumeKind::Flat { .. } => self.assigned_count(vault),
@@ -245,7 +245,12 @@ impl VolumeLayout {
 /// Builds the spatial tiling of a volume over a `gw × gh` PE grid, with
 /// `stored` rectangles extended to `needed` (the consumer-derived halo) when
 /// duplicating.
-pub fn spatial_layout(shape: Shape, gw: usize, gh: usize, needed: Option<&[Rect]>) -> VolumeKind {
+pub(crate) fn spatial_layout(
+    shape: Shape,
+    gw: usize,
+    gh: usize,
+    needed: Option<&[Rect]>,
+) -> VolumeKind {
     let vaults = gw * gh;
     let mut owned = Vec::with_capacity(vaults);
     let mut stored = Vec::with_capacity(vaults);
@@ -262,7 +267,7 @@ pub fn spatial_layout(shape: Shape, gw: usize, gh: usize, needed: Option<&[Rect]
 }
 
 /// Builds the flat slicing of a volume across `vaults` vaults.
-pub fn flat_layout(len: usize, vaults: usize, duplicated: bool) -> VolumeKind {
+pub(crate) fn flat_layout(len: usize, vaults: usize, duplicated: bool) -> VolumeKind {
     let starts = (0..=vaults).map(|v| v * len / vaults).collect();
     VolumeKind::Flat { starts, duplicated }
 }
@@ -270,7 +275,7 @@ pub fn flat_layout(len: usize, vaults: usize, duplicated: bool) -> VolumeKind {
 /// The input rectangle vault `v` needs to compute output rectangle `out`
 /// of a conv/pool layer (`valid` windows: output `(y, x)` reads inputs
 /// `[y·s, y·s + k)`).
-pub fn input_rect_for(out: Rect, kernel: usize, stride: usize, in_shape: Shape) -> Rect {
+pub(crate) fn input_rect_for(out: Rect, kernel: usize, stride: usize, in_shape: Shape) -> Rect {
     if out.is_empty() {
         return Rect {
             y0: 0,
@@ -305,7 +310,7 @@ pub(crate) fn union_rect(a: Rect, b: Rect) -> Rect {
 
 /// Kernel geometry of a spatial layer, if it has one. Element-wise sums
 /// read a 1×1 "window" at stride 1: fully local operands, no halo.
-pub fn kernel_geometry(layer: &LayerSpec) -> Option<(usize, usize)> {
+pub(crate) fn kernel_geometry(layer: &LayerSpec) -> Option<(usize, usize)> {
     match *layer {
         LayerSpec::Conv2d { kernel, stride, .. } => Some((kernel, stride)),
         LayerSpec::AvgPool { size } => Some((size, size)),

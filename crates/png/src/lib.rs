@@ -11,7 +11,7 @@
 //!
 //! Modules:
 //!
-//! * [`graph`] — the host compiler: [`compile_graph`] lowers a layer DAG (a
+//! * `graph` — the host compiler: [`compile_graph`] lowers a layer DAG (a
 //!   linear network is its trivial graph) into one [`MultiLayerProgram`],
 //!   assigning every volume and weight address with lifetime-based buffer
 //!   reuse,
@@ -26,16 +26,17 @@
 //!   NoC → write-back.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod error;
-pub mod graph;
+mod graph;
 pub mod layout;
 pub mod program;
 pub mod schedule;
 mod unit;
 
 pub use error::CompileError;
-pub use graph::{channel_slice, compile_graph, phase_fc_weight_addr, MultiLayerProgram};
+pub use graph::{compile_graph, MultiLayerProgram};
 pub use program::{LayerProgram, Mapping};
-pub use unit::{Png, PngHookup, PngStats, RUN_AHEAD_OPS};
+pub use unit::{Png, PngHookup, PngStats};

@@ -82,7 +82,7 @@ impl LayerProgram {
 
     /// Output maps per PE (spatial layers iterate feature maps; FC layers
     /// have a single flat "map").
-    pub fn maps_of(&self) -> u64 {
+    pub(crate) fn maps_of(&self) -> u64 {
         if self.is_fc() {
             1
         } else {
@@ -167,7 +167,7 @@ impl LayerProgram {
 
     /// Copies of output neuron `n` beyond its owner: the vaults whose
     /// stored region includes it.
-    pub fn copy_vaults(&self, n: usize, owner: u8) -> Vec<u8> {
+    pub(crate) fn copy_vaults(&self, n: usize, owner: u8) -> Vec<u8> {
         (0..self.mapping.vaults() as u8)
             .filter(|&u| u != owner && self.out_vol.local_addr(u, n).is_some())
             .collect()
@@ -175,7 +175,7 @@ impl LayerProgram {
 
     /// Total write-backs vault `v` will receive from *other* vaults'
     /// PEs (its stored-but-not-owned copies of the output volume).
-    pub fn expected_foreign_writebacks(&self, v: u8) -> u64 {
+    pub(crate) fn expected_foreign_writebacks(&self, v: u8) -> u64 {
         let stored = self.out_vol.bytes_in_vault(v) / 2;
         stored - self.out_vol.assigned_count(v)
     }

@@ -250,7 +250,7 @@ impl OperandStream {
     }
 
     /// `true` once the stream is exhausted (after `next` returned `None`).
-    pub fn is_exhausted(&self) -> bool {
+    pub(crate) fn is_exhausted(&self) -> bool {
         self.g >= self.max_groups && self.cursor >= self.buf.len()
     }
 
@@ -605,7 +605,7 @@ fn rects_overlap(a: crate::layout::Rect, b: crate::layout::Rect) -> bool {
 /// how a PNG maps an incoming `Result` packet to a write address without
 /// the packet carrying one.
 #[derive(Clone, Debug)]
-pub struct WritebackCursor {
+pub(crate) struct WritebackCursor {
     prog: Arc<LayerProgram>,
     src: NodeId,
     store: NodeId,
@@ -615,7 +615,7 @@ pub struct WritebackCursor {
 
 impl WritebackCursor {
     /// Builds the cursor for results of PE `src` landing in vault `store`.
-    pub fn new(prog: Arc<LayerProgram>, src: NodeId, store: NodeId) -> WritebackCursor {
+    pub(crate) fn new(prog: Arc<LayerProgram>, src: NodeId, store: NodeId) -> WritebackCursor {
         WritebackCursor {
             total: prog.out_vol.assigned_count(src),
             prog,
@@ -628,7 +628,7 @@ impl WritebackCursor {
     /// The next expected `(neuron, local write address)` pair, or `None`
     /// when `src` has no further results destined for `store`.
     #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<(usize, u64)> {
+    pub(crate) fn next(&mut self) -> Option<(usize, u64)> {
         while self.idx < self.total {
             let neuron = self.prog.out_vol.assigned_neuron(self.src, self.idx);
             self.idx += 1;

@@ -80,7 +80,7 @@ const WRITE_TAG: u64 = 0xFFFF_FFFF_FFFF;
 /// per residue class, which a 16-op window guarantees. A 16-op window is
 /// still 256 cycles of buffering, ample to ride out burst gaps and row
 /// activations.
-pub const RUN_AHEAD_OPS: u64 = 16;
+pub(crate) const RUN_AHEAD_OPS: u64 = 16;
 
 /// How a PNG attaches to the physical fabric — identity for the HMC
 /// (each vault's PNG sits at its own mesh node), or a shared controller
@@ -96,7 +96,7 @@ pub struct PngHookup {
     /// Cap on outstanding read requests, so PNGs sharing one physical
     /// channel cannot starve each other.
     pub max_outstanding_reads: usize,
-    /// Credit-based run-ahead window in operations (see [`RUN_AHEAD_OPS`]
+    /// Credit-based run-ahead window in operations (see `RUN_AHEAD_OPS`
     /// for the default and the sizing constraints).
     pub run_ahead_ops: u64,
 }
@@ -168,7 +168,6 @@ pub struct Png {
     outstanding_reads: usize,
     out_queue: VecDeque<Packet>,
     copy_queue: VecDeque<Packet>,
-    copy_high_water: usize,
     inject_toggle: bool,
     own_cursor: Option<WritebackCursor>,
     foreign_cursors: Vec<Option<WritebackCursor>>,
@@ -207,7 +206,6 @@ impl Png {
             outstanding_reads: 0,
             out_queue: VecDeque::new(),
             copy_queue: VecDeque::new(),
-            copy_high_water: 0,
             inject_toggle: false,
             own_cursor: None,
             foreign_cursors: Vec::new(),
@@ -407,12 +405,6 @@ impl Png {
         self.pending_writes.len() + 2 <= WRITE_QUEUE_CAP
     }
 
-    /// Peak replication-buffer occupancy (sizing statistic; see
-    /// `DESIGN.md` on the duplication-maintenance buffer).
-    pub fn copy_queue_high_water(&self) -> usize {
-        self.copy_high_water
-    }
-
     /// Handles a `Result` packet delivered to this PNG's mem port: applies
     /// the activation LUT (own results), writes the state to DRAM and
     /// forwards duplication copies.
@@ -459,7 +451,6 @@ impl Png {
                 });
                 self.stats.copies_forwarded += 1;
             }
-            self.copy_high_water = self.copy_high_water.max(self.copy_queue.len());
         } else {
             // A forwarded (already activated) copy from another vault.
             if usize::from(pkt.src) >= self.foreign_cursors.len() {

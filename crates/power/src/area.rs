@@ -17,17 +17,17 @@ pub const LOGIC_DIE_MM2: f64 = 68.0;
 pub const CORES: u32 = 16;
 
 /// Placement utilization assumed for the PE + router macro (§VII).
-pub const PLACEMENT_UTILIZATION: f64 = 0.70;
+pub(crate) const PLACEMENT_UTILIZATION: f64 = 0.70;
 
 /// Synthesized vault-controller area in 28 nm, from the AXI-4.0 smart
 /// memory cube interconnect of \[24\] (mm²).
-pub const VAULT_CONTROLLER_MM2: f64 = 0.08;
+pub(crate) const VAULT_CONTROLLER_MM2: f64 = 0.08;
 
 /// TSVs per vault (1,866 TSVs in one HMC, 116 placed within each VC).
-pub const TSVS_PER_VAULT: u32 = 116;
+pub(crate) const TSVS_PER_VAULT: u32 = 116;
 
 /// TSV pitch in µm \[33\].
-pub const TSV_PITCH_UM: f64 = 4.0;
+pub(crate) const TSV_PITCH_UM: f64 = 4.0;
 
 /// Area accounting for one design node.
 #[derive(Clone, Copy, Debug, PartialEq)]

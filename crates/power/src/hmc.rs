@@ -13,7 +13,7 @@ use crate::table2::{compute_power_w, ProcessNode};
 
 /// Energy per bit through the HMC logic die (vault controllers + links +
 /// interface), from \[20\].
-pub const LOGIC_PJ_PER_BIT: f64 = 6.78;
+pub(crate) const LOGIC_PJ_PER_BIT: f64 = 6.78;
 
 /// Energy per bit through the DRAM dies, from \[20\].
 pub const DRAM_PJ_PER_BIT: f64 = 3.7;
@@ -35,7 +35,7 @@ pub const ITRS_15NM_LOGIC_SCALE: f64 = 0.5;
 
 /// Logic-die power (without the Neurocube compute layer) at full stream
 /// rate, before activity scaling: the paper's 17.3 W.
-pub fn logic_die_peak_w() -> f64 {
+pub(crate) fn logic_die_peak_w() -> f64 {
     LOGIC_PJ_PER_BIT * 1e-12 * WORD_BITS * VAULTS * IO_CLOCK_HZ
 }
 
@@ -80,21 +80,16 @@ pub const SECDED_CHECK_BITS: f64 = 7.0;
 /// correction mux), on top of moving the check bits themselves. XOR-tree
 /// syndrome logic over 39 bits is a few hundred gates — small next to the
 /// 3.7 pJ/bit DRAM access, but not free.
-pub const SECDED_DECODE_PJ_PER_WORD: f64 = 0.8;
+pub(crate) const SECDED_DECODE_PJ_PER_WORD: f64 = 0.8;
 
 /// ECC energy overhead of a run, in joules: `ecc_words` words decoded with
 /// their check bits moved at `dram_pj_per_bit` (the channel's access cost)
 /// plus the decode logic. The simulator's channel model already folds the
-/// check-bit *transfer* into its measured energy; use
-/// [`secded_decode_j`] when combining with that measurement to avoid
+/// check-bit *transfer* into its measured energy; combine that measurement
+/// with the decode logic alone (`ecc_words` × 0.8 pJ) to avoid
 /// double-charging the transfer.
 pub fn secded_overhead_j(ecc_words: u64, dram_pj_per_bit: f64) -> f64 {
     ecc_words as f64 * (SECDED_CHECK_BITS * dram_pj_per_bit + SECDED_DECODE_PJ_PER_WORD) * 1e-12
-}
-
-/// Decode-logic-only ECC energy, in joules (check-bit transfer excluded).
-pub fn secded_decode_j(ecc_words: u64) -> f64 {
-    ecc_words as f64 * SECDED_DECODE_PJ_PER_WORD * 1e-12
 }
 
 #[cfg(test)]
@@ -126,7 +121,7 @@ mod tests {
         assert!((million - one * 1e6).abs() < 1e-18);
         // transfer + decode parts add up
         let transfer = SECDED_CHECK_BITS * DRAM_PJ_PER_BIT * 1e-12;
-        assert!((one - transfer - secded_decode_j(1)).abs() < 1e-24);
+        assert!((one - transfer - SECDED_DECODE_PJ_PER_WORD * 1e-12).abs() < 1e-24);
         // Overhead per word stays well under the 32 data bits' cost.
         assert!(one < 32.0 * DRAM_PJ_PER_BIT * 1e-12);
     }

@@ -23,6 +23,7 @@
 //! (DESIGN.md §13).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod area;

@@ -60,7 +60,7 @@ pub struct ComponentPower {
 
 impl ComponentPower {
     /// Dynamic power at a node.
-    pub fn power_w(&self, node: ProcessNode) -> f64 {
+    pub(crate) fn power_w(&self, node: ProcessNode) -> f64 {
         match node {
             ProcessNode::Cmos28 => self.dynamic_w.0,
             ProcessNode::FinFet15 => self.dynamic_w.1,
@@ -81,12 +81,12 @@ impl ComponentPower {
     }
 
     /// Total power of all instances in one PE.
-    pub fn pe_power_w(&self, node: ProcessNode) -> f64 {
+    pub(crate) fn pe_power_w(&self, node: ProcessNode) -> f64 {
         self.power_w(node) * f64::from(self.per_pe)
     }
 
     /// Total area of all instances in one PE.
-    pub fn pe_area_mm2(&self, node: ProcessNode) -> f64 {
+    pub(crate) fn pe_area_mm2(&self, node: ProcessNode) -> f64 {
         self.area(node) * f64::from(self.per_pe)
     }
 }

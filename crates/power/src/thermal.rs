@@ -18,13 +18,13 @@ use crate::hmc::{dram_dies_power_w, logic_die_power_w};
 use crate::table2::{compute_power_w, ProcessNode};
 
 /// Grid width/height (vault tiles per die edge).
-pub const GRID: usize = 4;
+pub(crate) const GRID: usize = 4;
 
 /// DRAM dies in the stack.
-pub const DRAM_DIES: usize = 4;
+pub(crate) const DRAM_DIES: usize = 4;
 
 /// Ambient / coolant temperature in kelvin.
-pub const AMBIENT_K: f64 = 300.0;
+pub(crate) const AMBIENT_K: f64 = 300.0;
 
 /// HMC 2.0 maximum logic-die operating temperature \[36\].
 pub const LOGIC_LIMIT_K: f64 = 383.0;
@@ -34,15 +34,15 @@ pub const DRAM_LIMIT_K: f64 = 378.0;
 
 /// Per-tile vertical conductance between adjacent dies, W/K (TSV field +
 /// bonding layers; calibrated, see module docs).
-pub const G_VERTICAL: f64 = 0.22;
+pub(crate) const G_VERTICAL: f64 = 0.22;
 
 /// Per-tile conductance from the top DRAM die to ambient through the
 /// passive heat sink, W/K (calibrated).
-pub const G_SINK: f64 = 0.044;
+pub(crate) const G_SINK: f64 = 0.044;
 
 /// Per-tile lateral conductance between neighbouring tiles of one die,
 /// W/K (silicon spreading; calibrated).
-pub const G_LATERAL: f64 = 0.02;
+pub(crate) const G_LATERAL: f64 = 0.02;
 
 /// Result of a thermal solve.
 #[derive(Clone, Debug, PartialEq)]
@@ -82,7 +82,7 @@ impl ThermalReport {
 /// # Panics
 ///
 /// Panics if the power maps are not 16 entries each.
-pub fn solve(logic_tile_w: &[f64], dram_tile_w: &[f64]) -> ThermalReport {
+pub(crate) fn solve(logic_tile_w: &[f64], dram_tile_w: &[f64]) -> ThermalReport {
     assert_eq!(logic_tile_w.len(), GRID * GRID, "16 logic tiles");
     assert_eq!(dram_tile_w.len(), GRID * GRID, "16 DRAM tiles");
     let dies = 1 + DRAM_DIES;

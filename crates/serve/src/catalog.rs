@@ -360,7 +360,7 @@ impl ModelCatalog {
 /// the profiling input (values never affect timing; any payload of the
 /// right shape measures the same service time).
 #[must_use]
-pub fn input_payload(len: usize, request_id: u64) -> Vec<Q88> {
+pub(crate) fn input_payload(len: usize, request_id: u64) -> Vec<Q88> {
     (0..len)
         .map(|i| {
             let phase = (i as u64 + request_id) % 64;

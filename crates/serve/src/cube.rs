@@ -45,7 +45,7 @@ impl ServeCube {
 
     /// The tag of the model holding the slot, `None` when fresh.
     #[must_use]
-    pub fn loaded_tag(&self) -> Option<u64> {
+    pub(crate) fn loaded_tag(&self) -> Option<u64> {
         self.held.as_ref().map(|(tag, _)| *tag)
     }
 

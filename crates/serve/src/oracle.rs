@@ -1,6 +1,6 @@
 //! An independent serial oracle for the scheduler.
 //!
-//! Re-implements the normative policy in [`crate::scheduler`] with none
+//! Re-implements the normative policy in `crate::scheduler` with none
 //! of its machinery: no `CycleLoop`, no stages, no horizons — just an
 //! event list stepped to the next interesting cycle (arrival, cube
 //! release, or queue ripening) and the same admission/selection/batching

@@ -36,7 +36,7 @@ impl LoadProfile {
     /// Multiplier applied to the mean inter-arrival gap before request
     /// `i` (deterministic, index-keyed).
     #[must_use]
-    pub fn gap_factor(self, i: u64) -> f64 {
+    pub(crate) fn gap_factor(self, i: u64) -> f64 {
         match self {
             LoadProfile::Poisson => 1.0,
             LoadProfile::Bursty => {
@@ -152,16 +152,16 @@ pub const SCENARIOS: [Scenario; 3] = [
 
 /// PRNG domain for traffic draws, disjoint from the fault domains
 /// (`0x01..=0x05` prefixes in `fault::domain`).
-pub const DOMAIN_TRAFFIC: u64 = 0x0600_0000_0000_0000;
+pub(crate) const DOMAIN_TRAFFIC: u64 = 0x0600_0000_0000_0000;
 
 /// Per-request draw salts.
 mod salt {
-    pub const GAP: u64 = 0;
-    pub const MODEL: u64 = 1;
-    pub const PRIORITY: u64 = 2;
-    pub const SLACK: u64 = 3;
-    pub const MALFORMED: u64 = 4;
-    pub const MALFORMED_KIND: u64 = 5;
+    pub(crate) const GAP: u64 = 0;
+    pub(crate) const MODEL: u64 = 1;
+    pub(crate) const PRIORITY: u64 = 2;
+    pub(crate) const SLACK: u64 = 3;
+    pub(crate) const MALFORMED: u64 = 4;
+    pub(crate) const MALFORMED_KIND: u64 = 5;
 }
 
 fn unit_draw(seed: u64, id: u64, salt: u64) -> f64 {

@@ -49,7 +49,7 @@ use std::fmt;
 
 /// PRNG domain for audit-selection draws, disjoint from the fault
 /// domains (`0x01..=0x05`) and the traffic domain (`0x06`).
-pub const DOMAIN_AUDIT: u64 = 0x0700_0000_0000_0000;
+pub(crate) const DOMAIN_AUDIT: u64 = 0x0700_0000_0000_0000;
 
 /// The deterministic audit sampler: one Bernoulli trial per dispatch,
 /// keyed by `(seed, dispatch index)` through the counter PRNG. No

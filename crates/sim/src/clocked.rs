@@ -73,7 +73,7 @@ impl<B: ?Sized, F: FnMut(u64, &mut B)> Clocked<B> for F {
 /// horizon jump count as progress (the jump proves an event is scheduled),
 /// subject to the [`EVENT_LOOP_LEASH`] backstop.
 #[derive(Clone, Copy, Debug)]
-pub struct Watchdog {
+pub(crate) struct Watchdog {
     /// Cycles between completion/progress samples.
     pub check_interval: u64,
     /// Consecutive no-progress cycles tolerated before panicking.
@@ -96,11 +96,11 @@ impl Default for Watchdog {
 /// catches pathological self-sustaining event loops (e.g. a DRAM refresh
 /// timer firing forever over a wedged queue) that the naive loop would
 /// also have flagged, just sooner.
-pub const EVENT_LOOP_LEASH: u64 = 64;
+pub(crate) const EVENT_LOOP_LEASH: u64 = 64;
 
 /// One fast-forward decision taken by the loop, for telemetry/diagnostics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct JumpRecord {
+pub(crate) struct JumpRecord {
     /// Cycle the jump started from.
     pub from: u64,
     /// Cycle the jump landed on (exclusive end of the skipped range).
@@ -167,7 +167,7 @@ impl<B: ?Sized> Default for CycleLoop<B> {
 }
 
 impl<B: ?Sized> CycleLoop<B> {
-    /// Creates an empty loop with the default [`Watchdog`], fast-forward
+    /// Creates an empty loop with the default `Watchdog`, fast-forward
     /// on and the stage profile off.
     pub fn new() -> Self {
         CycleLoop {
@@ -181,13 +181,6 @@ impl<B: ?Sized> CycleLoop<B> {
             skipped_cycles: 0,
             last_jump: None,
         }
-    }
-
-    /// Overrides the watchdog configuration.
-    pub fn with_watchdog(mut self, watchdog: Watchdog) -> Self {
-        assert!(watchdog.check_interval > 0, "check_interval must be > 0");
-        self.watchdog = watchdog;
-        self
     }
 
     /// Sets fast-forward for this loop; `false` is the naive per-cycle
@@ -205,21 +198,11 @@ impl<B: ?Sized> CycleLoop<B> {
         self
     }
 
-    /// Whether this loop fast-forwards over quiescent stretches.
-    pub fn skip_enabled(&self) -> bool {
-        self.skip
-    }
-
     /// Registers a stage; stages tick in registration order each cycle.
     pub fn stage(mut self, stage: impl Clocked<B> + 'static) -> Self {
         self.stages.push(Box::new(stage));
         self.veto_counts.push(0);
         self
-    }
-
-    /// Names of the registered stages, in tick order.
-    pub fn stage_names(&self) -> Vec<&'static str> {
-        self.stages.iter().map(|s| s.name()).collect()
     }
 
     /// Number of horizon jumps taken so far, over every drive of this loop.
@@ -230,11 +213,6 @@ impl<B: ?Sized> CycleLoop<B> {
     /// Total cycles crossed by horizon jumps instead of ticking.
     pub fn skipped_cycles(&self) -> u64 {
         self.skipped_cycles
-    }
-
-    /// The most recent fast-forward decision, if any.
-    pub fn last_jump(&self) -> Option<JumpRecord> {
-        self.last_jump
     }
 
     /// Probes every stage for its event horizon. Returns the jump target
@@ -557,6 +535,15 @@ impl Pace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<B: ?Sized> CycleLoop<B> {
+        /// Overrides the watchdog configuration.
+        fn with_watchdog(mut self, watchdog: Watchdog) -> Self {
+            assert!(watchdog.check_interval > 0, "check_interval must be > 0");
+            self.watchdog = watchdog;
+            self
+        }
+    }
 
     /// Toy bus: a countdown that stage A decrements and stage B observes.
     struct Countdown {

@@ -23,6 +23,7 @@
 //! those crates depend on this one, never the reverse.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod batch;
@@ -30,5 +31,5 @@ mod clocked;
 mod stats;
 
 pub use batch::BatchRunner;
-pub use clocked::{Clocked, CycleLoop, JumpRecord, Watchdog, EVENT_LOOP_LEASH};
+pub use clocked::{Clocked, CycleLoop};
 pub use stats::{Histogram, ScopedStats, StatSource, StatsRegistry};
