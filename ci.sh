@@ -106,7 +106,7 @@ if command -v taskset >/dev/null; then
         -p neurocube-integration-tests --test cluster_sharding
 fi
 cargo fmt --check
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 # Doc gate over our own crates (the vendored dev-deps are exempt).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet \
     --exclude proptest --exclude rand --exclude criterion

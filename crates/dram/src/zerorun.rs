@@ -176,7 +176,13 @@ mod tests {
         let mut prev = 0u64;
         for keep in [4usize, 8, 16, 64, 4096] {
             let stream: Vec<u32> = (0..4096u32)
-                .map(|i| if (i as usize) % keep == 0 { i + 1 } else { 0 })
+                .map(|i| {
+                    if (i as usize).is_multiple_of(keep) {
+                        i + 1
+                    } else {
+                        0
+                    }
+                })
                 .collect();
             let bits = elidable_bits(&stream, 32);
             assert!(bits >= prev, "keep={keep}: {bits} < {prev}");

@@ -171,7 +171,6 @@ struct ServeBus<'t> {
     shed: u64,
     rejected: [u64; 5],
     reprogram_cycles: u64,
-    latency: Histogram,
     batch_size: Histogram,
     queue_depth: Histogram,
     /// Monotonic event count driving the loop's watchdog.
@@ -220,7 +219,6 @@ impl<'t> ServeBus<'t> {
             shed: 0,
             rejected: [0; 5],
             reprogram_cycles: 0,
-            latency: Histogram::new(),
             batch_size: Histogram::new(),
             queue_depth: Histogram::new(),
             progress: 0,
@@ -357,7 +355,6 @@ impl<'t> ServeBus<'t> {
                 latency: completes - m.arrival,
                 batch_size: b,
             });
-            self.latency.record(completes - m.arrival);
             self.completed += 1;
         }
         self.batch_size.record(b);
@@ -513,12 +510,23 @@ pub fn serve_mode(
         .map(|r| r.completes_at)
         .max()
         .unwrap_or(0);
-    let outcomes: Vec<Outcome> = bus
-        .outcomes
-        .iter()
+    let outcomes: Vec<Outcome> = std::mem::take(&mut bus.outcomes)
+        .into_iter()
         .enumerate()
         .map(|(i, o)| o.unwrap_or_else(|| panic!("request {i} has no outcome after drain")))
         .collect();
+    // The latency histogram, folded once from the outcomes as sorted runs
+    // of equal samples rather than one map insert per completion.
+    let mut latencies = Vec::with_capacity(bus.completed as usize);
+    latencies.extend(outcomes.iter().filter_map(|o| match o {
+        Outcome::Completed { latency, .. } => Some(*latency),
+        _ => None,
+    }));
+    latencies.sort_unstable();
+    let mut latency = Histogram::new();
+    for run in latencies.chunk_by(|a, b| a == b) {
+        latency.record_n(run[0], run.len() as u64);
+    }
 
     let mut stats = StatsRegistry::new();
     let mut s = stats.scoped("serve");
@@ -548,7 +556,7 @@ pub fn serve_mode(
         bus.cubes.iter().map(|c| c.busy_cycles).sum::<u64>(),
     );
     s.counter("cycles.reprogram", bus.reprogram_cycles);
-    s.histogram("latency_cycles", &bus.latency);
+    s.histogram("latency_cycles", &latency);
     s.histogram("batch_size", &bus.batch_size);
     s.histogram("queue_depth", &bus.queue_depth);
     if bus.offered > 0 {

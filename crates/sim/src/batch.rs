@@ -115,10 +115,15 @@ impl BatchRunner {
             self.threads.min(jobs)
         };
         thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(work);
-            }
+            let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
             work();
+            // Join each worker explicitly: the scope alone returns once the
+            // closures finish, while a worker's thread may still be exiting
+            // and holding its malloc arena, so the next batch's worker would
+            // get a fresh arena and the process a few more MiB.
+            for worker in spawned {
+                worker.join().expect("a worker catches every job's panic");
+            }
         });
         let mut results = Vec::with_capacity(jobs);
         let mut first_panic = None;

@@ -64,14 +64,18 @@ impl<B: ?Sized, F: FnMut(u64, &mut B)> Clocked<B> for F {
 
 /// Deadlock watchdog configuration for a [`CycleLoop`].
 ///
-/// Completion and progress are only sampled every `check_interval` cycles
-/// (sampling them is allowed to be expensive). If the progress measure
-/// stays flat for `idle_budget` consecutive *ticked* cycles while the run
-/// is not complete, the loop panics with the diagnostic text supplied by
-/// the caller — a stall is always a bug in either the model or the program
-/// being simulated, never a condition to limp through. Cycles crossed by a
-/// horizon jump count as progress (the jump proves an event is scheduled),
-/// subject to the [`EVENT_LOOP_LEASH`] backstop.
+/// Completion and progress are sampled at check boundaries, the multiples
+/// of `check_interval` (sampling them is allowed to be expensive). A
+/// horizon jump crosses boundaries without stopping when completion does
+/// not hold before it — completion reads only state that null ticks leave
+/// alone, so it stays false at every boundary crossed — and the next
+/// sample is the first boundary at or after the landing. If the progress
+/// measure stays flat for `idle_budget` consecutive *ticked* cycles while
+/// the run is not complete, the loop panics with the diagnostic text
+/// supplied by the caller — a stall is always a bug in either the model
+/// or the program being simulated, never a condition to limp through.
+/// Cycles crossed by a horizon jump count as progress (the jump proves an
+/// event is scheduled), subject to the [`EVENT_LOOP_LEASH`] backstop.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Watchdog {
     /// Cycles between completion/progress samples.
@@ -105,7 +109,8 @@ pub(crate) struct JumpRecord {
     pub from: u64,
     /// Cycle the jump landed on (exclusive end of the skipped range).
     pub to: u64,
-    /// Name of the stage (or `"check boundary"`) that bounded the horizon.
+    /// Name of the stage (or `"check boundary"`, `"watchdog leash"`,
+    /// `"drive bound"`) that bounded the horizon.
     pub stage: &'static str,
 }
 
@@ -119,11 +124,13 @@ pub(crate) struct JumpRecord {
 ///
 /// When fast-forward is enabled (the default), the loop asks every stage
 /// for its [`Clocked::next_event`] before ticking a cycle. If all stages
-/// report a future horizon, the clock jumps to the earliest one — capped
-/// at the next watchdog check boundary, so completion and progress are
-/// sampled at exactly the same absolute cycles (with identical bus state)
-/// as the naive loop, making the two modes bitwise identical in
-/// everything they report.
+/// report a future horizon, the clock jumps to the earliest one. A jump
+/// past the next watchdog check boundary first evaluates completion once:
+/// while the run is not complete it goes event to event (completion
+/// provably stays false at every boundary it crosses), and once it is,
+/// the jump stops at the boundary, so the run ends on the same cycle, with
+/// identical bus state, as the naive loop — the two modes are bitwise
+/// identical in everything they report.
 pub struct CycleLoop<B: ?Sized> {
     stages: Vec<Box<dyn Clocked<B>>>,
     watchdog: Watchdog,
@@ -215,14 +222,11 @@ impl<B: ?Sized> CycleLoop<B> {
         self.skipped_cycles
     }
 
-    /// Probes every stage for its event horizon. Returns the jump target
-    /// (already capped at `cap`) and the name of whatever bounded it, or
-    /// `None` if any stage demands a tick or any horizon is non-future (a
-    /// contract violation, tolerated as "tick"). When every stage reports
-    /// `u64::MAX`, a drive capped at a check boundary gets `None` (a dead
-    /// machine must fall back to naive ticking so the watchdog sees it
-    /// exactly like the oracle), and a bounded drive jumps to its bound.
-    fn horizon(&mut self, now: u64, bus: &B, cap: JumpCap) -> Option<(u64, &'static str)> {
+    /// Probes every stage for its event horizon. Returns the earliest
+    /// horizon and the name of the stage that reported it, or `None` if
+    /// any stage demands a tick or any horizon is non-future (a contract
+    /// violation, tolerated as "tick").
+    fn horizon(&mut self, now: u64, bus: &B) -> Option<(u64, &'static str)> {
         let n = self.stages.len();
         let mut best = u64::MAX;
         let mut who = usize::MAX;
@@ -250,16 +254,7 @@ impl<B: ?Sized> CycleLoop<B> {
                 }
             }
         }
-        let (limit, limit_name) = match cap {
-            JumpCap::CheckBoundary(_) if best == u64::MAX => return None,
-            JumpCap::CheckBoundary(at) => (at, "check boundary"),
-            JumpCap::Bound(at) => (at, "drive bound"),
-        };
-        if best <= limit {
-            Some((best, self.stages[who].name()))
-        } else {
-            Some((limit, limit_name))
-        }
+        Some((best, self.stages.get(who).map_or("", |s| s.name())))
     }
 
     /// Diagnostic suffix describing the last fast-forward decision.
@@ -278,10 +273,15 @@ impl<B: ?Sized> CycleLoop<B> {
     /// at which `done` held (the bus clock should then equal that value).
     ///
     /// * `done` — sampled once at entry (an already-complete bus returns
-    ///   `start` without ticking any stage) and then every `check_interval`
-    ///   cycles; once it returns true the loop exits.
+    ///   `start` without ticking any stage) and then at every check
+    ///   boundary the loop stops at; once it returns true the loop exits.
+    ///   It is also evaluated once before each horizon jump that would
+    ///   cross a boundary, so, like `run_until`'s `stop`, it must depend
+    ///   only on state that null ticks leave alone: then a jump only
+    ///   crosses boundaries where `done` is false, and the run ends on the
+    ///   same cycle as the naive loop.
     /// * `progress` — a monotonic measure of useful work (e.g. total MAC
-    ///   operations). Sampled on the same schedule as `done`; if it is
+    ///   operations). Sampled at the same boundaries as `done`; if it is
     ///   unchanged for longer than `idle_budget` ticked cycles (or
     ///   `idle_budget × EVENT_LOOP_LEASH` total cycles, counting horizon
     ///   jumps) the loop panics.
@@ -340,19 +340,31 @@ impl<B: ?Sized> CycleLoop<B> {
         let mut pace = Pace::new(self.profile, self.stages.len());
         let mut now = start;
         while now < to {
-            now = self.step(bus, now, JumpCap::Bound(to), &mut pace).0;
+            now = self
+                .step(bus, now, JumpCap::Bound(to), &mut |_| false, &mut pace)
+                .0;
         }
     }
 
-    /// One iteration of a drive at cycle `now`: a horizon jump capped at
-    /// `cap` when fast-forward is on, the probe is not held off and every
-    /// stage allows it; otherwise one tick of every stage. Returns the new
-    /// cycle and whether the stages were ticked.
+    /// One iteration of a drive at cycle `now`: a horizon jump capped by
+    /// `cap` (which may evaluate `done`) when fast-forward is on, the probe
+    /// is not held off and every stage allows it; otherwise one tick of
+    /// every stage. Returns the new cycle and whether the stages were
+    /// ticked.
     #[inline]
-    fn step(&mut self, bus: &mut B, now: u64, cap: JumpCap, pace: &mut Pace) -> (u64, bool) {
+    fn step(
+        &mut self,
+        bus: &mut B,
+        now: u64,
+        cap: JumpCap,
+        done: &mut impl FnMut(&B) -> bool,
+        pace: &mut Pace,
+    ) -> (u64, bool) {
         if self.skip && pace.probe_holdoff == 0 {
             let probe_start = self.profile.then(std::time::Instant::now);
-            let jump = self.horizon(now, bus, cap);
+            let jump = self
+                .horizon(now, bus)
+                .and_then(|(best, who)| cap.limit(best, who, || done(bus)));
             if let Some(t0) = probe_start {
                 pace.probe_nanos += t0.elapsed().as_nanos() as u64;
             }
@@ -400,6 +412,18 @@ impl<B: ?Sized> CycleLoop<B> {
     /// The watchdog-supervised drive behind [`CycleLoop::run`] (`done`
     /// sampled at check boundaries) and [`CycleLoop::run_until`] (`stop`
     /// evaluated after every tick).
+    ///
+    /// Checks land on absolute multiples of the interval, so the first
+    /// window after an unaligned `start` is shorter than the rest;
+    /// idleness is charged by ticked cycles, not per check, so that short
+    /// window cannot eat a full interval of the budget. Windows crossed
+    /// purely by horizon jumps charge nothing (the jump proves an event is
+    /// scheduled), with `flat_since` as the leashed backstop against
+    /// no-progress event loops. A jump that crosses boundaries (`done` was
+    /// false before it) moves the next check to the first boundary at or
+    /// after its landing; it never reaches past the boundary at which the
+    /// backstop trips, so the backstop trips on the cycle it would if
+    /// every boundary were sampled.
     fn drive(
         &mut self,
         bus: &mut B,
@@ -411,27 +435,42 @@ impl<B: ?Sized> CycleLoop<B> {
     ) -> u64 {
         let mut now = start;
         let mut last_progress = progress(bus);
-        // Checks land on absolute multiples of the interval, so the first
-        // window after an unaligned `start` is shorter than the rest;
-        // idleness is charged by ticked cycles, not per check, so that
-        // short window cannot eat a full interval of the budget. Windows
-        // crossed purely by horizon jumps charge nothing (the jump proves
-        // an event is scheduled), with `flat_since` as the leashed backstop
-        // against no-progress event loops.
         let interval = self.watchdog.check_interval;
+        let leash = self.watchdog.idle_budget.saturating_mul(EVENT_LOOP_LEASH);
+        // The first boundary at least `leash` cycles after `since`: where
+        // the backstop trips if progress stays flat from `since` on.
+        let trips_at = |since: u64| {
+            since
+                .saturating_add(leash)
+                .div_ceil(interval)
+                .saturating_mul(interval)
+        };
         let mut next_check = (start / interval + 1) * interval;
         let mut idle_cycles: u64 = 0;
         let mut ticked_since_check: u64 = 0;
         let mut flat_since = start;
+        let mut trip_check = trips_at(start);
         let mut pace = Pace::new(self.profile, self.stages.len());
         let end = loop {
-            let (next, ticked) = self.step(bus, now, JumpCap::CheckBoundary(next_check), &mut pace);
+            let cap = JumpCap::Watched {
+                check: next_check,
+                leash: trip_check.max(next_check),
+            };
+            let (next, ticked) = self.step(bus, now, cap, &mut done, &mut pace);
             now = next;
             if ticked {
                 ticked_since_check += 1;
                 if stop(bus) {
                     break now;
                 }
+            }
+            if now > next_check {
+                debug_assert!(
+                    !done(bus),
+                    "a jump to cycle {now} crossed the completion of a `done` \
+                     that null ticks changed"
+                );
+                next_check = now.div_ceil(interval) * interval;
             }
             if now == next_check {
                 next_check += interval;
@@ -443,9 +482,9 @@ impl<B: ?Sized> CycleLoop<B> {
                     last_progress = p;
                     idle_cycles = 0;
                     flat_since = now;
+                    trip_check = trips_at(now);
                 } else {
                     idle_cycles += ticked_since_check;
-                    let leash = self.watchdog.idle_budget.saturating_mul(EVENT_LOOP_LEASH);
                     if idle_cycles >= self.watchdog.idle_budget || now - flat_since >= leash {
                         panic!(
                             "{}{}",
@@ -496,12 +535,41 @@ impl<B: ?Sized> CycleLoop<B> {
 /// How far one horizon jump of a drive may reach.
 #[derive(Clone, Copy)]
 enum JumpCap {
-    /// The next watchdog sample point of [`CycleLoop::run`] /
-    /// [`CycleLoop::run_until`], so completion and progress are sampled at
-    /// the same absolute cycles as the naive loop.
-    CheckBoundary(u64),
+    /// A watchdog-supervised drive of [`CycleLoop::run`] /
+    /// [`CycleLoop::run_until`]: a jump reaches past the next check
+    /// boundary `check` only while `done` is false, and then no further
+    /// than `leash`, the check at which the event-loop backstop trips.
+    Watched { check: u64, leash: u64 },
     /// The end of a bounded [`CycleLoop::advance`].
     Bound(u64),
+}
+
+impl JumpCap {
+    /// The landing cycle for a probe whose earliest horizon is `best`
+    /// (reported by stage `who`), and the name of whatever bounded it.
+    /// When every stage reports `u64::MAX`, a watched drive gets `None` (a
+    /// dead machine must fall back to naive ticking so the watchdog sees
+    /// it exactly like the oracle), and a bounded drive jumps to its bound.
+    /// `done` is evaluated at most once, and only for a jump that would
+    /// cross `check`.
+    fn limit(
+        self,
+        best: u64,
+        who: &'static str,
+        done: impl FnOnce() -> bool,
+    ) -> Option<(u64, &'static str)> {
+        let (limit, limit_name) = match self {
+            JumpCap::Watched { .. } if best == u64::MAX => return None,
+            JumpCap::Watched { check, .. } if best <= check || done() => (check, "check boundary"),
+            JumpCap::Watched { leash, .. } => (leash, "watchdog leash"),
+            JumpCap::Bound(at) => (at, "drive bound"),
+        };
+        Some(if best <= limit {
+            (best, who)
+        } else {
+            (limit, limit_name)
+        })
+    }
 }
 
 /// Per-drive state of [`CycleLoop::step`]: the veto-streak probe back-off
@@ -819,23 +887,23 @@ mod tests {
 
     #[test]
     fn horizon_jumps_are_capped_at_check_boundaries() {
-        // The only event sits far beyond the completion point, so a naive
-        // jump straight to it would overshoot `done`. Capping every jump
-        // at the next check boundary samples completion at exactly the
-        // same absolute cycles as the naive loop.
-        struct DoneAtClock(u64);
+        // Events every 100 cycles; `done` reads the event count, which
+        // null ticks leave alone. While it is false, each jump goes
+        // straight to the next event across the check boundaries between;
+        // once the sixth event (cycle 600) makes it true, the jump toward
+        // the seventh stops at the next boundary, 640, where the naive
+        // loop first samples completion too.
         let run = |skip: bool| {
             let mut bus = EventBus::default();
-            let target = DoneAtClock(640);
             let mut cl = CycleLoop::new()
                 .with_skip(skip)
-                .stage(Periodic { period: 10_000 })
+                .stage(Periodic { period: 100 })
                 .stage(BusClock);
             let end = cl.run(
                 &mut bus,
                 0,
-                move |b| b.clock >= target.0,
-                |b| b.clock,
+                |b| b.events >= 6,
+                |b| b.events,
                 |_, idle| format!("stalled for {idle}"),
             );
             (end, bus, cl.jumps())
@@ -845,8 +913,48 @@ mod tests {
         assert_eq!(naive_end, 640);
         assert_eq!(skip_end, 640);
         assert_eq!(naive_bus, skip_bus);
-        // 640 cycles crossed in 64-cycle boundary-capped jumps.
-        assert_eq!(jumps, 10);
+        // One jump per event, plus the one onto the completing boundary —
+        // not one per 64-cycle window.
+        assert_eq!(jumps, 6 + 1);
+    }
+
+    #[test]
+    fn sparse_events_cost_jumps_not_check_boundaries() {
+        // Ten events 100 003 cycles apart, about 15 600 check boundaries
+        // in between: both drives stay bitwise equal to the naive loop and
+        // take O(events) jumps.
+        const PERIOD: u64 = 100_003;
+        const EVENTS: u64 = 10;
+        let run = |skip: bool, exact: bool| {
+            let mut bus = EventBus::default();
+            let mut cl = CycleLoop::new()
+                .with_skip(skip)
+                .stage(Periodic { period: PERIOD })
+                .stage(BusClock);
+            let done = |b: &EventBus| b.events >= EVENTS;
+            let diagnose = |_: &EventBus, idle| format!("stalled for {idle}");
+            let end = if exact {
+                cl.run_until(&mut bus, 0, done, |b| b.events, diagnose)
+            } else {
+                cl.run(&mut bus, 0, done, |b| b.events, diagnose)
+            };
+            (end, bus, cl.jumps())
+        };
+        for exact in [false, true] {
+            let (naive_end, naive_bus, _) = run(false, exact);
+            let (skip_end, skip_bus, jumps) = run(true, exact);
+            assert_eq!((skip_end, &skip_bus), (naive_end, &naive_bus));
+            assert_eq!(naive_bus.clock, naive_end);
+            if exact {
+                // `run_until` returns on the tick of the last event.
+                assert_eq!(naive_end, EVENTS * PERIOD + 1);
+                assert_eq!(jumps, EVENTS);
+            } else {
+                // `run` ends on the first boundary after it.
+                assert_eq!(naive_end, (EVENTS * PERIOD).div_ceil(64) * 64);
+                assert_eq!(jumps, EVENTS + 1);
+            }
+        }
     }
 
     #[test]
@@ -1030,6 +1138,6 @@ mod tests {
         // idle_budget × EVENT_LOOP_LEASH = 16 × 64 flat cycles.
         assert!(msg.contains("stalled for 1024"), "got: {msg}");
         assert!(msg.contains("last horizon decision"), "got: {msg}");
-        assert!(msg.contains("check boundary"), "got: {msg}");
+        assert!(msg.contains("watchdog leash"), "got: {msg}");
     }
 }
