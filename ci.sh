@@ -19,11 +19,6 @@
 #                    every workload and fails if skip mode loses to the
 #                    naive loop in the same binary (per-workload min
 #                    0.90x, sweep geomean 1.0x). No variable needs setting.
-#   ci.sh --sparsity - same gate, then the sparsity sweep benchmark
-#                    (BENCH_sparsity.json), whose built-in gates require
-#                    cycles and MAC ops constant across density points
-#                    and monotonically growing gated lane-cycles / saved
-#                    pJ as density drops.
 #   ci.sh --serve  - same gate, then the serving-layer suites at depth
 #                    (scheduler-vs-oracle, determinism, malformed fuzz at
 #                    512 cases each) and the serving load benchmark
@@ -130,11 +125,6 @@ fi
 if [[ "${1:-}" == "--bench" ]]; then
     echo "== simulator wall-clock benchmark (gate: skip >= naive, bitwise identical) =="
     cargo bench -p neurocube-bench --bench bench_sim
-fi
-
-if [[ "${1:-}" == "--sparsity" ]]; then
-    echo "== sparsity sweep (gates: density-blind timing, monotone savings vs density) =="
-    cargo bench -p neurocube-bench --bench sparsity_sweep
 fi
 
 if [[ "${1:-}" == "--serve" ]]; then

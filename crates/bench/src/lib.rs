@@ -111,21 +111,6 @@ pub fn run_inference_mode(
     (run.report, run.stats, run.telemetry)
 }
 
-/// Like [`run_inference_stats`], but the caller supplies the parameter
-/// image and input tensor, to control operand density (the
-/// `sparsity_sweep` bench).
-pub fn run_inference_sparsity(
-    cfg: SystemConfig,
-    spec: &NetworkSpec,
-    params: Vec<Vec<Q88>>,
-    input: &Tensor,
-) -> (RunReport, StatsRegistry) {
-    let mut cube = Neurocube::new(cfg);
-    let loaded = cube.load(spec.clone(), params);
-    let (_, report) = cube.run_inference(&loaded, input);
-    (report, cube.stats_registry())
-}
-
 /// One workload of the simulator wall-clock benchmark (`bench_sim`):
 /// a named system configuration + network shape + parameter seed. The
 /// table lives here (not in the bench target) so profiling tools can

@@ -295,9 +295,7 @@ impl Neurocube {
         self.mem.report(&mut reg.scoped("mem"));
         // Always-on sparsity rollup (DESIGN.md §13): zero-operand
         // classification summed across components. Present in every
-        // registry because it is pure classification;
-        // `neurocube_power::gating` prices these counters into would-be
-        // energy savings after the fact.
+        // registry because it is pure classification; nothing prices it.
         {
             let mut s = reg.scoped("sparsity");
             s.counter(

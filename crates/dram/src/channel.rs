@@ -248,8 +248,7 @@ pub struct Channel {
     // sparsity classification (see DESIGN.md §13): how many channel words
     // carried an all-zero payload, and how those zero reads cluster into
     // runs. Classification only — zero words still occupy their full slot
-    // of channel time and are charged full transfer energy; the counters
-    // feed the gated-transfer savings model in `neurocube_power`.
+    // of channel time and are charged full transfer energy.
     zero_words_read: u64,
     zero_words_written: u64,
     zero_read_runs: u64,
@@ -822,8 +821,7 @@ impl Channel {
     }
 
     /// Maximal runs of consecutive zero read words on this channel — the
-    /// unit a zero-run compressor (see [`crate::zerorun`]) would replace
-    /// with a single run header.
+    /// unit a zero-run compressor would replace with a single run header.
     pub fn zero_read_runs(&self) -> u64 {
         self.zero_read_runs
     }
@@ -837,7 +835,7 @@ impl Channel {
     /// When the SECDED model is on, every decoded word moves 7 check bits
     /// alongside its 32 data bits and those bits are charged at the same
     /// pJ/bit (decode-logic energy is accounted separately — see
-    /// `neurocube_power::secded_overhead_j`).
+    /// `neurocube_power::hmc::secded_overhead_j`).
     pub(crate) fn energy_joules(&self) -> f64 {
         let mut bits = self.bits_transferred();
         if let Some(f) = &self.faults {

@@ -14,9 +14,7 @@
 //!   penalties (`t_CL + t_RCD`) and per-bit energy accounting,
 //! * [`MemorySystem`] — the assembled memory subsystem used by the
 //!   Neurocube core simulator, configurable as HMC-internal (16 channels),
-//!   DDR3 (2 channels) or anything in between for the Fig. 15(a) sweep,
-//! * [`zerorun`] — the lossless zero-run codec behind the sparsity report's
-//!   elidable-transfer figures (DESIGN.md §13).
+//!   DDR3 (2 channels) or anything in between for the Fig. 15(a) sweep.
 //!
 //! All timing is expressed in *reference cycles* — ticks of the paper's
 //! 5 GHz vault-I/O clock, which is also the PE and NoC clock. Slower
@@ -33,7 +31,6 @@ mod channel;
 mod spec;
 mod storage;
 mod system;
-pub mod zerorun;
 
 pub use address::{AddressMap, DecodedAddr};
 pub use channel::{Channel, ChannelConfig, Completion, RefreshModel, Request, RequestKind};

@@ -35,7 +35,7 @@ pub struct FaultConfig {
     /// Enable the SECDED(39,32) ECC model on DRAM reads: single-bit
     /// errors are corrected (and counted), double-bit errors detected but
     /// passed through. Check-bit storage and decode cost extra energy —
-    /// see `neurocube_power::secded_overhead_j`.
+    /// see `neurocube_power::hmc::secded_overhead_j`.
     pub ecc: bool,
 }
 

@@ -18,7 +18,7 @@
 //! identity under both wrapping and saturating accumulation), so a
 //! gated-update MAC array could clock-gate it. The PE counts those lanes
 //! (`lanes_gated`) from the post-upset operands — what the multiplier
-//! sees — and `neurocube_power::gating` prices them after the fact.
+//! sees. The count only observes: every lane still issues and is timed.
 
 use crate::cache::PacketCache;
 use crate::config::{PeLayerConfig, StateMode, WeightMode};

@@ -73,8 +73,9 @@ pub fn serdes_transfer_j(bytes: u64, hops: u64, pj_per_bit: f64) -> f64 {
     bytes as f64 * 8.0 * hops as f64 * pj_per_bit * 1e-12
 }
 
-/// SECDED(39,32) check bits stored and moved per protected 32-bit word.
-pub const SECDED_CHECK_BITS: f64 = 7.0;
+/// SECDED(39,32) check bits stored and moved per protected 32-bit word:
+/// the fault model's count, which the DRAM channel charges too.
+const SECDED_CHECK_BITS: f64 = neurocube_fault::SECDED_CHECK_BITS as f64;
 
 /// Decode-logic energy per SECDED-protected word (syndrome generation +
 /// correction mux), on top of moving the check bits themselves. XOR-tree

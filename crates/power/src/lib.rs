@@ -15,12 +15,12 @@
 //!    2.0 operating limits (383 K logic, 378 K DRAM).
 //!
 //! [`efficiency`] assembles Table III (GOPs/s, compute power, GOPs/s/W
-//! across published platforms plus this reproduction's measured numbers),
-//! [`energy`] turns a measured simulator run into joules per inference and
-//! GOPs/J, [`area`] reproduces the Fig. 16 logic-die floorplan accounting,
-//! and [`gating`] prices what operand-gated MACs and zero-eliding vault
-//! controllers would save given the sparsity classification counters
-//! (DESIGN.md §13).
+//! across published platforms plus this reproduction's measured numbers)
+//! and [`area`] reproduces the Fig. 16 logic-die floorplan accounting.
+//!
+//! Every model here is closed-form: no simulator crate sits under this
+//! one. A run's measured DRAM energy comes from the channel's per-bit
+//! accounting (`mem.energy_j` in the stats registry).
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
@@ -28,8 +28,6 @@
 
 pub mod area;
 pub mod efficiency;
-pub mod energy;
-pub mod gating;
 pub mod hmc;
 pub mod table2;
 pub mod thermal;

@@ -14,14 +14,6 @@ pub enum ProcessNode {
 }
 
 impl ProcessNode {
-    /// Logic clock frequency in Hz (the PE/NoC/vault-I/O clock).
-    pub fn clock_hz(self) -> f64 {
-        match self {
-            ProcessNode::Cmos28 => 300.0e6,
-            ProcessNode::FinFet15 => 5.12e9,
-        }
-    }
-
     /// Activity factor relative to the 5 GHz vault stream — the paper
     /// scales the vault-controller and DRAM power by `300 MHz / 5 GHz`
     /// at 28 nm.

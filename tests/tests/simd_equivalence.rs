@@ -6,20 +6,42 @@
 //! `q88_boundary.rs` (representable midpoints, `>> 8` truncation
 //! direction, both clamp edges), the `..active` lane masking the PE relies
 //! on is checked to leave parked lanes untouched, and zero-operand lanes —
-//! the ones `pe.lanes_gated` counts and `power::gating` prices — are
-//! checked to leave every accumulator bit alone. The system-level half is
-//! `bit_exactness.rs`.
+//! the ones `pe.lanes_gated` counts — are checked to leave every
+//! accumulator bit alone. A density ladder checks that the `sparsity.*`
+//! counters observe without moving the paper's timing. The system-level
+//! half is `bit_exactness.rs`.
 
-use neurocube::SystemConfig;
+use neurocube::{Neurocube, RunReport, SystemConfig};
 use neurocube_fixed::{
-    accumulate_narrow_lanes, accumulate_wide_lanes, wide_result_bits, AccumulatorWidth, MacUnit,
-    Q88,
+    accumulate_narrow_lanes, accumulate_wide_lanes, wide_result_bits, AccumulatorWidth, Activation,
+    MacUnit, Q88,
 };
+use neurocube_nn::{LayerSpec, NetworkSpec, Shape, Tensor};
+use neurocube_sim::StatsRegistry;
 use proptest::prelude::*;
 
-/// Deterministic anchor: a workload seeded with real zeros (every third
-/// weight, every other input pixel) classifies gated lanes, and not every
-/// lane — the always-on `sparsity.*` counters are live.
+/// One inference of `net` with the given parameters and input on a fresh
+/// paper cube (with duplication): its report and final registry.
+fn run_sparse(
+    net: &NetworkSpec,
+    params: Vec<Vec<Q88>>,
+    input: &Tensor,
+) -> (RunReport, StatsRegistry) {
+    let mut cube = Neurocube::new(SystemConfig::paper(true));
+    let loaded = cube.load(net.clone(), params);
+    let (_, report) = cube.run_inference(&loaded, input);
+    (report, cube.stats_registry())
+}
+
+/// The always-on `sparsity.*` counters are live and only observe.
+///
+/// Anchor: an MLP seeded with real zeros (every third weight, every other
+/// input pixel) classifies gated lanes, and not every lane.
+///
+/// Ladder: one 1x64x64 ReLU conv layer (8 maps, k=3) at operand density
+/// 1/keep for keep in {1, 2, 4, 8, 16}, both inputs and weights thinned.
+/// Cycles and MAC ops do not move with density; gated lanes and zero
+/// DRAM reads never fall as density drops, and do grow over the ladder.
 #[test]
 fn sparsity_classification_is_not_vacuous() {
     let net = neurocube_nn::workloads::mnist_mlp(64);
@@ -39,15 +61,75 @@ fn sparsity_classification_is_not_vacuous() {
             }
         })
         .collect();
-    let input = neurocube_nn::Tensor::from_vec(s.channels, s.height, s.width, data);
-    let (_, stats) =
-        neurocube_bench::run_inference_sparsity(SystemConfig::paper(true), &net, params, &input);
+    let input = Tensor::from_vec(s.channels, s.height, s.width, data);
+    let (_, stats) = run_sparse(&net, params, &input);
     let gated = stats.counter("sparsity.pe.lanes_gated");
     assert!(gated > 0, "zeroed weights/input fired no gated lanes");
     let mac_ops = stats.sum_suffix(".mac_ops");
     assert!(
         gated < mac_ops,
         "every MAC lane gated — the workload degenerated to all-zero"
+    );
+
+    let net = NetworkSpec::new(
+        Shape::new(1, 64, 64),
+        vec![LayerSpec::conv(8, 3, Activation::ReLU)],
+    )
+    .expect("geometry fits");
+    let s = net.input_shape();
+    // (keep, cycles, MAC ops, gated lanes, zero DRAM words read)
+    let ladder: Vec<(usize, u64, u64, u64, u64)> = [1, 2, 4, 8, 16]
+        .into_iter()
+        .map(|keep| {
+            // One nonzero operand per `keep`; the input ramp skips 0.
+            let data = (0..s.len())
+                .map(|i| {
+                    if i % keep == 0 {
+                        Q88::from_f64(((i % 63) as f64 + 1.0) / 64.0)
+                    } else {
+                        Q88::ZERO
+                    }
+                })
+                .collect();
+            let input = Tensor::from_vec(s.channels, s.height, s.width, data);
+            let mut params = net.init_params(9, 0.25);
+            for layer in &mut params {
+                for (i, w) in layer.iter_mut().enumerate() {
+                    if i % keep != 0 {
+                        *w = Q88::ZERO;
+                    }
+                }
+            }
+            let (report, stats) = run_sparse(&net, params, &input);
+            (
+                keep,
+                report.total_cycles(),
+                stats.sum_suffix(".mac_ops"),
+                stats.counter("sparsity.pe.lanes_gated"),
+                stats.counter("sparsity.dram.zero_words_read"),
+            )
+        })
+        .collect();
+    for w in ladder.windows(2) {
+        let ((ka, ca, ma, ga, za), (kb, cb, mb, gb, zb)) = (w[0], w[1]);
+        assert!(
+            (cb, mb) == (ca, ma),
+            "operand density moved the timing: {ca} cycles / {ma} MACs (1/{ka}) -> {cb} / {mb} (1/{kb})"
+        );
+        assert!(
+            gb >= ga && zb >= za,
+            "gated lanes / zero DRAM reads fell as density dropped: {ga} / {za} (1/{ka}) -> {gb} / {zb} (1/{kb})"
+        );
+    }
+    let (_, _, _, gated_first, zeros_first) = ladder[0];
+    let (keep, _, macs, gated_last, zeros_last) = ladder[ladder.len() - 1];
+    assert!(
+        gated_last > gated_first && zeros_last > zeros_first,
+        "the ladder never classified any sparsity: {ladder:?}"
+    );
+    assert!(
+        gated_last < macs,
+        "every MAC lane gated at 1/{keep}: {ladder:?}"
     );
 }
 
@@ -170,10 +252,9 @@ proptest! {
 
     /// Zero-weight lane purity: a lane whose weight operand is zero never
     /// perturbs any accumulator bit, no matter what its state operand
-    /// holds — so counting such lanes as gated (and pricing the MACs a
-    /// gated-update array would not have clocked) describes the same
-    /// arithmetic, at both accumulator widths and from any starting
-    /// accumulator value.
+    /// holds — so counting such lanes as gated (the MACs a gated-update
+    /// array would not have clocked) describes the same arithmetic, at
+    /// both accumulator widths and from any starting accumulator value.
     #[test]
     fn zero_weight_lanes_never_perturb_accumulator_bits(
         weights in proptest::collection::vec(boundary_operand(), 16),
