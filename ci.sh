@@ -1,69 +1,33 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: build, test, format, lint. Run from the repo root.
+# CI gate, in two modes. Run from the repo root.
 #
-#   ci.sh          - standard gate; property tests run a pinned 64-case
-#                    budget so the differential suites are deterministic
-#                    in wall-clock terms. (Includes the skip-equivalence
-#                    property suite: skipping vs naive loop, bitwise.)
-#   ci.sh --fuzz   - same gate, then a deeper randomized sweep of the
-#                    property/differential suites (512 cases each).
-#   ci.sh --faults - same gate, then the fault suites at depth: the
-#                    fault-determinism fuzz (malformed packets/tags into
-#                    lenient components) and the fault-mode
-#                    skip-equivalence properties at 512 cases each. The
-#                    standard gate already runs both at the pinned
-#                    64-case budget via `cargo test`.
-#   ci.sh --bench  - same gate, then the simulator wall-clock benchmark
-#                    (fig. 14/15 sweep shapes, BENCH_sim.json). It asserts
-#                    the skipping and naive loops bitwise identical on
-#                    every workload and fails if skip mode loses to the
-#                    naive loop in the same binary (per-workload min
-#                    0.90x, sweep geomean 1.0x). No variable needs setting.
-#   ci.sh --serve  - same gate, then the serving-layer suites at depth
-#                    (scheduler-vs-oracle, determinism, malformed fuzz at
-#                    512 cases each) and the serving load benchmark
-#                    (BENCH_serve.json), whose built-in sanity gates
-#                    require a finite p99 under underload and a nonzero
-#                    shed rate at 2x saturation. The standard gate already
-#                    runs the serve suites at the pinned 32-case budget.
-#   ci.sh --compile - same gate, then the graph-compiler suites at depth
-#                    (DAG equivalence + DAG differential properties, 512
-#                    cases each) and the pipelining benchmark
-#                    (BENCH_pipeline.json), whose built-in gate requires
-#                    compiled-pipelined cycles strictly below per-layer
-#                    replay on every multi-phase workload. The standard
-#                    gate already runs both suites at the pinned 32-case
-#                    budget.
-#   ci.sh --twospeed - same gate, then the two-speed audit suites at
-#                    depth (audit-sampler purity and defect-catching
-#                    properties at 512 cases, plus the histogram edge
-#                    suite) and the two-speed benchmark
-#                    (BENCH_twospeed.json): 10^6 requests per scenario on
-#                    the analytical path, with built-in hard gates — zero
-#                    envelope violations at every audit rate, a bitwise
-#                    identical audited subset across serial/threaded/
-#                    rerun, and >=100x analytical speedup over full
-#                    replay. The standard gate already runs the audit
-#                    property suite at the pinned 32-case budget.
-#   ci.sh --cluster - same gate, then the cluster suites at depth (the
-#                    sharded-vs-single-cube / skip-vs-naive on a fresh
-#                    and on a warm cluster / certified link-bound
-#                    properties at 512 cases, plus the cluster and serve
-#                    unit suites, which pin the executor - member cubes
-#                    on private clocks, a stage's part cubes on host
-#                    threads - to the registry of the serial
-#                    tick-every-member one it replaced, one worker
-#                    against four, and the planner to the plans of the
-#                    prefix-cloning one) and the 16-64 cube scaling
-#                    study (BENCH_cluster.json), whose built-in gates
-#                    require pipelined batch throughput strictly above
-#                    the single big cube on every multi-stage point and
-#                    weak-scaling plans that grow with the fabric. The
-#                    standard gate already runs the property suite at the
-#                    pinned 32-case budget. Both run the cluster suites
-#                    twice where `taskset` exists: on every core, and
-#                    pinned to one, where the host thread count is 1 and
-#                    every part runs inline on the calling thread.
+#   ci.sh        - the standard gate: release build, the workspace tests
+#                  with property suites at a pinned 64-case budget (the
+#                  fault, serving, graph-compiler, two-speed and cluster
+#                  property suites again at 32 cases; the cluster suites
+#                  once more pinned to one core where `taskset` exists, so
+#                  the executor runs its one-worker inline path), the
+#                  ambient-environment test, fmt, clippy and the doc gate.
+#   ci.sh --deep - the standard gate, then every workspace test in release
+#                  with property suites at 512 cases, the one-core cluster
+#                  runs at 512 cases, and the three studies whose built-in
+#                  gates are deterministic: `pipeline_bench` (pipelined
+#                  strictly below per-layer replay on every multi-phase
+#                  workload), `serve_load` (finite p99 and no shedding
+#                  under load, shedding at 2x saturation, serial ==
+#                  threaded replay) and `scaling_cluster` (pipelined
+#                  batches beat the single big cube, weak-scaling plans
+#                  grow with the fabric, reruns bitwise identical).
+#
+# Any other argument is an error, so a mode that no longer exists never
+# silently runs only the standard gate.
+case "$#:${1:-}" in
+    0: | 1:--deep) ;;
+    *)
+        echo "usage: ci.sh [--deep]  (modes: standard, --deep)" >&2
+        exit 2
+        ;;
+esac
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -106,65 +70,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet \
     --exclude proptest --exclude rand --exclude criterion
 
-if [[ "${1:-}" == "--fuzz" ]]; then
-    echo "== fuzz sweep (PROPTEST_CASES=512) =="
-    PROPTEST_CASES=512 cargo test -q --release \
-        -p neurocube-fixed \
-        -p neurocube-dram \
-        -p neurocube-noc \
-        -p neurocube-golden \
-        -p neurocube-integration-tests
-fi
-
-if [[ "${1:-}" == "--faults" ]]; then
-    echo "== fault suites (PROPTEST_CASES=512) =="
-    PROPTEST_CASES=512 cargo test -q --release \
-        -p neurocube-integration-tests --test fault_fuzz --test skip_equivalence
-fi
-
-if [[ "${1:-}" == "--bench" ]]; then
-    echo "== simulator wall-clock benchmark (gate: skip >= naive, bitwise identical) =="
-    cargo bench -p neurocube-bench --bench bench_sim
-fi
-
-if [[ "${1:-}" == "--serve" ]]; then
-    echo "== serving suites (PROPTEST_CASES=512) =="
-    PROPTEST_CASES=512 cargo test -q --release \
-        -p neurocube-serve --test serve_properties
-    cargo test -q --release \
-        -p neurocube-integration-tests --test serve_system
-    echo "== serving load benchmark (gates: finite p99 underloaded, shed > 0 at 2x) =="
-    cargo bench -p neurocube-bench --bench serve_load
-fi
-
-if [[ "${1:-}" == "--compile" ]]; then
-    echo "== graph-compiler suites (PROPTEST_CASES=512) =="
-    PROPTEST_CASES=512 cargo test -q --release \
-        -p neurocube-integration-tests --test graph_equivalence --test graph_differential
-    echo "== pipelining benchmark (gate: pipelined < replay on every multi-phase workload) =="
-    cargo bench -p neurocube-bench --bench pipeline_bench
-fi
-
-if [[ "${1:-}" == "--twospeed" ]]; then
-    echo "== two-speed audit suites (PROPTEST_CASES=512) =="
-    PROPTEST_CASES=512 cargo test -q --release \
-        -p neurocube-integration-tests --test twospeed_audit
-    cargo test -q --release -p neurocube-sim --test histogram_edge
-    echo "== two-speed benchmark (gates: zero violations, bitwise audits, >=100x speedup) =="
-    cargo bench -p neurocube-bench --bench twospeed_load
-fi
-
-if [[ "${1:-}" == "--cluster" ]]; then
-    echo "== cluster sharding suites (PROPTEST_CASES=512) =="
-    PROPTEST_CASES=512 cargo test -q --release \
-        -p neurocube-integration-tests --test cluster_sharding
-    cargo test -q --release -p neurocube-cluster -p neurocube-serve
+if [[ "${1:-}" == "--deep" ]]; then
+    echo "== workspace tests in release (PROPTEST_CASES=512) =="
+    PROPTEST_CASES=512 cargo test -q --release --workspace
     if (( ${#one_core[@]} )); then
-        echo "== the same on one core (one worker, every part inline) =="
+        echo "== cluster suites on one core (one worker, every part inline) =="
         "${one_core[@]}" cargo test -q --release -p neurocube-cluster
         PROPTEST_CASES=512 "${one_core[@]}" cargo test -q --release \
             -p neurocube-integration-tests --test cluster_sharding
     fi
-    echo "== cluster scaling study (gates: pipelined > single cube, plans grow with fabric) =="
+    echo "== studies (built-in gates) =="
+    cargo bench -p neurocube-bench --bench pipeline_bench
+    cargo bench -p neurocube-bench --bench serve_load
     cargo bench -p neurocube-bench --bench scaling_cluster
 fi

@@ -14,15 +14,14 @@
 //! the replay pays the programming charge per phase, the pipeline once
 //! per inference.
 //!
-//! Results go to `BENCH_pipeline.json` at the workspace root (override
-//! the path with `NEUROCUBE_BENCH_OUT`). Seed-replayable: every workload
-//! pins its parameter seed.
+//! The table is printed only, and every number in it is simulated:
+//! every workload pins its parameter seed, so a rerun prints the same
+//! table.
 
 use neurocube::{ProgrammingModel, SystemConfig};
 use neurocube_bench::{header, run_graph_mode};
 use neurocube_fixed::Activation;
 use neurocube_nn::{GraphSpec, LayerSpec, NetworkSpec, Shape};
-use std::path::PathBuf;
 
 struct Workload {
     name: &'static str,
@@ -89,7 +88,6 @@ fn workloads() -> Vec<Workload> {
 }
 
 struct Row {
-    name: &'static str,
     phases: usize,
     replay_cycles: u64,
     pipelined_cycles: u64,
@@ -107,51 +105,23 @@ impl Row {
     }
 }
 
-fn json_escape_free(name: &str) -> &str {
-    assert!(name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'));
-    name
-}
-
-fn write_json(rows: &[Row], path: &PathBuf) {
-    let mut out = String::from("{\n  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"phases\": {}, \"replay_cycles\": {}, \
-             \"pipelined_cycles\": {}, \"replay_programming_cycles\": {}, \
-             \"pipelined_programming_cycles\": {}, \"saved_cycles\": {}, \
-             \"speedup\": {:.4}}}{}\n",
-            json_escape_free(r.name),
-            r.phases,
-            r.replay_cycles,
-            r.pipelined_cycles,
-            r.replay_programming,
-            r.pipelined_programming,
-            r.saved_cycles(),
-            r.speedup(),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    let multi: Vec<&Row> = rows.iter().filter(|r| r.phases > 1).collect();
-    let min = multi
-        .iter()
-        .map(|r| r.speedup())
-        .fold(f64::INFINITY, f64::min);
-    out.push_str(&format!(
-        "  ],\n  \"min_multiphase_speedup\": {min:.4}\n}}\n"
-    ));
-    std::fs::write(path, out).expect("write BENCH_pipeline.json");
-}
-
 fn main() {
     header(
-        "BENCH_pipeline",
+        "Pipelining",
         "compiled-pipelined DAG execution vs per-layer replay (simulated cycles)",
     );
     let charge = ProgrammingModel::typical().layer_cycles(16);
     println!("host programming charge: {charge} cycles per program (16 PNGs)");
     println!(
-        "{:<24} {:>7} {:>13} {:>13} {:>11} {:>9}",
-        "workload", "phases", "replay cyc", "pipeline cyc", "saved cyc", "speedup"
+        "{:<24} {:>7} {:>13} {:>13} {:>11} {:>10} {:>11} {:>11}",
+        "workload",
+        "phases",
+        "replay cyc",
+        "pipeline cyc",
+        "saved cyc",
+        "speedup",
+        "replay prog",
+        "pipe prog"
     );
     let mut rows = Vec::new();
     for w in workloads() {
@@ -168,7 +138,6 @@ fn main() {
         let phases = piped.report.layers.len();
         assert_eq!(phases, replay.report.layers.len());
         let row = Row {
-            name: w.name,
             phases,
             replay_cycles: replay.report.total_cycles(),
             pipelined_cycles: piped.report.total_cycles(),
@@ -186,30 +155,28 @@ fn main() {
             );
         }
         println!(
-            "{:<24} {:>7} {:>13} {:>13} {:>11} {:>8.3}x",
+            "{:<24} {:>7} {:>13} {:>13} {:>11} {:>9.4}x {:>11} {:>11}",
             w.name,
             row.phases,
             row.replay_cycles,
             row.pipelined_cycles,
             row.saved_cycles(),
-            row.speedup()
+            row.speedup(),
+            row.replay_programming,
+            row.pipelined_programming
         );
         rows.push(row);
     }
 
+    let min = rows
+        .iter()
+        .filter(|r| r.phases > 1)
+        .map(Row::speedup)
+        .fold(f64::INFINITY, f64::min);
+    println!("\nmin multi-phase speedup: {min:.4}x");
     println!(
-        "\nreplay pays the host programming charge per phase; the pipeline pays it \
+        "replay pays the host programming charge per phase; the pipeline pays it \
          once per inference\n(single-phase workloads are the break-even control: \
          one program either way)."
     );
-
-    let out = std::env::var_os("NEUROCUBE_BENCH_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_pipeline.json")
-        });
-    write_json(&rows, &out);
-    println!("wrote {}", out.display());
 }

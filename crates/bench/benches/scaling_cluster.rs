@@ -21,12 +21,10 @@
 //! the whole `cluster.*` registry), and the replicated arm must produce
 //! bitwise-identical results serially and on `BatchRunner` threads.
 //!
-//! Results go to `BENCH_cluster.json` at the workspace root (override
-//! with `NEUROCUBE_CLUSTER_BENCH_OUT`). Built-in sanity gate (the
-//! `ci.sh --cluster` hook): on every multi-stage workload the pipelined
-//! batch throughput must be *strictly* above the single-cube
-//! throughput, and weak-scaling plans must occupy more cubes as the
-//! fabric grows.
+//! Built-in sanity gate (run by `ci.sh --deep`): on every multi-stage
+//! workload the pipelined batch throughput must be *strictly* above the
+//! single-cube throughput, and weak-scaling plans must occupy more cubes
+//! as the fabric grows.
 
 use neurocube::{Neurocube, SystemConfig};
 use neurocube_bench::header;
@@ -34,7 +32,6 @@ use neurocube_cluster::{shard_graph, Cluster, LinkConfig, ShardedGraph};
 use neurocube_fixed::{Activation, Q88};
 use neurocube_nn::{GraphBuilder, GraphSpec, LayerSpec, Shape, Tensor, INPUT};
 use neurocube_sim::BatchRunner;
-use std::path::PathBuf;
 
 /// Fabric sizes under study.
 const FABRICS: [usize; 3] = [16, 32, 64];
@@ -184,30 +181,9 @@ fn measure(fabric: usize, depth: usize, plan: ShardedGraph, cfg: &SystemConfig) 
 
 fn print_point(kind: &str, p: &Point) {
     println!(
-        "{:<7} {:<7} {:>6} {:>6} {:>7} {:>12} {:>12} {:>11.2} {:>11.2} {:>11.2} {:>10} {:>12.3e}",
+        "{:<7} {:>6} {:>5} {:>5} {:>6} {:>10} {:>10} {:>8} {:>9} {:>9.4} {:>10} {:>10.4} \
+         {:>10.4} {:>9} {:>7} {:>12.6e} {:>6}",
         kind,
-        p.fabric,
-        p.depth,
-        p.cubes,
-        p.stages,
-        p.latency_cycles,
-        p.single_cycles,
-        p.sharded_thr,
-        p.single_thr,
-        p.replicated_thr,
-        p.link_transfers,
-        p.link_energy_j,
-    );
-}
-
-fn json_point(p: &Point) -> String {
-    format!(
-        "    {{\"fabric\": {}, \"depth\": {}, \"cubes\": {}, \"stages\": {}, \
-         \"plan_lower\": {}, \"link_lower\": {}, \"latency_cycles\": {}, \
-         \"batch\": {}, \"batch_cycles\": {}, \"sharded_jobs_per_mcycle\": {:.4}, \
-         \"single_cycles\": {}, \"single_jobs_per_mcycle\": {:.4}, \
-         \"replicated_jobs_per_mcycle\": {:.4}, \"link_transfers\": {}, \
-         \"link_bytes\": {}, \"link_energy_j\": {:.6e}, \"jumps\": {}}}",
         p.fabric,
         p.depth,
         p.cubes,
@@ -215,7 +191,6 @@ fn json_point(p: &Point) -> String {
         p.plan_lower,
         p.link_lower,
         p.latency_cycles,
-        BATCH,
         p.batch_cycles,
         p.sharded_thr,
         p.single_cycles,
@@ -225,41 +200,38 @@ fn json_point(p: &Point) -> String {
         p.link_bytes,
         p.link_energy_j,
         p.jumps,
-    )
-}
-
-fn write_json(weak: &[Point], strong: &[Point], path: &PathBuf) {
-    let section = |pts: &[Point]| pts.iter().map(json_point).collect::<Vec<_>>().join(",\n");
-    let out = format!(
-        "{{\n  \"weak\": [\n{}\n  ],\n  \"strong\": [\n{}\n  ]\n}}\n",
-        section(weak),
-        section(strong)
     );
-    std::fs::write(path, out).expect("write BENCH_cluster.json");
 }
 
 fn main() {
     header(
-        "BENCH_cluster",
+        "Cluster scaling",
         "sharded vs replicated scaling over 16-64 cube SerDes fabrics",
     );
     let mut cfg = SystemConfig::paper(true);
     cfg.memory.region_bytes = REGION_BYTES;
+    println!("pipelined batch of {BATCH}; throughputs in jobs per Mcycle");
 
     println!(
-        "{:<7} {:<7} {:>6} {:>6} {:>7} {:>12} {:>12} {:>11} {:>11} {:>11} {:>10} {:>12}",
+        "{:<7} {:>6} {:>5} {:>5} {:>6} {:>10} {:>10} {:>8} {:>9} {:>9} {:>10} {:>10} \
+         {:>10} {:>9} {:>7} {:>12} {:>6}",
         "study",
         "fabric",
         "depth",
         "cubes",
         "stages",
+        "plan lower",
+        "link lower",
         "latency",
-        "1-cube lat",
+        "batch cyc",
         "shard thr",
+        "1-cube lat",
         "1-cube thr",
         "repl thr",
         "transfers",
+        "link B",
         "link J",
+        "jumps",
     );
     let mut weak: Vec<Point> = Vec::new();
     for fabric in FABRICS {
@@ -327,14 +299,4 @@ fn main() {
         FABRICS[2],
         weak.last().map_or(0, |p| p.depth) + 1,
     );
-
-    let out = std::env::var_os("NEUROCUBE_CLUSTER_BENCH_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_cluster.json")
-        });
-    write_json(&weak, &strong, &out);
-    println!("wrote {}", out.display());
 }

@@ -4,18 +4,17 @@
 //! Two tenant mixes — the MNIST MLP pair and the Fig. 14 conv shapes —
 //! are swept from deep underload (0.25× the pool's saturation rate) to
 //! 2× saturation. Every sweep number is *virtual-time*: the scheduler
-//! plans in simulated cycles, so the emitted `BENCH_serve.json` is
-//! bitwise identical on every rerun of the same build (no wall-clock,
-//! no timestamps). Before reporting, the harness replays a small slice
-//! of each mix's schedule on real cubes twice — serially and on
-//! `BatchRunner` threads — and asserts the merged `serve.exec.*`
-//! registries agree bitwise, so the numbers always describe a schedule
-//! real hardware-model execution reproduces.
+//! plans in simulated cycles, so the printed table is identical on every
+//! rerun of the same build (no wall-clock, no timestamps). Before
+//! reporting, the harness replays a small slice of each mix's schedule
+//! on real cubes twice — serially and on `BatchRunner` threads — and
+//! asserts the merged `serve.exec.*` registries agree bitwise, so the
+//! numbers always describe a schedule real hardware-model execution
+//! reproduces.
 //!
-//! Output goes to `BENCH_serve.json` at the workspace root (override
-//! with `NEUROCUBE_BENCH_SERVE_OUT`). Built-in sanity gates: the
-//! underload point must complete requests with a finite p99 and shed
-//! nothing; the 2× point must shed (graceful overload degradation).
+//! Built-in sanity gates: the underload point must complete requests
+//! with a finite p99 and shed nothing; the 2× point must shed (graceful
+//! overload degradation).
 
 use neurocube::SystemConfig;
 use neurocube_bench::header;
@@ -24,7 +23,6 @@ use neurocube_nn::{workloads, LayerSpec, NetworkSpec, Shape};
 use neurocube_serve::{
     execute, generate, serve_mode, ExecMode, ModelCatalog, ServeConfig, TrafficSpec,
 };
-use std::path::PathBuf;
 
 struct Mix {
     name: &'static str,
@@ -77,7 +75,6 @@ const REQUESTS_PER_POINT: u64 = 600;
 const POOL: usize = 4;
 
 struct Row {
-    mix: &'static str,
     factor: f64,
     mean_gap: u64,
     offered: u64,
@@ -95,51 +92,9 @@ struct Row {
     makespan: u64,
 }
 
-fn json_escape_free(name: &str) -> &str {
-    assert!(name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'));
-    name
-}
-
-fn write_json(rows: &[Row], pool: usize, path: &PathBuf) {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"pool\": {pool},\n  \"requests_per_point\": {REQUESTS_PER_POINT},\n"
-    ));
-    out.push_str("  \"points\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mix\": \"{}\", \"load_factor\": {:.2}, \"mean_gap_cycles\": {}, \
-             \"offered\": {}, \"completed\": {}, \"shed\": {}, \"rejected\": {}, \
-             \"latency_p50\": {}, \"latency_p90\": {}, \"latency_p99\": {}, \
-             \"mean_batch\": {:.4}, \"affinity_hit_rate\": {:.4}, \"shed_rate\": {:.4}, \
-             \"offered_per_mcycle\": {:.4}, \"goodput_per_mcycle\": {:.4}, \
-             \"makespan_cycles\": {}}}{}\n",
-            json_escape_free(r.mix),
-            r.factor,
-            r.mean_gap,
-            r.offered,
-            r.completed,
-            r.shed,
-            r.rejected,
-            r.p50,
-            r.p90,
-            r.p99,
-            r.mean_batch,
-            r.affinity_hit_rate,
-            r.shed_rate,
-            r.offered_per_mcycle,
-            r.goodput_per_mcycle,
-            r.makespan,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).expect("write BENCH_serve.json");
-}
-
 fn main() {
     header(
-        "BENCH_serve",
+        "Serving load",
         "offered load vs goodput across the saturation knee (virtual time, deterministic)",
     );
     let mut rows: Vec<Row> = Vec::new();
@@ -158,21 +113,28 @@ fn main() {
         let sat_gap = avg_service / POOL as f64;
 
         println!(
-            "\nmix {}: avg service {:.0} cycles, pool {}, batching window {} cycles",
-            m.name, avg_service, POOL, cfg.max_delay
+            "\nmix {}: avg service {:.0} cycles, pool {}, batching window {} cycles, \
+             {} requests per point",
+            m.name, avg_service, POOL, cfg.max_delay, REQUESTS_PER_POINT
         );
         println!(
-            "{:>7} {:>10} {:>10} {:>6} {:>9} {:>9} {:>9} {:>11} {:>8} {:>8}",
+            "{:>6} {:>6} {:>7} {:>6} {:>5} {:>5} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} \
+             {:>10} {:>10} {:>9}",
             "load",
-            "offered/Mc",
-            "goodput/Mc",
-            "shed%",
+            "gap",
+            "offered",
+            "done",
+            "shed",
+            "rej",
+            "shed r",
             "p50",
             "p90",
             "p99",
-            "mean batch",
-            "affin%",
-            "rej"
+            "batch",
+            "affin",
+            "offered/Mc",
+            "goodput/Mc",
+            "makespan"
         );
         for (pt, &factor) in LOAD_FACTORS.iter().enumerate() {
             let mean_gap = sat_gap / factor;
@@ -198,7 +160,6 @@ fn main() {
             let lat = report.latency();
             let makespan = report.makespan.max(1);
             let row = Row {
-                mix: m.name,
                 factor,
                 mean_gap: mean_gap as u64,
                 offered: report.stats.counter("serve.requests.offered"),
@@ -221,17 +182,23 @@ fn main() {
                 makespan: report.makespan,
             };
             println!(
-                "{:>6.2}x {:>10.1} {:>10.1} {:>5.1}% {:>9} {:>9} {:>9} {:>11.2} {:>7.0}% {:>8}",
+                "{:>5.2}x {:>6} {:>7} {:>6} {:>5} {:>5} {:>7.4} {:>7} {:>7} {:>7} {:>7.4} {:>7.4} \
+                 {:>10.4} {:>10.4} {:>9}",
                 row.factor,
-                row.offered_per_mcycle,
-                row.goodput_per_mcycle,
-                row.shed_rate * 100.0,
+                row.mean_gap,
+                row.offered,
+                row.completed,
+                row.shed,
+                row.rejected,
+                row.shed_rate,
                 row.p50,
                 row.p90,
                 row.p99,
                 row.mean_batch,
-                row.affinity_hit_rate * 100.0,
-                row.rejected,
+                row.affinity_hit_rate,
+                row.offered_per_mcycle,
+                row.goodput_per_mcycle,
+                row.makespan,
             );
             rows.push(row);
         }
@@ -291,17 +258,8 @@ fn main() {
         );
     }
 
-    let out = std::env::var_os("NEUROCUBE_BENCH_SERVE_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_serve.json")
-        });
-    write_json(&rows, POOL, &out);
-    println!("\nwrote {}", out.display());
     println!(
-        "reading: goodput tracks offered load until the knee at 1.0x, then\n\
+        "\nreading: goodput tracks offered load until the knee at 1.0x, then\n\
          flattens at pool capacity while the shed rate absorbs the excess;\n\
          affinity keeps reprogramming off the critical path, so batch sizes\n\
          grow with pressure instead of service times."

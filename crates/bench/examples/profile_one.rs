@@ -1,6 +1,6 @@
-//! Per-stage wall-clock profile of one `bench_sim` workload.
+//! Per-stage wall-clock profile of one Fig. 14/15 workload.
 //!
-//! Runs exactly one workload from the benchmark table in one mode with the
+//! Runs exactly one workload from the table below in one mode with the
 //! cube's stage profile on (`Neurocube::set_stage_profile`), so the
 //! per-stage breakdown printed to stderr is attributable to a single run:
 //!
@@ -17,13 +17,79 @@
 //! the PNGs spent their null ticks).
 //! Run with no arguments to list the workload names.
 
-use neurocube::Neurocube;
-use neurocube_bench::{bench_workloads, ramp_input, run_inference_stats};
+use neurocube::{Neurocube, SystemConfig};
+use neurocube_bench::{ramp_input, run_inference_stats};
+use neurocube_fixed::Activation;
+use neurocube_nn::{LayerSpec, NetworkSpec, Shape};
 use std::time::Instant;
+
+/// One profiled workload: a system configuration, a network shape and a
+/// parameter seed.
+struct Workload {
+    name: &'static str,
+    cfg: SystemConfig,
+    spec: NetworkSpec,
+    seed: u64,
+}
+
+fn conv_net(input: usize, maps: usize, kernel: usize) -> NetworkSpec {
+    NetworkSpec::new(
+        Shape::new(1, input, input),
+        vec![LayerSpec::conv(maps, kernel, Activation::Tanh)],
+    )
+    .expect("geometry fits")
+}
+
+fn fc_net(inputs: usize, hidden: usize) -> NetworkSpec {
+    NetworkSpec::new(
+        Shape::flat(inputs),
+        vec![LayerSpec::fc(hidden, Activation::Sigmoid)],
+    )
+    .expect("geometry fits")
+}
+
+/// The Fig. 14/15 shapes the sweeps spend their wall-clock on: the conv
+/// kernel sweep's end points (with and without duplication), the FC
+/// hidden-width sweep, the Fig. 15 channel-count extremes and the DDR3
+/// baseline whose two injection points leave the fabric mostly idle.
+fn workloads() -> Vec<Workload> {
+    vec![
+        Workload {
+            name: "fig14_conv_k3_dup",
+            cfg: SystemConfig::paper(true),
+            spec: conv_net(128, 16, 3),
+            seed: 14,
+        },
+        Workload {
+            name: "fig14_conv_k7_nodup",
+            cfg: SystemConfig::paper(false),
+            spec: conv_net(128, 16, 7),
+            seed: 14,
+        },
+        Workload {
+            name: "fig14_fc_2048x1024_dup",
+            cfg: SystemConfig::paper(true),
+            spec: fc_net(2048, 1024),
+            seed: 14,
+        },
+        Workload {
+            name: "fig15_conv96_hmc16",
+            cfg: SystemConfig::hmc_with_channels(16),
+            spec: conv_net(96, 16, 7),
+            seed: 15,
+        },
+        Workload {
+            name: "fig15_conv96_ddr3",
+            cfg: SystemConfig::ddr3(),
+            spec: conv_net(96, 16, 7),
+            seed: 15,
+        },
+    ]
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let workloads = bench_workloads();
+    let workloads = workloads();
     let Some(name) = args.first() else {
         eprintln!("usage: profile_one <workload> [skip|naive]");
         for w in &workloads {

@@ -9,8 +9,9 @@
 //! `fast` runs a proportionally reduced input that preserves every
 //! qualitative shape at a fraction of the wall-clock time.
 //!
-//! The harnesses are the only code that reads the environment ([`env_u64`],
-//! [`env_f64`] and the path variables); the library crates take every
+//! The harnesses are the only code that reads the environment
+//! (`NEUROCUBE_SCALE` through [`scene_scale`], `NEUROCUBE_CSV` through
+//! [`CsvSink`] and [`export_stats`]); the library crates take every
 //! setting as a value.
 
 #![forbid(unsafe_code)]
@@ -19,7 +20,6 @@
 mod env;
 
 use env::env_str;
-pub use env::{env_f64, env_u64};
 
 use neurocube::{Neurocube, RunReport, SystemConfig};
 use neurocube_fault::FaultConfig;
@@ -81,8 +81,8 @@ pub fn run_inference_stats(
     spec: &NetworkSpec,
     seed: u64,
 ) -> (RunReport, StatsRegistry) {
-    let (report, stats, _) = run_inference_mode(cfg, spec, seed, true);
-    (report, stats)
+    let run = run_graph_mode(cfg, &spec.to_graph(), seed, true, true);
+    (run.report, run.stats)
 }
 
 /// Fast-forward telemetry from one inference run (see
@@ -93,100 +93,6 @@ pub struct SkipTelemetry {
     pub skipped_cycles: u64,
     /// Number of fast-forward jumps taken.
     pub horizon_jumps: u64,
-}
-
-/// Like [`run_inference_stats`], but with explicit control over
-/// event-horizon fast-forwarding: `true` skips (the default everywhere
-/// else), `false` ticks every cycle (the naive oracle). Returns the
-/// run's fast-forward telemetry alongside the report — the wall-clock
-/// benchmark uses this to compare both modes and prove they agree
-/// bitwise.
-pub fn run_inference_mode(
-    cfg: SystemConfig,
-    spec: &NetworkSpec,
-    seed: u64,
-    skip: bool,
-) -> (RunReport, StatsRegistry, SkipTelemetry) {
-    let run = run_graph_mode(cfg, &spec.to_graph(), seed, skip, true);
-    (run.report, run.stats, run.telemetry)
-}
-
-/// One workload of the simulator wall-clock benchmark (`bench_sim`):
-/// a named system configuration + network shape + parameter seed. The
-/// table lives here (not in the bench target) so profiling tools can
-/// run exactly the shapes the gate measures.
-pub struct BenchWorkload {
-    /// Stable identifier used in `BENCH_sim.json` and the seed table.
-    pub name: &'static str,
-    /// System configuration the workload runs on.
-    pub cfg: SystemConfig,
-    /// Network shape to run.
-    pub spec: NetworkSpec,
-    /// Parameter-initialisation seed.
-    pub seed: u64,
-}
-
-fn bench_conv_net(input: usize, maps: usize, kernel: usize) -> NetworkSpec {
-    NetworkSpec::new(
-        neurocube_nn::Shape::new(1, input, input),
-        vec![neurocube_nn::LayerSpec::conv(
-            maps,
-            kernel,
-            neurocube_fixed::Activation::Tanh,
-        )],
-    )
-    .expect("geometry fits")
-}
-
-fn bench_fc_net(inputs: usize, hidden: usize) -> NetworkSpec {
-    NetworkSpec::new(
-        neurocube_nn::Shape::flat(inputs),
-        vec![neurocube_nn::LayerSpec::fc(
-            hidden,
-            neurocube_fixed::Activation::Sigmoid,
-        )],
-    )
-    .expect("geometry fits")
-}
-
-/// The Fig. 14/15 shapes the sweeps spend their wall-clock on: the conv
-/// kernel sweep's end points (with and without duplication), the FC
-/// hidden-width sweep, the Fig. 15 channel-count extremes and the DDR3
-/// baseline whose two injection points leave the fabric mostly idle —
-/// the workload class event-horizon skipping exists for.
-pub fn bench_workloads() -> Vec<BenchWorkload> {
-    vec![
-        BenchWorkload {
-            name: "fig14_conv_k3_dup",
-            cfg: SystemConfig::paper(true),
-            spec: bench_conv_net(128, 16, 3),
-            seed: 14,
-        },
-        BenchWorkload {
-            name: "fig14_conv_k7_nodup",
-            cfg: SystemConfig::paper(false),
-            spec: bench_conv_net(128, 16, 7),
-            seed: 14,
-        },
-        BenchWorkload {
-            name: "fig14_fc_2048x1024_dup",
-            cfg: SystemConfig::paper(true),
-            spec: bench_fc_net(2048, 1024),
-            seed: 14,
-        },
-        BenchWorkload {
-            name: "fig15_conv96_hmc16",
-            cfg: SystemConfig::hmc_with_channels(16),
-            spec: bench_conv_net(96, 16, 7),
-            seed: 15,
-        },
-        BenchWorkload {
-            name: "fig15_conv96_ddr3",
-            cfg: SystemConfig::ddr3(),
-            spec: bench_conv_net(96, 16, 7),
-            seed: 15,
-        },
-    ]
 }
 
 /// Deterministic pseudo-image input sized to a graph's input shape; the
@@ -211,7 +117,8 @@ pub struct GraphRunOutput {
 /// Compiles `graph` onto a fresh cube and runs one inference either
 /// `pipelined` (programmed once, phases sequenced on-cube) or as the
 /// per-layer replay baseline (one host programming round-trip per phase).
-/// `skip` selects the fast-forward mode as in [`run_inference_mode`].
+/// `skip` selects event-horizon fast-forwarding (`true`, the default
+/// everywhere else) or the naive per-cycle oracle (`false`).
 pub fn run_graph_mode(
     cfg: SystemConfig,
     graph: &GraphSpec,

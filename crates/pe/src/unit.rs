@@ -820,6 +820,8 @@ mod tests {
         assert!(pe.peek_result().is_none());
     }
 
+    // The check is a `debug_assert!`: release builds drop it by design.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "not configured")]
     fn accept_requires_configuration() {

@@ -1093,6 +1093,34 @@ mod tests {
         assert_eq!((end, bus.clock), (500, 500));
     }
 
+    /// The probe back-off bounds what a saturated stretch pays for
+    /// horizon probes: a stage that vetoes every probe is asked about once
+    /// per [`MAX_PROBE_HOLDOFF`] cycles, plus the ramp-up, not once per
+    /// cycle. Without the back-off the skip path pays a full `next_event`
+    /// sweep on every tick of a busy layer.
+    #[test]
+    fn saturated_stretch_probes_once_per_holdoff() {
+        struct Busy;
+        impl Clocked<EventBus> for Busy {
+            fn tick(&mut self, _now: u64, bus: &mut EventBus) {
+                bus.clock += 1;
+            }
+            fn next_event(&self, _now: u64, _bus: &EventBus) -> Option<u64> {
+                None
+            }
+        }
+        const CYCLES: u64 = 16_000;
+        let mut bus = EventBus::default();
+        let mut cl = CycleLoop::new().with_skip(true).stage(Busy);
+        cl.advance(&mut bus, 0, CYCLES);
+        assert_eq!((bus.clock, cl.jumps()), (CYCLES, 0));
+        let probes: u64 = cl.veto_counts.iter().sum();
+        assert!(
+            probes <= CYCLES / MAX_PROBE_HOLDOFF + 64,
+            "{probes} probes over {CYCLES} saturated cycles"
+        );
+    }
+
     #[test]
     fn event_loop_backstop_trips_and_reports_horizon() {
         // A stage that always promises an event just over the boundary but

@@ -2,7 +2,7 @@
 //! invisible. For random multi-layer networks (the same generator as the
 //! golden-model suite, so counterexamples shrink), a full inference with
 //! skipping forced on must match the naive per-cycle oracle **bitwise** —
-//! per-layer cycle counts, the final cycle counter, the output tensor and
+//! the whole run report, the final cycle counter, the output tensor and
 //! the entire statistics registry.
 //!
 //! The modes are selected per cube through [`Neurocube::set_cycle_skip`].
@@ -10,21 +10,21 @@
 mod common;
 
 use common::{diff_case, DiffCase};
-use neurocube::{FaultSummary, Neurocube, SystemConfig};
+use neurocube::{Neurocube, RunReport, SystemConfig};
 use neurocube_fault::FaultConfig;
-use neurocube_fixed::Q88;
+use neurocube_fixed::{Activation, Q88};
+use neurocube_nn::{LayerSpec, NetworkSpec, Shape};
 use neurocube_sim::{BatchRunner, StatsRegistry};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 struct Observables {
-    layer_cycles: Vec<u64>,
+    report: RunReport,
     final_cycle: u64,
     output: Vec<Q88>,
     stats: StatsRegistry,
     skipped_cycles: u64,
     horizon_jumps: u64,
-    fault: Option<FaultSummary>,
 }
 
 fn run_mode(case: &DiffCase, skip: bool) -> Observables {
@@ -32,22 +32,36 @@ fn run_mode(case: &DiffCase, skip: bool) -> Observables {
 }
 
 fn run_mode_faulty(case: &DiffCase, skip: bool, fault: Option<FaultConfig>) -> Observables {
-    let cfg = SystemConfig::paper(case.dup);
-    let params = case.net.init_params(case.seed, 0.25);
+    run_on(
+        SystemConfig::paper(case.dup),
+        &case.net,
+        case.seed,
+        skip,
+        fault,
+    )
+}
+
+fn run_on(
+    cfg: SystemConfig,
+    net: &NetworkSpec,
+    seed: u64,
+    skip: bool,
+    fault: Option<FaultConfig>,
+) -> Observables {
+    let params = net.init_params(seed, 0.25);
     let mut cube = Neurocube::new(cfg);
     cube.set_cycle_skip(skip);
     cube.set_fault_config(fault);
-    let loaded = cube.load(case.net.clone(), params);
-    let input = neurocube_bench::ramp_input(&case.net);
+    let loaded = cube.load(net.clone(), params);
+    let input = neurocube_bench::ramp_input(net);
     let (output, report) = cube.run_inference(&loaded, &input);
     Observables {
-        layer_cycles: report.layers.iter().map(|l| l.cycles).collect(),
+        report,
         final_cycle: cube.now(),
         output: output.as_slice().to_vec(),
         stats: cube.stats_registry(),
         skipped_cycles: cube.skipped_cycles(),
         horizon_jumps: cube.horizon_jumps(),
-        fault: report.fault,
     }
 }
 
@@ -67,8 +81,8 @@ proptest! {
             "the naive oracle must not fast-forward"
         );
         prop_assert_eq!(
-            &fast.layer_cycles, &naive.layer_cycles,
-            "per-layer cycle counts diverge (dup={}, seed={})", case.dup, case.seed
+            &fast.report, &naive.report,
+            "run reports diverge (dup={}, seed={})", case.dup, case.seed
         );
         prop_assert_eq!(fast.final_cycle, naive.final_cycle, "final cycle counters diverge");
         prop_assert_eq!(&fast.output, &naive.output, "output tensors diverge");
@@ -99,13 +113,13 @@ proptest! {
         let naive = run_mode_faulty(&case, false, Some(cfg));
         prop_assert_eq!(naive.skipped_cycles, 0, "the naive oracle must not fast-forward");
         prop_assert_eq!(
-            &fast.layer_cycles, &naive.layer_cycles,
-            "per-layer cycle counts diverge under faults (dup={}, seeds={}/{})",
+            &fast.report, &naive.report,
+            "run reports diverge under faults (dup={}, seeds={}/{})",
             case.dup, case.seed, fault_seed
         );
         prop_assert_eq!(fast.final_cycle, naive.final_cycle, "final cycle counters diverge");
         prop_assert_eq!(&fast.output, &naive.output, "output tensors diverge under faults");
-        prop_assert_eq!(&fast.fault, &naive.fault, "fault summaries diverge");
+        prop_assert_eq!(&fast.report.fault, &naive.report.fault, "fault summaries diverge");
         if let Some(delta) = fast.stats.first_difference(&naive.stats) {
             return Err(TestCaseError::fail(format!(
                 "statistics diverge at {delta} under faults (skip run jumped {} times over \
@@ -162,7 +176,7 @@ fn pending_upset_inside_quiet_window_invalidates_horizon() {
         fast.horizon_jumps > 0 && fast.skipped_cycles > 0,
         "fast mode never jumped — the workload no longer promises quiet windows"
     );
-    let summary = fast.fault.expect("injector attached");
+    let summary = fast.report.fault.expect("injector attached");
     // Resident hits flip stored data; absorbed ones hit never-written
     // pages. Both are scheduled at activity-independent absolute cycles,
     // so both clamp quiet windows; the anchor needs a healthy number of
@@ -173,7 +187,7 @@ fn pending_upset_inside_quiet_window_invalidates_horizon() {
         "no upsets landed; the anchor no longer exercises horizon invalidation"
     );
     assert_eq!(
-        fast.fault, naive.fault,
+        fast.report.fault, naive.report.fault,
         "upset counts diverge between modes"
     );
     assert_eq!(fast.final_cycle, naive.final_cycle);
@@ -185,26 +199,52 @@ fn pending_upset_inside_quiet_window_invalidates_horizon() {
     );
 }
 
-/// Deterministic anchor: on a paper-style workload the fast mode actually
-/// fast-forwards (a skip implementation that never jumps would pass the
-/// property above vacuously) and still matches the oracle.
+/// Deterministic anchor: on every memory system the simulator models —
+/// the paper's HMC cube with and without duplication, a 4-channel HMC and
+/// DDR3 — the fast mode actually fast-forwards (a skip implementation that
+/// never jumps would pass the property above vacuously), the naive oracle
+/// never does, and the two agree on output, report and registry. The
+/// property draws only `paper` configurations; this is the one whole-cube
+/// skip==naive check on fewer channels than the paper's 16.
 #[test]
 fn fast_forward_engages_on_paper_workload() {
-    let case = DiffCase {
-        net: neurocube_nn::workloads::mnist_mlp(64),
-        dup: true,
-        seed: 7,
+    let conv = |input: usize, maps: usize, kernel: usize| {
+        NetworkSpec::new(
+            Shape::new(1, input, input),
+            vec![LayerSpec::conv(maps, kernel, Activation::Tanh)],
+        )
+        .expect("geometry fits")
     };
-    let fast = run_mode(&case, true);
-    let naive = run_mode(&case, false);
-    assert!(
-        fast.horizon_jumps > 0 && fast.skipped_cycles > 0,
-        "fast mode never jumped on mnist_mlp"
-    );
-    assert_eq!(fast.final_cycle, naive.final_cycle);
-    assert_eq!(
-        fast.stats.first_difference(&naive.stats),
-        None,
-        "statistics diverge"
-    );
+    let fc = NetworkSpec::new(
+        Shape::flat(256),
+        vec![LayerSpec::fc(64, Activation::Sigmoid)],
+    )
+    .expect("geometry fits");
+    let cases = [
+        ("paper(false)", SystemConfig::paper(false), conv(24, 4, 7)),
+        ("paper(true)", SystemConfig::paper(true), fc),
+        ("hmc(4)", SystemConfig::hmc_with_channels(4), conv(12, 4, 3)),
+        ("ddr3", SystemConfig::ddr3(), conv(12, 4, 3)),
+    ];
+    for (name, cfg, net) in cases {
+        let fast = run_on(cfg.clone(), &net, 7, true, None);
+        let naive = run_on(cfg, &net, 7, false, None);
+        assert_eq!(
+            (naive.horizon_jumps, naive.skipped_cycles),
+            (0, 0),
+            "{name}: the naive oracle fast-forwarded"
+        );
+        assert!(
+            fast.horizon_jumps > 0 && fast.skipped_cycles > 0,
+            "{name}: fast mode never jumped"
+        );
+        assert_eq!(fast.output, naive.output, "{name}: outputs diverge");
+        assert_eq!(fast.report, naive.report, "{name}: reports diverge");
+        assert_eq!(fast.final_cycle, naive.final_cycle);
+        assert_eq!(
+            fast.stats.first_difference(&naive.stats),
+            None,
+            "{name}: statistics diverge"
+        );
+    }
 }
