@@ -179,10 +179,16 @@ impl Neurocube {
     }
 
     /// Attaches (or detaches, with `None`) a deterministic fault injector:
-    /// per-channel DRAM lenses, the NoC link lens, one lens per PE, and
-    /// lenient packet handling throughout. A config with all rates zero
-    /// and ECC off is normalized to `None`, so a zero-rate sweep point is
-    /// bitwise identical to a run without any injector.
+    /// per-channel DRAM lenses, the NoC link lens and one lens per PE. A
+    /// config with all rates zero and ECC off is normalized to `None`, so
+    /// a zero-rate sweep point is bitwise identical to a run without any
+    /// injector.
+    ///
+    /// While an injector is attached, packets dropped and completions
+    /// ignored are legal and counted. Without one, every pass checks that
+    /// none has happened (the counts are cumulative, so detaching from a
+    /// cube that dropped under faults makes its next pass fail that
+    /// check).
     pub fn set_fault_config(&mut self, cfg: Option<FaultConfig>) {
         self.faults = cfg.filter(|c| c.enabled() || c.ecc);
         let attach = self.faults.as_ref();
@@ -191,14 +197,60 @@ impl Neurocube {
         for pe in &mut self.pes {
             pe.set_faults(attach);
         }
-        let lenient = attach.is_some();
-        self.net.set_lenient(lenient);
-        for pe in &mut self.pes {
-            pe.set_lenient(lenient);
+    }
+
+    /// Packets dropped and channel completions ignored, summed over the
+    /// NoC, every PE and every PNG.
+    fn dropped_total(&self) -> u64 {
+        self.drops_by_unit().map(|(_, _, count, _)| count).sum()
+    }
+
+    /// Per unit — `("NoC", 0)`, `("PE", i)`, `("PNG", i)` — its packets
+    /// dropped plus completions ignored, and its first drop's note.
+    fn drops_by_unit(&self) -> impl Iterator<Item = (&'static str, usize, u64, Option<&str>)> {
+        let n = self.net.fault_counts();
+        let noc = (
+            "NoC",
+            0,
+            n.unroutable + n.dropped_packets,
+            self.net.first_drop(),
+        );
+        let pes = self
+            .pes
+            .iter()
+            .enumerate()
+            .map(|(i, p)| ("PE", i, p.fault_counts().dropped_packets, p.first_drop()));
+        let pngs = self.pngs.iter().enumerate().map(|(i, p)| {
+            let count = p.dropped_packets() + p.unknown_completions();
+            ("PNG", i, count, p.first_drop())
+        });
+        std::iter::once(noc).chain(pes).chain(pngs)
+    }
+
+    /// Panics, naming each unit that dropped and its first drop, when a
+    /// pass run without an injector has dropped a packet or ignored a
+    /// completion: the fault-free protocol never does, so any drop is a
+    /// simulator defect.
+    fn assert_no_drops(&self) {
+        if self.faults.is_some() || self.dropped_total() == 0 {
+            return;
         }
-        for png in &mut self.pngs {
-            png.set_lenient(lenient);
-        }
+        let units: Vec<String> = self
+            .drops_by_unit()
+            .filter(|&(_, _, count, _)| count > 0)
+            .map(|(unit, i, count, first)| {
+                format!(
+                    "{unit} {i}: {count} dropped; first: {}",
+                    first.unwrap_or("-")
+                )
+            })
+            .collect();
+        panic!(
+            "packets dropped without a fault injector by cycle {} (a simulator defect):\n{}\nstats:\n{}",
+            self.now,
+            units.join("\n"),
+            self.debug_dump()
+        );
     }
 
     /// Aggregated fault counters across every component, or `None` when no
@@ -211,8 +263,6 @@ impl Neurocube {
         for p in &self.pes {
             pe.merge(&p.fault_counts());
         }
-        let png_dropped: u64 = self.pngs.iter().map(Png::dropped_packets).sum();
-        let png_unknown: u64 = self.pngs.iter().map(Png::unknown_completions).sum();
         Some(FaultSummary {
             dram_read_flips: d.read_flips,
             dram_stuck_bits: d.stuck_bits,
@@ -225,11 +275,7 @@ impl Neurocube {
             noc_misroutes: n.misroutes,
             noc_retransmits: n.retransmits,
             pe_mac_faults: pe.mac_faults,
-            dropped_packets: n.unroutable
-                + n.dropped_packets
-                + pe.dropped_packets
-                + png_dropped
-                + png_unknown,
+            dropped_packets: self.dropped_total(),
         })
     }
 
@@ -505,9 +551,10 @@ impl Neurocube {
     }
 
     /// Builds the pipeline with this cube's fast-forward and profile
-    /// settings, hands it and the cube to `drive`, and folds the jumps it
-    /// took into the cube's cumulative telemetry — the one way any run
-    /// enters the cycle loop.
+    /// settings, hands it and the cube to `drive`, folds the jumps it took
+    /// into the cube's cumulative telemetry and checks that the pass
+    /// dropped nothing ([`Neurocube::assert_no_drops`]) — the one way any
+    /// run enters the cycle loop.
     fn with_pipeline<R>(
         &mut self,
         drive: impl FnOnce(&mut CycleLoop<Neurocube>, &mut Neurocube) -> R,
@@ -518,6 +565,7 @@ impl Neurocube {
         let out = drive(&mut pipeline, self);
         self.horizon_jumps += pipeline.jumps();
         self.skipped_cycles += pipeline.skipped_cycles();
+        self.assert_no_drops();
         out
     }
 
@@ -1362,6 +1410,39 @@ mod tests {
                 .collect(),
         );
         (spec, params, input)
+    }
+
+    /// A drop is legal only while an injector is attached. With one (an
+    /// ECC-only config, which injects nothing), a stray `Result` packet
+    /// at an unconfigured PNG is counted under `fault.png.dropped_packets`
+    /// and the run completes; without one, the next pass panics and names
+    /// the PNG that dropped.
+    #[test]
+    #[should_panic(expected = "PNG 5: 1 dropped; first: PNG not configured")]
+    fn a_drop_without_an_injector_fails_the_pass() {
+        let (spec, params, input) = tiny_net();
+        let stray = neurocube_noc::Packet {
+            dst: 5,
+            src: 3,
+            mac_id: 0,
+            op_id: 0,
+            kind: neurocube_noc::PacketKind::Result,
+            data: 7,
+        };
+        let run = |faults: Option<FaultConfig>| {
+            let mut cube = Neurocube::new(SystemConfig::paper(true));
+            cube.set_fault_config(faults);
+            cube.pngs[5].on_result(stray, 0);
+            let loaded = cube.load(spec.clone(), params.clone());
+            let _ = cube.run_inference(&loaded, &input);
+            cube.stats_registry()
+        };
+        let ecc_only = FaultConfig {
+            ecc: true,
+            ..FaultConfig::default()
+        };
+        assert_eq!(run(Some(ecc_only)).counter("fault.png.dropped_packets"), 1);
+        run(None);
     }
 
     /// A zero-rate, ECC-off fault config is normalized away: the run is

@@ -105,16 +105,11 @@ pub struct Network {
     /// actually traversing a link, so the fabric needs no event-horizon
     /// clamping: a busy fabric never skips, and an idle one draws nothing.
     faults: Option<NocFaults>,
-    /// In lenient mode malformed packets become counted drops instead of
-    /// panics. Fault-free runs keep `debug_assert!` teeth so golden suites
-    /// still catch logic errors.
-    lenient: bool,
     /// Drops counted by the fabric itself (unroutable destinations), kept
     /// separate from the lens so they are visible even without an injector.
     drop_counts: NocFaultCounts,
-    /// One-shot flag: the first unroutable packet emits a rich diagnostic;
-    /// later ones only count.
-    diagnosed_unroutable: bool,
+    /// What the first unroutable packet was and where it came from.
+    first_drop: Option<String>,
 }
 
 /// A topology the flat-pool fabric representation cannot carry — the
@@ -225,28 +220,20 @@ impl Network {
             route_lut,
             links,
             faults: None,
-            lenient: false,
             drop_counts: NocFaultCounts::default(),
-            diagnosed_unroutable: false,
+            first_drop: None,
             topo,
         })
     }
 
-    /// Attaches (or detaches) the link-fault lens. Attaching also switches
-    /// the fabric to lenient packet handling, since injected faults make
-    /// otherwise-impossible packet states reachable.
+    /// Attaches (or detaches) the link-fault lens.
     pub fn set_faults(&mut self, cfg: Option<&FaultConfig>) {
         self.faults = cfg.map(NocFaults::new);
-        if self.faults.is_some() {
-            self.lenient = true;
-        }
     }
 
-    /// Switches malformed-packet handling between panicking (strict, the
-    /// default) and counted drops (lenient). Independent of the fault lens
-    /// so hosts can harden against untrusted inputs without injecting.
-    pub fn set_lenient(&mut self, lenient: bool) {
-        self.lenient = lenient;
+    /// The first unroutable packet this fabric dropped, if any.
+    pub fn first_drop(&self) -> Option<&str> {
+        self.first_drop.as_deref()
     }
 
     /// Aggregated fault counters: lens-injected link events plus the
@@ -339,41 +326,29 @@ impl Network {
     }
 
     /// Graceful-degradation path for a packet whose destination does not
-    /// exist in this fabric: count it, emit one rich diagnostic per fabric,
-    /// and report the packet consumed (returning `false` would look like
-    /// backpressure and make the producer retry forever). Still a
-    /// `debug_assert!` failure in strict mode, so fault-free golden suites
-    /// keep catching real routing logic errors.
+    /// exist in this fabric: count it, note the first one, and report the
+    /// packet consumed (returning `false` would look like backpressure and
+    /// make the producer retry forever).
     fn consume_unroutable(&mut self, node: NodeId, pkt: Packet, now: u64, from: &str) -> bool {
-        debug_assert!(
-            self.lenient,
-            "unroutable packet from {from} port of node {node}: \
-             dst {} outside 0..{} ({pkt:?})",
-            pkt.dst, self.nodes,
-        );
         self.drop_counts.unroutable += 1;
-        if !self.diagnosed_unroutable {
-            self.diagnosed_unroutable = true;
-            eprintln!(
-                "neurocube-noc: dropping unroutable packet at cycle {now}: \
-                 dst {} outside 0..{} (src {}, {from} port of node {node}, \
-                 kind {:?}, mac {}, op {}, data {:#06x}); counted under \
-                 fault.noc.unroutable, further drops are silent",
-                pkt.dst, self.nodes, pkt.src, pkt.kind, pkt.mac_id, pkt.op_id, pkt.data,
-            );
+        if self.first_drop.is_none() {
+            self.first_drop = Some(format!(
+                "unroutable packet at cycle {now} from the {from} port of node \
+                 {node}: dst {} outside 0..{} ({pkt:?})",
+                pkt.dst, self.nodes,
+            ));
         }
         true
     }
 
     /// Injects a packet from node `node`'s vault/PNG.
     ///
-    /// An unroutable destination is a counted drop in lenient mode (see
-    /// [`set_lenient`](Self::set_lenient)).
+    /// An unroutable destination is consumed and counted under
+    /// [`fault_counts`](Self::fault_counts)`.unroutable`.
     ///
     /// # Panics
     ///
-    /// Panics if `node` is out of range, or — in strict debug builds —
-    /// if `pkt.dst` is.
+    /// Panics if `node` is out of range.
     pub fn try_inject_from_mem(&mut self, node: NodeId, pkt: Packet, now: u64) -> bool {
         if usize::from(pkt.dst) >= self.nodes {
             return self.consume_unroutable(node, pkt, now, "mem");
@@ -383,13 +358,12 @@ impl Network {
 
     /// Injects a packet from node `node`'s PE (write-back results).
     ///
-    /// An unroutable destination is a counted drop in lenient mode (see
-    /// [`set_lenient`](Self::set_lenient)).
+    /// An unroutable destination is consumed and counted under
+    /// [`fault_counts`](Self::fault_counts)`.unroutable`.
     ///
     /// # Panics
     ///
-    /// Panics if `node` is out of range, or — in strict debug builds —
-    /// if `pkt.dst` is.
+    /// Panics if `node` is out of range.
     pub fn try_inject_from_pe(&mut self, node: NodeId, pkt: Packet, now: u64) -> bool {
         if usize::from(pkt.dst) >= self.nodes {
             return self.consume_unroutable(node, pkt, now, "pe");
@@ -964,9 +938,8 @@ mod tests {
     }
 
     #[test]
-    fn unroutable_packet_is_a_counted_drop_in_lenient_mode() {
+    fn unroutable_packet_is_a_counted_drop() {
         let mut net = Network::new(Topology::mesh4x4());
-        net.set_lenient(true);
         // Consumed (true), not backpressured: a `false` would make the
         // producer spin on an undeliverable packet forever.
         assert!(net.try_inject_from_mem(0, pkt(0, 200, PacketKind::State, 1), 5));

@@ -96,13 +96,10 @@ pub struct ProcessingElement {
     /// Optional transient-MAC-fault lens. MAC faults strike only fires
     /// that were about to happen, so no event-horizon clamping is needed.
     faults: Option<PeFaults>,
-    /// In lenient mode malformed packets become counted drops instead of
-    /// panics; fault-free runs keep `debug_assert!` teeth.
-    lenient: bool,
     /// Drops counted by the PE itself, visible even without a lens.
     drop_counts: PeFaultCounts,
-    /// One-shot flag: the first dropped packet emits a rich diagnostic.
-    diagnosed_drop: bool,
+    /// What the first dropped packet was and why it was dropped.
+    first_drop: Option<String>,
 }
 
 impl ProcessingElement {
@@ -144,9 +141,8 @@ impl ProcessingElement {
             done: true,
             stats: PeStats::default(),
             faults: None,
-            lenient: false,
             drop_counts: PeFaultCounts::default(),
-            diagnosed_drop: false,
+            first_drop: None,
         }
     }
 
@@ -155,19 +151,14 @@ impl ProcessingElement {
         self.node
     }
 
-    /// Attaches (or detaches) the transient-MAC-fault lens. Attaching also
-    /// switches the PE to lenient packet handling.
+    /// Attaches (or detaches) the transient-MAC-fault lens.
     pub fn set_faults(&mut self, cfg: Option<&FaultConfig>) {
         self.faults = cfg.map(|c| PeFaults::new(c, u16::from(self.node)));
-        if self.faults.is_some() {
-            self.lenient = true;
-        }
     }
 
-    /// Switches malformed-packet handling between panicking (strict, the
-    /// default) and counted drops (lenient).
-    pub fn set_lenient(&mut self, lenient: bool) {
-        self.lenient = lenient;
+    /// The first packet this PE dropped and why, if it dropped any.
+    pub fn first_drop(&self) -> Option<&str> {
+        self.first_drop.as_deref()
     }
 
     /// Aggregated fault counters: lens-injected MAC faults plus the PE's
@@ -296,8 +287,8 @@ impl ProcessingElement {
                     return true;
                 }
             }
-            // Result packets are intercepted (dropped or asserted on) in
-            // `try_accept` and never cached, so none can reach here.
+            // Result packets are dropped in `try_accept` and never
+            // cached, so none can reach here.
             PacketKind::Result => {
                 debug_assert!(false, "Result packet reached slot_fill");
                 return false;
@@ -307,19 +298,16 @@ impl ProcessingElement {
     }
 
     /// Graceful-degradation path for a packet this PE cannot meaningfully
-    /// process: count it, emit one rich diagnostic per PE, and report it
-    /// consumed (returning `false` would leave it queued in the router
-    /// forever, wedging the fabric).
+    /// process: count it, note the first one, and report it consumed
+    /// (returning `false` would leave it queued in the router forever,
+    /// wedging the fabric).
     fn drop_packet(&mut self, pkt: Packet, why: &str) -> bool {
         self.drop_counts.dropped_packets += 1;
-        if !self.diagnosed_drop {
-            self.diagnosed_drop = true;
-            eprintln!(
-                "neurocube-pe: PE {} dropping packet at group {} op {}: {why} \
-                 ({pkt:?}); counted under fault.pe.dropped_packets, further \
-                 drops are silent",
-                self.node, self.group, self.op,
-            );
+        if self.first_drop.is_none() {
+            self.first_drop = Some(format!(
+                "{why} at group {} op {} ({pkt:?})",
+                self.group, self.op,
+            ));
         }
         true
     }
@@ -329,28 +317,19 @@ impl ProcessingElement {
     /// cache sub-bank full) — the caller must leave it queued in the router.
     ///
     /// A packet the PE cannot meaningfully process (unconfigured or finished
-    /// PE, out-of-range MAC-ID, a misdelivered `Result`) is a counted drop
-    /// in lenient mode (see [`set_lenient`](Self::set_lenient)).
-    ///
-    /// # Panics
-    ///
-    /// In strict debug builds, panics if the PE is unconfigured, already
-    /// done, or the packet names a MAC outside the configured array.
+    /// PE, out-of-range MAC-ID, a misdelivered `Result`) is consumed and
+    /// counted under [`fault_counts`](Self::fault_counts)`.dropped_packets`.
     pub fn try_accept(&mut self, pkt: Packet) -> bool {
         let Some(cfg) = self.cfg else {
-            debug_assert!(self.lenient, "PE {} not configured", self.node);
             return self.drop_packet(pkt, "PE not configured");
         };
         if self.done {
-            debug_assert!(self.lenient, "packet for a finished layer");
             return self.drop_packet(pkt, "layer already finished");
         }
         if u32::from(pkt.mac_id) >= cfg.n_mac {
-            debug_assert!(self.lenient, "MAC-ID {} out of range", pkt.mac_id);
             return self.drop_packet(pkt, "MAC-ID out of range");
         }
         if pkt.kind == PacketKind::Result {
-            debug_assert!(self.lenient, "PEs never receive Result packets");
             return self.drop_packet(pkt, "Result packet delivered to a PE");
         }
         if pkt.op_id == self.current_op_id() && self.slot_fill(pkt) {
@@ -820,21 +799,12 @@ mod tests {
         assert!(pe.peek_result().is_none());
     }
 
-    // The check is a `debug_assert!`: release builds drop it by design.
-    #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "not configured")]
-    fn accept_requires_configuration() {
-        let mut pe = ProcessingElement::new(0, AccumulatorWidth::Wide32);
-        let _ = pe.try_accept(state(0, 0, 1.0));
-    }
-
-    #[test]
-    fn lenient_mode_counts_drops_instead_of_panicking() {
+    fn malformed_inputs_are_counted_drops() {
         let mut pe = ProcessingElement::new(2, AccumulatorWidth::Wide32);
-        pe.set_lenient(true);
-        // Unconfigured: consumed, counted.
+        // Unconfigured: consumed, counted, noted.
         assert!(pe.try_accept(state(0, 0, 1.0)));
+        assert!(pe.first_drop().unwrap().contains("PE not configured"));
         pe.configure(conv_cfg(16, 1, 1), vec![Q88::ONE]);
         // Out-of-range MAC and a misdelivered Result: consumed, counted.
         assert!(pe.try_accept(state(200, 0, 1.0)));

@@ -364,16 +364,25 @@ pub fn compile_graph(
         }
     }
 
-    // --- Buffer structure. Spatial buffers take the union of every
-    // consumer's halo need (any slice's consumer extends the shared
-    // stored rectangles); flat buffers replicate into every vault when
-    // consumed (Fig. 10(d)). A spatial volume an FC layer consumes stays
-    // tiled: the shared-state broadcast is already fine-grained across
-    // owners, so replication would buy nothing and cost a 15x write-back
-    // broadcast (DESIGN.md §3).
+    // --- Buffer structure. A buffer is flat only when it holds an FC
+    // output or a 1×1 graph input: conv, pool and add outputs are
+    // spatial, 1×1 included, so the PE producing one iterates its maps
+    // (`VolumeLayout::maps`). Validation rejects a spatial operator over
+    // a 1×1 volume and flat concat parts, so a flat buffer holds one
+    // value. Spatial buffers take the union of every consumer's halo
+    // need (any slice's consumer extends the shared stored rectangles);
+    // flat buffers replicate into every vault when consumed (Fig.
+    // 10(d)). A spatial volume an FC layer consumes stays tiled: the
+    // shared-state broadcast is already fine-grained across owners, so
+    // replication would buy nothing and cost a 15x write-back broadcast
+    // (DESIGN.md §3).
+    let flat_value = |val: usize| match val {
+        0 => graph.input_shape().height == 1 && graph.input_shape().width == 1,
+        _ => matches!(graph.nodes()[val - 1].op, GraphOp::Layer(l) if l.weights_stream()),
+    };
     let mut kinds: Vec<VolumeKind> = Vec::with_capacity(n_buf);
     for (b, &shape) in buffers.iter().enumerate() {
-        if shape.height == 1 && shape.width == 1 {
+        if buf_values[b].iter().all(|&v| flat_value(v)) {
             let consumed = buf_values[b].iter().any(|&v| !consumers[v].is_empty());
             kinds.push(flat_layout(
                 shape.len(),

@@ -223,21 +223,27 @@ impl VolumeLayout {
         }
     }
 
-    /// Number of neurons vault `v` owns.
+    /// Number of neurons vault `v` owns: `maps() × assigned_per_map(v)`.
     pub fn assigned_count(&self, vault: NodeId) -> u64 {
-        let v = usize::from(vault);
+        self.maps() * self.assigned_per_map(vault)
+    }
+
+    /// Feature maps a PE producing this volume iterates: every channel of
+    /// a spatial volume, a single "map" for a flat one.
+    pub(crate) fn maps(&self) -> u64 {
         match &self.kind {
-            VolumeKind::Spatial { owned, .. } => (owned[v].area() * self.shape.channels) as u64,
-            VolumeKind::Flat { starts, .. } => (starts[v + 1] - starts[v]) as u64,
+            VolumeKind::Spatial { .. } => self.shape.channels as u64,
+            VolumeKind::Flat { .. } => 1,
         }
     }
 
-    /// Neurons per feature map owned by vault `v` (tile area for spatial,
-    /// whole slice for flat volumes, which have a single "map").
+    /// Neurons per feature map owned by vault `v`: its tile's area
+    /// (spatial) or its whole slice (flat).
     pub(crate) fn assigned_per_map(&self, vault: NodeId) -> u64 {
+        let v = usize::from(vault);
         match &self.kind {
-            VolumeKind::Spatial { owned, .. } => owned[usize::from(vault)].area() as u64,
-            VolumeKind::Flat { .. } => self.assigned_count(vault),
+            VolumeKind::Spatial { owned, .. } => owned[v].area() as u64,
+            VolumeKind::Flat { starts, .. } => (starts[v + 1] - starts[v]) as u64,
         }
     }
 }

@@ -76,18 +76,7 @@ impl LayerProgram {
     /// Groups (MAC-array firings per connection sweep) PE `p` executes.
     pub fn groups_of(&self, p: u8) -> u64 {
         let per_map = self.out_vol.assigned_per_map(p);
-        let maps = self.maps_of();
-        per_map.div_ceil(u64::from(self.mapping.n_mac)) * maps
-    }
-
-    /// Output maps per PE (spatial layers iterate feature maps; FC layers
-    /// have a single flat "map").
-    pub(crate) fn maps_of(&self) -> u64 {
-        if self.is_fc() {
-            1
-        } else {
-            self.out_shape.channels as u64
-        }
+        per_map.div_ceil(u64::from(self.mapping.n_mac)) * self.out_vol.maps()
     }
 
     /// The maximum group count over all PEs — the length of the global
@@ -144,7 +133,7 @@ impl LayerProgram {
             n_mac: self.mapping.n_mac,
             conns_per_neuron: self.conns(),
             neurons_per_map: per_map,
-            maps: self.maps_of() as u32,
+            maps: self.out_vol.maps() as u32,
             states,
             weights,
         })

@@ -152,7 +152,7 @@ impl OperandStream {
         };
         let (spatial_ok, kernel, stride, ic_mode) = Self::spatial_admission(&prog);
         let n_mac = u64::from(prog.mapping.n_mac);
-        let maps = prog.maps_of();
+        let maps = prog.out_vol.maps();
         let cursors = serves
             .iter()
             .map(|&p| {
@@ -716,7 +716,7 @@ mod tests {
                         continue;
                     }
                     let gpm = per_map.div_ceil(n_mac);
-                    if g >= gpm * prog.maps_of() {
+                    if g >= gpm * prog.out_vol.maps() {
                         continue;
                     }
                     let (map, gin) = (g / gpm, g % gpm);

@@ -177,15 +177,12 @@ pub struct Png {
     write_pair: Option<(u64, u16, u64)>,
     outstanding_writes: u64,
     stats: PngStats,
-    /// In lenient mode malformed packets/completions become counted drops
-    /// instead of panics; fault-free runs keep `debug_assert!` teeth.
-    lenient: bool,
     /// Mem-port packets the PNG could not attribute and dropped.
     dropped_packets: u64,
     /// Channel completions whose tag this PNG never issued.
     unknown_completions: u64,
-    /// One-shot flag: the first drop emits a rich diagnostic.
-    diagnosed: bool,
+    /// What the first dropped packet or ignored completion was and why.
+    first_drop: Option<String>,
 }
 
 impl Png {
@@ -215,22 +212,13 @@ impl Png {
             write_pair: None,
             outstanding_writes: 0,
             stats: PngStats::default(),
-            lenient: false,
             dropped_packets: 0,
             unknown_completions: 0,
-            diagnosed: false,
+            first_drop: None,
         }
     }
 
-    /// Switches malformed-input handling between panicking (strict, the
-    /// default) and counted drops (lenient). The core system enables this
-    /// whenever a fault injector is attached, since injected faults make
-    /// otherwise-impossible packet states reachable.
-    pub fn set_lenient(&mut self, lenient: bool) {
-        self.lenient = lenient;
-    }
-
-    /// Mem-port packets dropped by the lenient paths.
+    /// Mem-port packets this PNG could not attribute and dropped.
     pub fn dropped_packets(&self) -> u64 {
         self.dropped_packets
     }
@@ -240,18 +228,18 @@ impl Png {
         self.unknown_completions
     }
 
+    /// The first packet this PNG dropped or completion it ignored, and
+    /// why, if there was one.
+    pub fn first_drop(&self) -> Option<&str> {
+        self.first_drop.as_deref()
+    }
+
     /// Graceful-degradation path for a mem-port packet this PNG cannot
     /// attribute to its expected write-back sequence: count and drop.
     fn drop_result(&mut self, pkt: Packet, why: &str) {
         self.dropped_packets += 1;
-        if !self.diagnosed {
-            self.diagnosed = true;
-            eprintln!(
-                "neurocube-png: PNG {} dropping mem-port packet: {why} \
-                 ({pkt:?}); counted under fault.png.dropped_packets, \
-                 further drops are silent",
-                self.vault,
-            );
+        if self.first_drop.is_none() {
+            self.first_drop = Some(format!("{why} ({pkt:?})"));
         }
     }
 
@@ -259,14 +247,8 @@ impl Png {
     /// issued (or has no record of): count and ignore.
     fn drop_completion(&mut self, tag: u64, why: &str) {
         self.unknown_completions += 1;
-        if !self.diagnosed {
-            self.diagnosed = true;
-            eprintln!(
-                "neurocube-png: PNG {} ignoring channel completion with tag \
-                 {tag:#x}: {why}; counted under fault.png.unknown_completions, \
-                 further drops are silent",
-                self.vault,
-            );
+        if self.first_drop.is_none() {
+            self.first_drop = Some(format!("{why} (channel completion, tag {tag:#x})"));
         }
     }
 
@@ -409,20 +391,14 @@ impl Png {
     /// the activation LUT (own results), writes the state to DRAM and
     /// forwards duplication copies.
     ///
-    /// A packet that does not match the expected write-back sequence is a
-    /// counted drop in lenient mode (see [`set_lenient`](Self::set_lenient)).
-    ///
-    /// # Panics
-    ///
-    /// In strict debug builds, panics if the PNG is unconfigured or the
-    /// packet does not match the expected write-back sequence.
+    /// A packet that arrives unconfigured or does not match the expected
+    /// write-back sequence is counted under
+    /// [`dropped_packets`](Self::dropped_packets) and dropped.
     pub fn on_result(&mut self, pkt: Packet, now: u64) {
         let Some(prog) = self.prog.clone() else {
-            debug_assert!(self.lenient, "PNG {} not configured", self.vault);
             return self.drop_result(pkt, "PNG not configured");
         };
         if pkt.kind != PacketKind::Result {
-            debug_assert!(self.lenient, "{:?} packet at the mem port", pkt.kind);
             return self.drop_result(pkt, "non-Result packet at the mem port");
         }
         self.stats.writebacks_received += 1;
@@ -430,7 +406,6 @@ impl Png {
             // Own PE's pre-activation result: LUT, write, replicate.
             let next = self.own_cursor.as_mut().expect("configured").next();
             let Some((neuron, addr)) = next else {
-                debug_assert!(self.lenient, "unexpected extra own write-back");
                 return self.drop_result(pkt, "unexpected extra own write-back");
             };
             let y = Q88::from_bits(pkt.data as i16);
@@ -454,14 +429,12 @@ impl Png {
         } else {
             // A forwarded (already activated) copy from another vault.
             if usize::from(pkt.src) >= self.foreign_cursors.len() {
-                debug_assert!(self.lenient, "write-back from unknown vault {}", pkt.src);
                 return self.drop_result(pkt, "write-back from an unknown vault");
             }
             let cursor = self.foreign_cursors[usize::from(pkt.src)].get_or_insert_with(|| {
                 WritebackCursor::new(Arc::clone(&prog), pkt.src, self.vault)
             });
             let Some((_, addr)) = cursor.next() else {
-                debug_assert!(self.lenient, "unexpected extra foreign write-back");
                 return self.drop_result(pkt, "unexpected extra foreign write-back");
             };
             self.queue_write(addr, pkt.data, now);
@@ -472,24 +445,17 @@ impl Png {
     /// Handles a completion from this PNG's physical channel (dispatched by
     /// the system by tag).
     ///
-    /// A completion whose tag this PNG never issued is a counted drop in
-    /// lenient mode (see [`set_lenient`](Self::set_lenient)).
-    ///
-    /// # Panics
-    ///
-    /// In strict debug builds, panics on a completion whose tag this PNG
-    /// never issued.
+    /// A completion whose tag this PNG never issued is counted under
+    /// [`unknown_completions`](Self::unknown_completions) and ignored.
     pub fn on_completion(&mut self, tag: u64, data: u64) {
         if tag & WRITE_TAG == WRITE_TAG {
             if self.outstanding_writes == 0 {
-                debug_assert!(self.lenient, "write completion with none outstanding");
                 return self.drop_completion(tag, "no write is outstanding");
             }
             self.outstanding_writes -= 1;
             return;
         }
         let Some((word, mut evs)) = self.inflight.remove(&tag) else {
-            debug_assert!(self.lenient, "completion for unknown tag {tag:#x}");
             return self.drop_completion(tag, "completion for unknown tag");
         };
         self.outstanding_reads -= 1;
@@ -1012,12 +978,11 @@ mod tests {
     }
 
     /// The de-panicked paths: malformed packets and spurious completions
-    /// must become counted drops in lenient mode, never crashes, and must
-    /// leave the PNG able to operate normally.
+    /// must become counted drops, never crashes, and must leave the PNG
+    /// able to operate normally.
     #[test]
-    fn lenient_mode_counts_drops_instead_of_panicking() {
+    fn malformed_inputs_are_counted_drops() {
         let mut png = Png::hmc(0);
-        png.set_lenient(true);
         // Unconfigured: any mem-port packet is dropped.
         let stray = Packet {
             dst: 0,

@@ -1,14 +1,15 @@
-//! Malformed-input fuzzing of the lenient packet/tag paths.
+//! Malformed-input fuzzing of the counted-drop packet/tag paths.
 //!
-//! With a fault injector attached the core switches every component to
-//! lenient handling, because injected faults make otherwise-impossible
-//! packet states reachable (a misrouted flit arrives at the wrong PE, a
-//! corrupted tag never matches an issued read). These properties drive
-//! *arbitrary* packets, tags and tick sequences into lenient PEs, PNGs
-//! and the NoC and require that (a) nothing panics — every malformed
-//! input becomes a counted drop — and (b) the whole thing is a pure
-//! function of its input sequence: replaying the same sequence reproduces
-//! every counter exactly.
+//! Every component consumes and counts an input it cannot process,
+//! because injected faults make otherwise-impossible packet states
+//! reachable (a misrouted flit arrives at the wrong PE, a corrupted tag
+//! never matches an issued read); without an injector the core turns any
+//! such count into a panic at the end of the pass. These properties drive
+//! *arbitrary* packets, tags and tick sequences into PEs, PNGs and the
+//! NoC and require that (a) nothing panics — every malformed input
+//! becomes a counted drop — and (b) the whole thing is a pure function of
+//! its input sequence: replaying the same sequence reproduces every
+//! counter exactly.
 
 mod common;
 
@@ -36,11 +37,10 @@ fn packet_strategy() -> impl Strategy<Value = Packet> {
     )
 }
 
-/// Feeds `pkts` into a lenient, unconfigured PE with interleaved ticks.
+/// Feeds `pkts` into an unconfigured PE with interleaved ticks.
 /// Returns the drop count (for the determinism check).
 fn drive_pe(pkts: &[Packet]) -> u64 {
     let mut pe = ProcessingElement::new(3, AccumulatorWidth::Wide32);
-    pe.set_lenient(true);
     for (i, pkt) in pkts.iter().enumerate() {
         pe.try_accept(*pkt);
         pe.tick(i as u64);
@@ -49,7 +49,7 @@ fn drive_pe(pkts: &[Packet]) -> u64 {
 }
 
 /// Feeds `pkts` (as mem-port results) and their encodings (as completion
-/// tags) into a lenient, unconfigured PNG. Returns both drop counters.
+/// tags) into an unconfigured PNG. Returns both drop counters.
 fn drive_png(pkts: &[Packet]) -> (u64, u64) {
     let hookup = PngHookup {
         attach: 5,
@@ -58,7 +58,6 @@ fn drive_png(pkts: &[Packet]) -> (u64, u64) {
         run_ahead_ops: 64,
     };
     let mut png = Png::new(5, hookup);
-    png.set_lenient(true);
     for (i, pkt) in pkts.iter().enumerate() {
         png.on_result(*pkt, i as u64);
         png.on_completion(pkt.encode(), u64::from(pkt.data));
@@ -66,13 +65,12 @@ fn drive_png(pkts: &[Packet]) -> (u64, u64) {
     (png.dropped_packets(), png.unknown_completions())
 }
 
-/// Injects `pkts` into a lenient 4×4 mesh from valid source nodes —
+/// Injects `pkts` into a 4×4 mesh from valid source nodes —
 /// destinations range over the full 6-bit field, so many are outside the
 /// fabric — ticking and draining as it goes. Returns the unroutable-drop
 /// count.
 fn drive_network(pkts: &[Packet]) -> u64 {
     let mut net = Network::new(Topology::mesh4x4());
-    net.set_lenient(true);
     let mut now = 0u64;
     for pkt in pkts {
         let node = NodeId::from(pkt.src % 16);
@@ -99,10 +97,10 @@ fn drive_network(pkts: &[Packet]) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// No packet sequence can panic a lenient PE, and replaying the
-    /// sequence reproduces the drop count exactly.
+    /// No packet sequence can panic a PE, and replaying the sequence
+    /// reproduces the drop count exactly.
     #[test]
-    fn lenient_pe_survives_arbitrary_packets(
+    fn pe_survives_arbitrary_packets(
         pkts in proptest::collection::vec(packet_strategy(), 1..64)
     ) {
         let drops = drive_pe(&pkts);
@@ -113,10 +111,10 @@ proptest! {
         prop_assert_eq!(drive_pe(&pkts), drops, "drop counting must be deterministic");
     }
 
-    /// No result/completion sequence can panic a lenient PNG; drops and
+    /// No result/completion sequence can panic a PNG; drops and
     /// unknown-completion counts replay exactly.
     #[test]
-    fn lenient_png_survives_arbitrary_results_and_tags(
+    fn png_survives_arbitrary_results_and_tags(
         pkts in proptest::collection::vec(packet_strategy(), 1..64)
     ) {
         let counts = drive_png(&pkts);
@@ -127,11 +125,11 @@ proptest! {
         prop_assert_eq!(drive_png(&pkts), counts, "drop counting must be deterministic");
     }
 
-    /// No injection sequence can panic a lenient NoC: out-of-fabric
+    /// No injection sequence can panic a NoC: out-of-fabric
     /// destinations become counted unroutable drops, in-fabric packets
     /// route normally, and the counts replay exactly.
     #[test]
-    fn lenient_noc_survives_arbitrary_destinations(
+    fn noc_survives_arbitrary_destinations(
         pkts in proptest::collection::vec(packet_strategy(), 1..48)
     ) {
         let unroutable = drive_network(&pkts);
