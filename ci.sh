@@ -50,7 +50,7 @@ cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 # Doc gate over our own crates (the vendored dev-deps are exempt).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet \
-    --exclude proptest --exclude rand --exclude criterion
+    --exclude proptest --exclude rand
 
 if [[ "${1:-}" == "--deep" ]]; then
     echo "== workspace tests in release (PROPTEST_CASES=512) =="

@@ -84,9 +84,6 @@ pub struct Neurocube {
     progress: Vec<u64>,
     /// Whether each pass's cycle loop fast-forwards (default `true`).
     skip: bool,
-    /// Whether each pass's cycle loop prints its per-stage wall-clock
-    /// profile (default `false`).
-    stage_profile: bool,
     /// Cumulative fast-forward jumps across all passes run on this cube.
     horizon_jumps: u64,
     /// Cumulative cycles crossed by fast-forward jumps instead of ticking.
@@ -170,7 +167,6 @@ impl Neurocube {
             now: 0,
             progress: vec![u64::MAX; nodes],
             skip: true,
-            stage_profile: false,
             horizon_jumps: 0,
             skipped_cycles: 0,
             faults: None,
@@ -209,12 +205,7 @@ impl Neurocube {
     /// dropped plus completions ignored, and its first drop's note.
     fn drops_by_unit(&self) -> impl Iterator<Item = (&'static str, usize, u64, Option<&str>)> {
         let n = self.net.fault_counts();
-        let noc = (
-            "NoC",
-            0,
-            n.unroutable + n.dropped_packets,
-            self.net.first_drop(),
-        );
+        let noc = ("NoC", 0, n.unroutable, self.net.first_drop());
         let pes = self
             .pes
             .iter()
@@ -307,14 +298,6 @@ impl Neurocube {
         self.skip = enabled;
     }
 
-    /// Sets the per-stage wall-clock profile for subsequent runs: when on,
-    /// every pass prints its stage breakdown (ns per tick, ticked and
-    /// skipped cycles, which stage vetoed fast-forward) to stderr. Off by
-    /// default; it changes no simulated value.
-    pub fn set_stage_profile(&mut self, enabled: bool) {
-        self.stage_profile = enabled;
-    }
-
     /// Fast-forward jumps taken across every pass run on this cube.
     pub fn horizon_jumps(&self) -> u64 {
         self.horizon_jumps
@@ -392,7 +375,6 @@ impl Neurocube {
             s.counter("noc.misroutes", n.misroutes);
             s.counter("noc.retransmits", n.retransmits);
             s.counter("noc.unroutable", n.unroutable);
-            s.counter("noc.dropped_packets", n.dropped_packets);
             let mut pe = PeFaultCounts::default();
             for p in &self.pes {
                 pe.merge(&p.fault_counts());
@@ -550,18 +532,16 @@ impl Neurocube {
             .stage(AdvanceClock)
     }
 
-    /// Builds the pipeline with this cube's fast-forward and profile
-    /// settings, hands it and the cube to `drive`, folds the jumps it took
-    /// into the cube's cumulative telemetry and checks that the pass
-    /// dropped nothing ([`Neurocube::assert_no_drops`]) — the one way any
-    /// run enters the cycle loop.
+    /// Builds the pipeline with this cube's fast-forward setting, hands it
+    /// and the cube to `drive`, folds the jumps it took into the cube's
+    /// cumulative telemetry and checks that the pass dropped nothing
+    /// ([`Neurocube::assert_no_drops`]) — the one way any run enters the
+    /// cycle loop.
     fn with_pipeline<R>(
         &mut self,
         drive: impl FnOnce(&mut CycleLoop<Neurocube>, &mut Neurocube) -> R,
     ) -> R {
-        let mut pipeline = Self::pipeline()
-            .with_skip(self.skip)
-            .with_profile(self.stage_profile);
+        let mut pipeline = Self::pipeline().with_skip(self.skip);
         let out = drive(&mut pipeline, self);
         self.horizon_jumps += pipeline.jumps();
         self.skipped_cycles += pipeline.skipped_cycles();
@@ -1412,11 +1392,11 @@ mod tests {
         (spec, params, input)
     }
 
-    /// A drop is legal only while an injector is attached. With one (an
-    /// ECC-only config, which injects nothing), a stray `Result` packet
-    /// at an unconfigured PNG is counted under `fault.png.dropped_packets`
-    /// and the run completes; without one, the next pass panics and names
-    /// the PNG that dropped.
+    /// A drop is legal only while an injector is attached: a stray
+    /// `Result` at unconfigured PNG 5 is counted under
+    /// `fault.png.dropped_packets` when an injector (an ECC-only config,
+    /// which injects nothing) is attached, and the run completes; without
+    /// one, the pass panics naming the PNG that dropped.
     #[test]
     #[should_panic(expected = "PNG 5: 1 dropped; first: PNG not configured")]
     fn a_drop_without_an_injector_fails_the_pass() {
@@ -1443,6 +1423,60 @@ mod tests {
         };
         assert_eq!(run(Some(ecc_only)).counter("fault.png.dropped_packets"), 1);
         run(None);
+    }
+
+    /// The per-pass drop check covers the NoC and the PEs as well as the
+    /// PNGs. Each stray — a packet the NoC cannot route, a packet at
+    /// unconfigured PE 2 — is counted under its unit's fault key when an
+    /// ECC-only injector is attached, and the run completes; without one,
+    /// the pass panics naming that unit and its first drop.
+    #[test]
+    fn a_noc_or_pe_drop_without_an_injector_fails_the_pass() {
+        use neurocube_noc::{Packet, PacketKind};
+        let (spec, params, input) = tiny_net();
+        let stray = |dst, kind| Packet {
+            dst,
+            src: 3,
+            mac_id: 0,
+            op_id: 0,
+            kind,
+            data: 7,
+        };
+        type Plant = fn(&mut Neurocube, Packet);
+        let cases: [(Packet, Plant, &str, &str); 2] = [
+            (
+                stray(200, PacketKind::Result),
+                |cube, pkt| assert!(cube.net.try_inject_from_pe(3, pkt, 0)),
+                "fault.noc.unroutable",
+                "NoC 0: 1 dropped; first: unroutable packet at cycle 0 from the pe port of node 3: dst 200",
+            ),
+            (
+                stray(2, PacketKind::SharedState),
+                |cube, pkt| assert!(cube.pes[2].try_accept(pkt)),
+                "fault.pe.dropped_packets",
+                "PE 2: 1 dropped; first: PE not configured",
+            ),
+        ];
+        for (pkt, plant, key, named) in cases {
+            let run = |faults: Option<FaultConfig>| {
+                let mut cube = Neurocube::new(SystemConfig::paper(true));
+                cube.set_fault_config(faults);
+                plant(&mut cube, pkt);
+                let loaded = cube.load(spec.clone(), params.clone());
+                let _ = cube.run_inference(&loaded, &input);
+                cube.stats_registry()
+            };
+            let ecc_only = FaultConfig {
+                ecc: true,
+                ..FaultConfig::default()
+            };
+            assert_eq!(run(Some(ecc_only)).counter(key), 1, "{key}");
+            let msg = *std::panic::catch_unwind(|| run(None))
+                .expect_err(named)
+                .downcast::<String>()
+                .expect("the drop check panics with a formatted message");
+            assert!(msg.contains(named), "want {named:?} in: {msg}");
+        }
     }
 
     /// A zero-rate, ECC-off fault config is normalized away: the run is

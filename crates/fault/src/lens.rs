@@ -219,9 +219,6 @@ pub struct NocFaultCounts {
     /// Packets presented for injection with an unroutable destination
     /// and dropped at the source (the de-panicked `inject` path).
     pub unroutable: u64,
-    /// Packets a component received but could not accept (misdelivery,
-    /// unknown kind) and dropped after counting.
-    pub dropped_packets: u64,
 }
 
 impl NocFaultCounts {
@@ -232,7 +229,6 @@ impl NocFaultCounts {
         self.misroutes += other.misroutes;
         self.retransmits += other.retransmits;
         self.unroutable += other.unroutable;
-        self.dropped_packets += other.dropped_packets;
     }
 }
 

@@ -26,6 +26,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 
 mod network;

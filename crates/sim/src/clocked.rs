@@ -135,19 +135,10 @@ pub struct CycleLoop<B: ?Sized> {
     stages: Vec<Box<dyn Clocked<B>>>,
     watchdog: Watchdog,
     skip: bool,
-    /// [`CycleLoop::with_profile`]: [`CycleLoop::run`] and
-    /// [`CycleLoop::run_until`] accumulate per-stage wall-clock time and
-    /// print a breakdown to stderr when they complete.
-    /// Costs one `Instant` pair per stage per cycle while on; a single
-    /// branch per cycle while off.
-    profile: bool,
     /// Index the next horizon probe starts from. Move-to-front heuristic:
     /// the stage that vetoed the last jump is probed first, so an actively
     /// busy stage (usually the NoC) rejects fast-forward in O(1) per cycle.
     probe_from: usize,
-    /// Per-stage count of probes this stage vetoed (returned `None`) —
-    /// the profile's "which stage blocks fast-forward" answer.
-    veto_counts: Vec<u64>,
     jumps: u64,
     skipped_cycles: u64,
     last_jump: Option<JumpRecord>,
@@ -174,16 +165,13 @@ impl<B: ?Sized> Default for CycleLoop<B> {
 }
 
 impl<B: ?Sized> CycleLoop<B> {
-    /// Creates an empty loop with the default `Watchdog`, fast-forward
-    /// on and the stage profile off.
+    /// Creates an empty loop with the default `Watchdog` and fast-forward on.
     pub fn new() -> Self {
         CycleLoop {
             stages: Vec::new(),
             watchdog: Watchdog::default(),
             skip: true,
-            profile: false,
             probe_from: 0,
-            veto_counts: Vec::new(),
             jumps: 0,
             skipped_cycles: 0,
             last_jump: None,
@@ -198,17 +186,9 @@ impl<B: ?Sized> CycleLoop<B> {
         self
     }
 
-    /// Sets the per-stage wall-clock profile, which [`CycleLoop::run`]
-    /// and [`CycleLoop::run_until`] print to stderr when they complete.
-    pub fn with_profile(mut self, enabled: bool) -> Self {
-        self.profile = enabled;
-        self
-    }
-
     /// Registers a stage; stages tick in registration order each cycle.
     pub fn stage(mut self, stage: impl Clocked<B> + 'static) -> Self {
         self.stages.push(Box::new(stage));
-        self.veto_counts.push(0);
         self
     }
 
@@ -235,7 +215,6 @@ impl<B: ?Sized> CycleLoop<B> {
             match self.stages[i].next_event(now, bus) {
                 None => {
                     self.probe_from = i;
-                    self.veto_counts[i] += 1;
                     return None;
                 }
                 Some(t) => {
@@ -337,7 +316,7 @@ impl<B: ?Sized> CycleLoop<B> {
     /// costs its events, not its cycles. With fast-forward off every
     /// cycle of `[start, to)` is ticked.
     pub fn advance(&mut self, bus: &mut B, start: u64, to: u64) {
-        let mut pace = Pace::new(self.profile, self.stages.len());
+        let mut pace = Pace::default();
         let mut now = start;
         while now < to {
             now = self
@@ -361,21 +340,13 @@ impl<B: ?Sized> CycleLoop<B> {
         pace: &mut Pace,
     ) -> (u64, bool) {
         if self.skip && pace.probe_holdoff == 0 {
-            let probe_start = self.profile.then(std::time::Instant::now);
             let jump = self
                 .horizon(now, bus)
                 .and_then(|(best, who)| cap.limit(best, who, || done(bus)));
-            if let Some(t0) = probe_start {
-                pace.probe_nanos += t0.elapsed().as_nanos() as u64;
-            }
             if let Some((target, stage)) = jump {
                 pace.veto_streak = 0;
-                let skip_start = self.profile.then(std::time::Instant::now);
                 for s in &mut self.stages {
                     s.skip(now, target, bus);
-                }
-                if let Some(t0) = skip_start {
-                    pace.skip_nanos += t0.elapsed().as_nanos() as u64;
                 }
                 self.jumps += 1;
                 self.skipped_cycles += target - now;
@@ -394,18 +365,9 @@ impl<B: ?Sized> CycleLoop<B> {
         } else {
             pace.probe_holdoff = pace.probe_holdoff.saturating_sub(1);
         }
-        if self.profile {
-            for (i, stage) in self.stages.iter_mut().enumerate() {
-                let t0 = std::time::Instant::now();
-                stage.tick(now, bus);
-                pace.stage_nanos[i] += t0.elapsed().as_nanos() as u64;
-            }
-        } else {
-            for stage in &mut self.stages {
-                stage.tick(now, bus);
-            }
+        for stage in &mut self.stages {
+            stage.tick(now, bus);
         }
-        pace.ticked += 1;
         (now + 1, true)
     }
 
@@ -450,8 +412,8 @@ impl<B: ?Sized> CycleLoop<B> {
         let mut ticked_since_check: u64 = 0;
         let mut flat_since = start;
         let mut trip_check = trips_at(start);
-        let mut pace = Pace::new(self.profile, self.stages.len());
-        let end = loop {
+        let mut pace = Pace::default();
+        loop {
             let cap = JumpCap::Watched {
                 check: next_check,
                 leash: trip_check.max(next_check),
@@ -495,39 +457,6 @@ impl<B: ?Sized> CycleLoop<B> {
                 }
                 ticked_since_check = 0;
             }
-        };
-        if self.profile {
-            self.print_profile(&pace, end - start);
-        }
-        end
-    }
-
-    /// The [`CycleLoop::with_profile`] breakdown of one finished drive.
-    fn print_profile(&self, pace: &Pace, cycles: u64) {
-        let total: u64 = pace.stage_nanos.iter().sum();
-        eprintln!(
-            "[stage profile] {} cycles ({} ticked, {} skipped in {} jumps), \
-             {:.1} ms staged + {:.1} ms horizon probes + {:.1} ms skip charges",
-            cycles,
-            pace.ticked,
-            self.skipped_cycles,
-            self.jumps,
-            total as f64 / 1e6,
-            pace.probe_nanos as f64 / 1e6,
-            pace.skip_nanos as f64 / 1e6,
-        );
-        for (i, stage) in self.stages.iter().enumerate() {
-            eprintln!(
-                "[stage profile]   {:<20} {:>10.1} ms  {:>5.1}%  \
-                 ({:.0} ns/tick over {} ticks, {} jumps, {} probe vetoes)",
-                stage.name(),
-                pace.stage_nanos[i] as f64 / 1e6,
-                100.0 * pace.stage_nanos[i] as f64 / total.max(1) as f64,
-                pace.stage_nanos[i] as f64 / pace.ticked.max(1) as f64,
-                pace.ticked,
-                self.jumps,
-                self.veto_counts[i],
-            );
         }
     }
 }
@@ -575,29 +504,11 @@ impl JumpCap {
 /// Per-drive state of [`CycleLoop::step`]: the veto-streak probe back-off
 /// (see [`VETO_BACKOFF_AFTER`] — on long saturated stretches the probe is
 /// spaced out and the loop just ticks, bitwise identical by the tick/skip
-/// contract, minus the per-cycle probe sweep) and the stage-profile
-/// accumulators.
+/// contract, minus the per-cycle probe sweep).
+#[derive(Default)]
 struct Pace {
     veto_streak: u32,
     probe_holdoff: u64,
-    ticked: u64,
-    /// Per-stage wall-clock, filled only while profiling.
-    stage_nanos: Vec<u64>,
-    probe_nanos: u64,
-    skip_nanos: u64,
-}
-
-impl Pace {
-    fn new(profile: bool, stages: usize) -> Pace {
-        Pace {
-            veto_streak: 0,
-            probe_holdoff: 0,
-            ticked: 0,
-            stage_nanos: vec![0; if profile { stages } else { 0 }],
-            probe_nanos: 0,
-            skip_nanos: 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1100,21 +1011,27 @@ mod tests {
     /// sweep on every tick of a busy layer.
     #[test]
     fn saturated_stretch_probes_once_per_holdoff() {
-        struct Busy;
+        use std::{cell::Cell, rc::Rc};
+        /// Vetoes every probe and counts the probes it was asked.
+        struct Busy(Rc<Cell<u64>>);
         impl Clocked<EventBus> for Busy {
             fn tick(&mut self, _now: u64, bus: &mut EventBus) {
                 bus.clock += 1;
             }
             fn next_event(&self, _now: u64, _bus: &EventBus) -> Option<u64> {
+                self.0.set(self.0.get() + 1);
                 None
             }
         }
         const CYCLES: u64 = 16_000;
+        let counted = Rc::new(Cell::new(0));
         let mut bus = EventBus::default();
-        let mut cl = CycleLoop::new().with_skip(true).stage(Busy);
+        let mut cl = CycleLoop::new()
+            .with_skip(true)
+            .stage(Busy(Rc::clone(&counted)));
         cl.advance(&mut bus, 0, CYCLES);
         assert_eq!((bus.clock, cl.jumps()), (CYCLES, 0));
-        let probes: u64 = cl.veto_counts.iter().sum();
+        let probes = counted.get();
         assert!(
             probes <= CYCLES / MAX_PROBE_HOLDOFF + 64,
             "{probes} probes over {CYCLES} saturated cycles"
