@@ -5,10 +5,12 @@
 #                  with property suites at a pinned 64-case budget (the
 #                  cluster suites once more pinned to one core where
 #                  `taskset` exists, so the executor runs its one-worker
-#                  inline path), the ambient-environment test, fmt, clippy
-#                  and the doc gate. A smaller budget would add nothing:
-#                  the vendored runner seeds case i from the test name and
-#                  i alone, so 32 cases are the first 32 of the 64.
+#                  inline path), fmt, clippy and the doc gate. A smaller
+#                  budget would add nothing: the vendored runner seeds case
+#                  i from the test name and i alone, so 32 cases are the
+#                  first 32 of the 64. The workspace tests include
+#                  `ambient_env`, whose own binary checks that ambient
+#                  NEUROCUBE_* variables cannot change a run.
 #   ci.sh --deep - the standard gate, then every workspace test in release
 #                  with property suites at 512 cases, the one-core cluster
 #                  runs at 512 cases, and the three studies whose built-in
@@ -34,9 +36,6 @@ cd "$(dirname "$0")"
 
 cargo build --release
 PROPTEST_CASES=64 cargo test -q
-# Ambient process state cannot change a run: one test in its own binary
-# sets NEUROCUBE_* variables and compares against a clean run.
-cargo test -q -p neurocube-integration-tests --test ambient_env
 # The cluster executor sizes its fork-join from the host: pinned to one
 # core it has one worker, the calling thread. No knob selects that path.
 one_core=()

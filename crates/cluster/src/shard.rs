@@ -356,16 +356,21 @@ fn band_widths(max: usize) -> Vec<usize> {
     widths
 }
 
-/// The certified lower bound on the hand-off between two placed stages:
-/// the gather completes no earlier than the slowest (src part → dst part)
+/// The certified lower bound on the hand-off between two stages: the
+/// gather completes no earlier than the slowest (src part → dst part)
 /// transfer. Each destination part needs the *full* previous value, so
-/// every source slice travels to every destination cube.
-fn handoff_lower(link: &LinkConfig, src: &[ShardPart], dst: &[ShardPart]) -> u64 {
+/// every source slice travels to every destination cube. `src` yields
+/// each source part's `(cube, out_len)`, `dst` each destination cube.
+fn handoff_lower(
+    link: &LinkConfig,
+    src: impl Iterator<Item = (usize, usize)>,
+    dst: impl Iterator<Item = usize> + Clone,
+) -> u64 {
     let mut worst = 0;
-    for s in src {
-        let bytes = 2 * s.out_len as u64;
-        for d in dst {
-            let hops = link.topology.hops(s.cube, d.cube);
+    for (cube, out_len) in src {
+        let bytes = 2 * out_len as u64;
+        for d in dst.clone() {
+            let hops = link.topology.hops(cube, d);
             worst = worst.max(link.transfer_cycles(bytes, hops));
         }
     }
@@ -484,15 +489,12 @@ pub fn shard_graph(
                     // `used + k`) and the previous slice widths.
                     let hop_link = probe_link(link, used + m);
                     let hand = prefix.last.as_ref().map_or(0, |(prev, prev_first)| {
-                        let mut worst = 0;
-                        for (i, s) in prev.parts.iter().enumerate() {
-                            let bytes = 2 * s.out_len as u64;
-                            for k in 0..m {
-                                let hops = hop_link.topology.hops(prev_first + i, used + k);
-                                worst = worst.max(hop_link.transfer_cycles(bytes, hops));
-                            }
-                        }
-                        worst
+                        let src = prev.parts.iter().enumerate();
+                        handoff_lower(
+                            &hop_link,
+                            src.map(|(i, s)| (prev_first + i, s.out_len)),
+                            used..used + m,
+                        )
                     });
                     let cost = prefix.cost + hand + cand.lower;
                     let slot = &mut row_b[used + m];
@@ -551,7 +553,11 @@ pub fn shard_graph(
         .windows(2)
         .map(|w| {
             handoff_upper(link, &w[0].parts, &w[1].parts)
-                - handoff_lower(link, &w[0].parts, &w[1].parts)
+                - handoff_lower(
+                    link,
+                    w[0].parts.iter().map(|s| (s.cube, s.out_len)),
+                    w[1].parts.iter().map(|d| d.cube),
+                )
         })
         .sum();
     envelope.upper += upper_extra;

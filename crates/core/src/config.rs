@@ -31,8 +31,9 @@ pub struct SystemConfig {
     pub attach: Vec<NodeId>,
     /// PE cache sub-bank capacity (the paper's design point is 64).
     pub cache_entries_per_bank: usize,
-    /// PNG run-ahead credit window in operations (default 16; see the
-    /// `neurocube-png` crate docs for the deadlock/throughput constraints).
+    /// PNG run-ahead credit window in operations (default 16; see
+    /// [`PngHookup::run_ahead_ops`](neurocube_png::PngHookup::run_ahead_ops)
+    /// for the deadlock/throughput constraints).
     pub run_ahead_ops: u64,
     /// Host programming-phase timing (Fig. 8(c)): when set, each layer is
     /// charged the configuration-register write time before execution.
@@ -183,7 +184,8 @@ impl SystemConfig {
     /// duplication is requested on a shared-controller memory (write-back
     /// copies need per-node PNGs to demultiplex), or the PNG run-ahead
     /// window can put more operands in flight than a PE cache sub-bank
-    /// holds.
+    /// holds, or the memory breaks the validated geometry
+    /// ([`MemoryConfig::geometry_error`]).
     pub fn validate(&self) -> Result<(), ConfigError> {
         let nodes = self.nodes();
         if self.memory.regions as usize != nodes {
@@ -209,6 +211,9 @@ impl SystemConfig {
                 run_ahead_ops: self.run_ahead_ops,
                 cache_entries_per_bank: self.cache_entries_per_bank,
             });
+        }
+        if let Some(rule) = self.memory.geometry_error() {
+            return Err(ConfigError::MemoryGeometry(rule));
         }
         Ok(())
     }
@@ -243,6 +248,9 @@ pub enum ConfigError {
         /// The configured sub-bank capacity.
         cache_entries_per_bank: usize,
     },
+    /// The memory breaks the validated geometry; the payload names the
+    /// first broken rule (see [`MemoryConfig::geometry_error`]).
+    MemoryGeometry(&'static str),
     /// The target fabric cannot be constructed (oversized topology).
     Noc(NocError),
 }
@@ -269,6 +277,7 @@ impl fmt::Display for ConfigError {
                 "run-ahead window {run_ahead_ops} overflows \
                  {cache_entries_per_bank}-entry cache sub-banks"
             ),
+            ConfigError::MemoryGeometry(rule) => write!(f, "memory geometry: {rule}"),
             ConfigError::Noc(e) => write!(f, "fabric not constructible: {e}"),
         }
     }
@@ -374,6 +383,11 @@ mod tests {
             cfg.attach = (0..144).collect();
             cfg
         };
+        let memory = |edit: fn(&mut MemoryConfig)| {
+            let mut cfg = SystemConfig::paper(false);
+            edit(&mut cfg.memory);
+            cfg
+        };
         let cases = [
             (
                 region_count,
@@ -403,6 +417,22 @@ mod tests {
                     nodes: 144,
                     max: 128,
                 }),
+            ),
+            (
+                memory(|m| m.channels = 0),
+                ConfigError::MemoryGeometry("channels must be nonzero and divide regions"),
+            ),
+            (
+                memory(|m| m.channel.banks = 0),
+                ConfigError::MemoryGeometry("banks must be a power of two from 1 to 64"),
+            ),
+            (
+                memory(|m| m.region_bytes = 0),
+                ConfigError::MemoryGeometry("regions and region_bytes must be nonzero"),
+            ),
+            (
+                memory(|m| m.channel.row_bytes = 384),
+                ConfigError::MemoryGeometry("row_bytes must be a power of two"),
             ),
         ];
         for (cfg, want) in cases {

@@ -18,8 +18,7 @@
 
 use crate::storage::Storage;
 use neurocube_fault::DramFaults;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// What a memory request does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,15 +56,17 @@ pub struct Completion {
     pub cycle: u64,
 }
 
-/// Timing and energy parameters of one channel.
+/// Timing and energy parameters of one channel. [`Channel::new`] accepts
+/// only the validated geometry the field docs state.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChannelConfig {
-    /// Channel word size in bits (32 for HMC vaults, 64 for DDR3).
+    /// Channel word size in bits: 32 (HMC vaults) or 64 (DDR3).
     pub word_bits: u32,
     /// Word service time numerator: a word takes `cpw_num / cpw_den`
     /// reference cycles within a burst.
     pub cpw_num: u32,
-    /// Word service time denominator (see [`cpw_num`](Self::cpw_num)).
+    /// Word service time denominator (see [`cpw_num`](Self::cpw_num)), a
+    /// power of two (1 for HMC, 8 for DDR3).
     pub cpw_den: u32,
     /// Words per burst.
     pub burst_len: u32,
@@ -73,14 +74,15 @@ pub struct ChannelConfig {
     pub inter_burst_gap: u32,
     /// Row activation penalty in reference cycles (`t_CL + t_RCD`).
     pub row_miss_penalty: u32,
-    /// Banks per channel (open-row tracking granularity).
+    /// Banks per channel (open-row tracking granularity), a power of two
+    /// from 1 to 64.
     pub banks: u32,
     /// Scheduling window for FR-FCFS: the controller may serve the oldest
     /// row-buffer *hit* among the first `sched_window` queued requests
     /// instead of strictly the head, avoiding pathological row thrash when
     /// two streams alternate. `1` = strict FIFO.
     pub sched_window: u32,
-    /// Bytes per DRAM row.
+    /// Bytes per DRAM row, a power of two.
     pub row_bytes: u32,
     /// Request queue depth; [`Channel::try_enqueue`] fails beyond this.
     pub queue_capacity: usize,
@@ -154,6 +156,23 @@ impl ChannelConfig {
         }
     }
 
+    /// The first validated-geometry rule this channel breaks, or `None`:
+    /// the rules make the address split and pacing shifts, and fit the
+    /// banks a window still needs in one `u64`.
+    pub(crate) fn geometry_error(&self) -> Option<&'static str> {
+        if !matches!(self.word_bits, 32 | 64) {
+            Some("word_bits must be 32 or 64")
+        } else if !self.row_bytes.is_power_of_two() {
+            Some("row_bytes must be a power of two")
+        } else if !self.banks.is_power_of_two() || self.banks > 64 {
+            Some("banks must be a power of two from 1 to 64")
+        } else if !self.cpw_den.is_power_of_two() {
+            Some("cpw_den must be a power of two")
+        } else {
+            None
+        }
+    }
+
     /// Average bytes per reference cycle this configuration can sustain,
     /// ignoring row misses.
     pub(crate) fn avg_bytes_per_cycle(&self) -> f64 {
@@ -184,10 +203,6 @@ impl ChannelConfig {
 pub struct Channel {
     cfg: ChannelConfig,
     queue: VecDeque<Request>,
-    /// Per-request `(row_global, bank, row)` cached at enqueue, in lockstep
-    /// with `queue` — the FR-FCFS window scans run every busy cycle and
-    /// would otherwise redo two u64 divisions per scanned entry.
-    qmeta: VecDeque<(u64, usize, u64)>,
     /// Absolute cycle at which the next word may cross the channel,
     /// in units of `1/cpw_den` cycles for exact rational pacing.
     ready_units: u64,
@@ -195,10 +210,6 @@ pub struct Channel {
     open_rows: Vec<Option<u64>>,
     /// Cycle at which each bank's activation completes.
     bank_ready: Vec<u64>,
-    /// Min-heap of in-flight activation completion times, so the earliest
-    /// bank wake-up is an O(1) peek instead of a linear bank scan. Stale
-    /// (past) entries are pruned lazily on busy ticks.
-    ready_heap: BinaryHeap<Reverse<u64>>,
     /// End of the current refresh pause, if one is in progress.
     refresh_until: u64,
     refreshes: u64,
@@ -218,19 +229,12 @@ pub struct Channel {
     /// candidate search past the prefix. Purely an optimization:
     /// behaviour is bitwise identical with it pinned to zero.
     ready_prefix: usize,
-    /// `log2(row_bytes)` when the row size is a power of two (both stock
-    /// configs are), so the per-request address split is a shift instead
-    /// of a 64-bit division. `None` falls back to division.
-    row_shift: Option<u32>,
-    /// `log2(banks)` when the bank count is a power of two — bank/row of
-    /// a global row number become mask/shift.
-    bank_shift: Option<u32>,
-    /// `log2(cpw_den)` when the pacing denominator is a power of two
-    /// (both stock configs: 1 for HMC, 8 for DDR3), so the per-tick
-    /// `ready_units.div_ceil(cpw_den)` becomes an add-and-shift instead
-    /// of a 64-bit division — it runs on every streaming tick and every
-    /// horizon probe of every channel.
-    den_shift: Option<u32>,
+    /// `log2(row_bytes)`, `log2(banks)` and `log2(cpw_den)`: the address
+    /// split and the pacing division, run on every scan and probe, are
+    /// shifts and masks.
+    row_shift: u32,
+    bank_shift: u32,
+    den_shift: u32,
     /// Fault-injection lens, when the run has one attached. Read faults
     /// ride the data path; the lens's background-upset schedule clamps
     /// [`next_event`](Channel::next_event) so the fast-forward loop can
@@ -255,33 +259,61 @@ pub struct Channel {
     prev_read_zero: bool,
 }
 
+/// One cycle of a [`Channel`], decided without side effects by
+/// [`Channel::verdict`]. [`tick`](Channel::tick) executes it and
+/// [`next_event`](Channel::next_event) maps it to a horizon, so the two
+/// cannot disagree.
+enum Verdict {
+    /// A refresh command fires this cycle.
+    Refresh(RefreshModel),
+    /// Nothing moves and nothing is charged before the given cycle: a
+    /// refresh pause, or an empty queue until the next refresh trigger.
+    Rest(u64),
+    /// The queue holds work: this cycle's FR-FCFS decisions.
+    Work {
+        /// The ready prefix, extended over newly ready leading entries.
+        prefix: usize,
+        /// Window index of the oldest request whose demand activation
+        /// issues this cycle (at most one per cycle, on the command path).
+        activate: Option<usize>,
+        /// What the data path does.
+        serve: Serve,
+    },
+}
+
+/// The data path of one [`Verdict::Work`].
+enum Serve {
+    /// Window index of the word that crosses this cycle.
+    Now(usize),
+    /// No word crosses before this cycle: a row-ready request's pacing
+    /// slot, or `u64::MAX` when no request in the window is row-ready.
+    Wait(u64),
+}
+
 impl Channel {
     /// Creates an idle channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` breaks the validated geometry [`ChannelConfig`]
+    /// states.
     pub fn new(cfg: ChannelConfig) -> Channel {
+        if let Some(rule) = cfg.geometry_error() {
+            panic!("invalid channel geometry: {rule}");
+        }
         Channel {
             queue: VecDeque::with_capacity(cfg.queue_capacity),
-            qmeta: VecDeque::with_capacity(cfg.queue_capacity),
             ready_units: 0,
             words_in_burst: 0,
             open_rows: vec![None; cfg.banks as usize],
             bank_ready: vec![0; cfg.banks as usize],
-            ready_heap: BinaryHeap::new(),
             refresh_until: 0,
             refreshes: 0,
             quiet_until: 0,
             ready_prefix: 0,
-            row_shift: cfg
-                .row_bytes
-                .is_power_of_two()
-                .then(|| cfg.row_bytes.trailing_zeros()),
-            bank_shift: cfg
-                .banks
-                .is_power_of_two()
-                .then(|| cfg.banks.trailing_zeros()),
-            den_shift: cfg
-                .cpw_den
-                .is_power_of_two()
-                .then(|| cfg.cpw_den.trailing_zeros()),
+            row_shift: cfg.row_bytes.trailing_zeros(),
+            bank_shift: cfg.banks.trailing_zeros(),
+            den_shift: cfg.cpw_den.trailing_zeros(),
             faults: None,
             fault_base: 0,
             fault_span: 0,
@@ -295,11 +327,6 @@ impl Channel {
             prev_read_zero: false,
             cfg,
         }
-    }
-
-    /// The channel's configuration.
-    pub fn config(&self) -> &ChannelConfig {
-        &self.cfg
     }
 
     /// Attaches (or detaches) a fault lens, with the address region
@@ -335,141 +362,101 @@ impl Channel {
         if self.queue.len() >= self.cfg.queue_capacity {
             return false;
         }
-        let row_global = match self.row_shift {
-            Some(s) => req.addr >> s,
-            None => req.addr / u64::from(self.cfg.row_bytes),
-        };
-        let (bank, row) = self.bank_row(row_global);
-        self.qmeta.push_back((row_global, bank, row));
         self.queue.push_back(req);
         // A fresh request may be serviceable immediately.
         self.quiet_until = 0;
         true
     }
 
-    /// `ready_units.div_ceil(cpw_den)` — the cycle at which the next word
-    /// may cross — as a shift when the denominator is a power of two.
+    /// `ready_units.div_ceil(cpw_den)`: the cycle at which the next word
+    /// may cross.
     #[inline]
     fn ready_cycle(&self) -> u64 {
-        match self.den_shift {
-            Some(s) => (self.ready_units + ((1u64 << s) - 1)) >> s,
-            None => self.ready_units.div_ceil(u64::from(self.cfg.cpw_den)),
-        }
+        (self.ready_units + ((1u64 << self.den_shift) - 1)) >> self.den_shift
     }
 
-    /// Splits a global row number into `(bank, row-within-bank)` — a
-    /// mask/shift when the bank count is a power of two, a division
-    /// otherwise.
+    /// The global row number of queued request `i`.
+    #[inline]
+    fn row_of(&self, i: usize) -> u64 {
+        self.queue[i].addr >> self.row_shift
+    }
+
+    /// Splits a global row number into `(bank, row-within-bank)`.
     #[inline]
     fn bank_row(&self, row_global: u64) -> (usize, u64) {
-        match self.bank_shift {
-            Some(s) => ((row_global & ((1u64 << s) - 1)) as usize, row_global >> s),
-            None => (
-                (row_global % u64::from(self.cfg.banks)) as usize,
-                row_global / u64::from(self.cfg.banks),
-            ),
-        }
+        (
+            (row_global & ((1u64 << self.bank_shift) - 1)) as usize,
+            row_global >> self.bank_shift,
+        )
     }
 
-    /// Starts an activation for global row `row_global` if its bank is free,
-    /// not already holding (or opening) that row, and — crucially — not
-    /// holding a row that another request in the scheduling window is still
-    /// waiting to use (closing such a row would let two streams sharing a
-    /// bank livelock by ping-ponging activations). Returns `true` if an
-    /// activation was issued.
-    fn try_activate(&mut self, row_global: u64, now: u64) -> bool {
-        if !self.may_activate(row_global, now) {
-            return false;
-        }
-        self.activate(row_global, now);
-        true
+    /// The FR-FCFS scheduling window: the first `sched_window` queued
+    /// requests (at least one).
+    fn window(&self) -> usize {
+        (self.cfg.sched_window as usize)
+            .max(1)
+            .min(self.queue.len())
     }
 
-    /// Unconditionally opens `row_global`'s row (the mutation half of
-    /// [`try_activate`](Self::try_activate); callers have already checked
-    /// [`may_activate`](Self::may_activate) or its masked form).
+    /// Opens `row_global`'s row (callers have checked
+    /// [`may_activate`](Self::may_activate)).
     fn activate(&mut self, row_global: u64, now: u64) {
         let (bank, row) = self.bank_row(row_global);
         self.open_rows[bank] = Some(row);
         self.bank_ready[bank] = now + u64::from(self.cfg.row_miss_penalty);
-        self.ready_heap
-            .push(Reverse(now + u64::from(self.cfg.row_miss_penalty)));
         self.row_misses += 1;
     }
 
     /// Bit `b` set ⇔ bank `b`'s currently open row is still needed by a
-    /// request in the scheduling window (closing it would livelock — see
-    /// [`may_activate`](Self::may_activate)). One pass over the window, so
-    /// the command paths check each activation candidate in O(1) instead
-    /// of rescanning the window per candidate. `None` when the bank count
-    /// exceeds the mask (never the stock 16/8-bank configs), in which case
-    /// callers fall back to the per-candidate rescan.
-    fn window_needed(&self, window: usize) -> Option<u64> {
-        if self.cfg.banks > 64 {
-            return None;
-        }
+    /// request in the first `window` queue entries (closing it would
+    /// livelock — see [`may_activate`](Self::may_activate)). One pass over
+    /// the window, so each activation candidate is checked in O(1).
+    fn window_needed(&self, window: usize) -> u64 {
         let mut needed = 0u64;
-        for &(_, b, r) in self.qmeta.iter().take(window) {
+        for i in 0..window {
+            let (b, r) = self.bank_row(self.row_of(i));
             if self.open_rows[b] == Some(r) {
                 needed |= 1u64 << b;
             }
         }
-        Some(needed)
+        needed
     }
 
-    /// Side-effect-free half of [`try_activate`](Self::try_activate): would
-    /// an activation for `row_global` be issued at `now`?
-    fn may_activate(&self, row_global: u64, now: u64) -> bool {
-        self.may_activate_with(row_global, now, None)
-    }
-
-    /// [`may_activate`](Self::may_activate) with the still-needed window
-    /// scan optionally pre-computed by
-    /// [`window_needed`](Self::window_needed).
-    fn may_activate_with(&self, row_global: u64, now: u64, needed: Option<u64>) -> bool {
+    /// Would an activation for `row_global` issue at `now`? Its bank must
+    /// be past its last activation, not already holding (or opening) that
+    /// row, and — crucially — not holding a row that a request in the
+    /// scheduling window still waits on (closing such a row would let two
+    /// streams sharing a bank livelock by ping-ponging activations).
+    /// `needed` caches [`window_needed`](Self::window_needed) for the
+    /// first `window` entries: computed on first use, and reset by the
+    /// caller after an activation changes an open row.
+    fn may_activate(
+        &self,
+        row_global: u64,
+        now: u64,
+        window: usize,
+        needed: &mut Option<u64>,
+    ) -> bool {
         let (bank, row) = self.bank_row(row_global);
         if self.open_rows[bank] == Some(row) || self.bank_ready[bank] > now {
             return false;
         }
-        match needed {
-            // A set bit implies the bank's row is open *and* needed; a
-            // bank with no open row never has its bit set.
-            Some(mask) => mask & (1u64 << bank) == 0,
-            None => {
-                if let Some(cur) = self.open_rows[bank] {
-                    let window = (self.cfg.sched_window as usize)
-                        .max(1)
-                        .min(self.queue.len());
-                    let still_needed = self
-                        .qmeta
-                        .iter()
-                        .take(window)
-                        .any(|&(_, b, r)| b == bank && r == cur);
-                    if still_needed {
-                        return false;
-                    }
-                }
-                true
-            }
-        }
+        // A set bit implies the bank's row is open *and* needed; a bank
+        // with no open row never has its bit set.
+        let mask = *needed.get_or_insert_with(|| self.window_needed(window));
+        mask & (1u64 << bank) == 0
     }
 
     /// The earliest in-flight activation completing strictly after `now`,
-    /// or `u64::MAX` if none is pending. O(1) when the heap head is live;
-    /// falls back to an unordered scan only when stale entries linger
-    /// (e.g. activate-ahead rows no request ever touched again).
+    /// or `u64::MAX` if none is pending: a scan of at most 64 banks, each
+    /// holding its latest activation's completion.
     fn next_bank_ready(&self, now: u64) -> u64 {
-        match self.ready_heap.peek() {
-            Some(&Reverse(t)) if t > now => t,
-            Some(_) => self
-                .ready_heap
-                .iter()
-                .map(|r| r.0)
-                .filter(|&t| t > now)
-                .min()
-                .unwrap_or(u64::MAX),
-            None => u64::MAX,
-        }
+        self.bank_ready
+            .iter()
+            .copied()
+            .filter(|&t| t > now)
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// The next refresh-trigger cycle strictly after `now`, or `u64::MAX`
@@ -479,6 +466,65 @@ impl Channel {
         match self.cfg.refresh {
             Some(r) => ((self.refreshes + 1) * r.interval).max(self.refresh_until),
             None => u64::MAX,
+        }
+    }
+
+    /// Everything the tick at `now` decides, without side effects (the
+    /// null-tick memo aside, which its callers check first).
+    fn verdict(&self, now: u64) -> Verdict {
+        // Refresh: all-bank pause every t_REFI, closing every row.
+        if now < self.refresh_until {
+            return Verdict::Rest(self.refresh_until);
+        }
+        if let Some(r) = self
+            .cfg
+            .refresh
+            .filter(|r| now / r.interval > self.refreshes)
+        {
+            return Verdict::Refresh(r);
+        }
+        if self.queue.is_empty() {
+            return Verdict::Rest(self.next_refresh_trigger());
+        }
+        // Extend the known-ready prefix over newly ready leading entries.
+        // Each serve shrinks it by at most one, so the extension work is
+        // amortized O(1) per served word.
+        let window = self.window();
+        let mut prefix = self.ready_prefix.min(window);
+        while prefix < window && self.row_ready_idx(prefix, now) {
+            prefix += 1;
+        }
+        // Command path: (at most) one demand activation per cycle, for the
+        // oldest request in the window whose row is not open and whose
+        // bank permits it. Prefix entries are row-ready and never
+        // candidates.
+        let mut needed = None;
+        let activate = (prefix..window).find(|&i| {
+            !self.row_ready_idx(i, now)
+                && self.may_activate(self.row_of(i), now, window, &mut needed)
+        });
+        // Data path (FR-FCFS): the oldest request whose row is open and
+        // activated, after this cycle's activation; the queue head when the
+        // prefix is non-empty. Only a zero-penalty activation readies a
+        // request, its own first: no ready request shares its bank (the
+        // needed guard), and an earlier one on its row would have been the
+        // candidate.
+        let pick = if prefix > 0 {
+            Some(0)
+        } else {
+            let opened = activate.filter(|_| self.cfg.row_miss_penalty == 0);
+            (0..window).find(|&i| Some(i) == opened || self.row_ready_idx(i, now))
+        };
+        // Rational rate pacing: next transfer at ceil(ready_units / cpw_den).
+        let serve = match pick {
+            Some(i) if now >= self.ready_cycle() => Serve::Now(i),
+            Some(_) => Serve::Wait(self.ready_cycle()),
+            None => Serve::Wait(u64::MAX),
+        };
+        Verdict::Work {
+            prefix,
+            activate,
+            serve,
         }
     }
 
@@ -502,61 +548,26 @@ impl Channel {
         if now < self.quiet_until {
             return Some(self.quiet_until);
         }
-        let base = self.next_event_unfaulted(now);
+        // Otherwise a waiting channel can only change state at its pacing
+        // slot, the next refresh trigger, or when an in-flight activation
+        // completes (making a request row-ready, or a blocked bank free
+        // for a demand activation).
+        let base = match self.verdict(now) {
+            Verdict::Rest(t) => Some(t),
+            Verdict::Work {
+                activate: None,
+                serve: Serve::Wait(t),
+                ..
+            } => Some(
+                t.min(self.next_refresh_trigger())
+                    .min(self.next_bank_ready(now)),
+            ),
+            Verdict::Refresh(_) | Verdict::Work { .. } => None,
+        };
         match &self.faults {
             Some(f) => f.clamp(now, base),
             None => base,
         }
-    }
-
-    /// [`next_event`](Channel::next_event) before fault clamping.
-    fn next_event_unfaulted(&self, now: u64) -> Option<u64> {
-        let mut horizon = u64::MAX;
-        if let Some(r) = self.cfg.refresh {
-            if now >= self.refresh_until && now / r.interval > self.refreshes {
-                return None; // a refresh command fires this cycle
-            }
-            if now < self.refresh_until {
-                // All-bank pause: every tick until then is a pure no-op.
-                return Some(self.refresh_until);
-            }
-            horizon = horizon.min(self.next_refresh_trigger());
-        }
-        if self.queue.is_empty() {
-            return Some(horizon);
-        }
-        let window = (self.cfg.sched_window as usize)
-            .max(1)
-            .min(self.queue.len());
-        // Data path: would a word be served at `now`? A non-empty ready
-        // prefix answers without scanning (readiness is monotonic, so the
-        // prefix proven at the last tick still holds).
-        if self.ready_prefix > 0 || (0..window).any(|i| self.row_ready_idx(i, now)) {
-            let ready_cycle = self.ready_cycle();
-            if now >= ready_cycle {
-                return None;
-            }
-            horizon = horizon.min(ready_cycle);
-        }
-        // Command path: would a demand activation be issued at `now`?
-        // Entries inside the ready prefix are row-ready by definition and
-        // can be skipped. The needed mask is computed on the first real
-        // candidate — an all-ready window (the streaming steady state)
-        // never pays for it.
-        let mut needed = None;
-        for i in self.ready_prefix.min(window)..window {
-            if self.row_ready_idx(i, now) {
-                continue;
-            }
-            let mask = *needed.get_or_insert_with(|| self.window_needed(window));
-            if self.may_activate_with(self.qmeta[i].0, now, mask) {
-                return None;
-            }
-        }
-        // Otherwise the channel can only change state when an in-flight
-        // activation completes (making a request row-ready, or a blocked
-        // bank free for a demand activation).
-        Some(horizon.min(self.next_bank_ready(now)))
     }
 
     /// Bulk-charges the per-cycle accounting of the null ticks in
@@ -565,7 +576,7 @@ impl Channel {
     /// touch nothing; ticks over a non-empty queue charge one busy cycle
     /// each, exactly as the naive loop would.
     pub fn skip(&mut self, from: u64, to: u64) {
-        if from < self.refresh_until && self.cfg.refresh.is_some() {
+        if from < self.refresh_until {
             return;
         }
         if !self.queue.is_empty() {
@@ -586,9 +597,9 @@ impl Channel {
     }
 
     /// Queued request `i`'s bank is open on its row and past its activation
-    /// time (using the bank/row cached at enqueue).
+    /// time.
     fn row_ready_idx(&self, i: usize, now: u64) -> bool {
-        let (_, bank, row) = self.qmeta[i];
+        let (bank, row) = self.bank_row(self.row_of(i));
         self.open_rows[bank] == Some(row) && self.bank_ready[bank] <= now
     }
 
@@ -615,132 +626,77 @@ impl Channel {
                 }
             }
         }
-        // Refresh: all-bank pause every t_REFI, closing every row.
-        if let Some(r) = self.cfg.refresh {
-            if now >= self.refresh_until && now / r.interval > self.refreshes {
-                self.refreshes = now / r.interval;
-                self.refresh_until = now + r.duration;
-                self.open_rows.iter_mut().for_each(|b| *b = None);
-                // Every row just closed: the ready-prefix proof is void.
-                self.ready_prefix = 0;
-            }
-            if now < self.refresh_until {
-                return None;
-            }
-        }
-        if self.queue.is_empty() {
-            return None;
-        }
-        self.busy_cycles += 1;
         if now < self.quiet_until {
             // A previous tick proved every cycle before `quiet_until` is a
-            // null tick (and `try_enqueue` invalidates the proof), so only
-            // the busy-cycle charge above remains.
+            // null tick over a non-empty queue, with no refresh trigger or
+            // pause inside (and `try_enqueue` invalidates the proof), so
+            // only the busy-cycle charge remains.
+            self.busy_cycles += 1;
             return None;
         }
-        while self.ready_heap.peek().is_some_and(|&Reverse(t)| t <= now) {
-            self.ready_heap.pop();
+        let mut verdict = self.verdict(now);
+        if let Verdict::Refresh(r) = verdict {
+            self.refreshes = now / r.interval;
+            self.refresh_until = now + r.duration;
+            self.open_rows.iter_mut().for_each(|b| *b = None);
+            // Every row just closed: the ready-prefix proof is void.
+            self.ready_prefix = 0;
+            verdict = self.verdict(now);
         }
-
-        // Refresh the known-ready prefix: extend it over newly ready
-        // leading entries. Each serve shrinks it by at most one, so the
-        // extension work is amortized O(1) per served word.
-        let window = (self.cfg.sched_window as usize)
-            .max(1)
-            .min(self.queue.len());
-        self.ready_prefix = self.ready_prefix.min(window);
-        while self.ready_prefix < window && self.row_ready_idx(self.ready_prefix, now) {
-            self.ready_prefix += 1;
+        let Verdict::Work {
+            prefix,
+            activate,
+            serve,
+        } = verdict
+        else {
+            return None;
+        };
+        self.busy_cycles += 1;
+        self.ready_prefix = prefix;
+        if let Some(i) = activate {
+            self.activate(self.row_of(i), now);
         }
-
-        // Command path: issue (at most) one demand activation per cycle,
-        // for the oldest request in the scheduling window whose row is not
-        // open and whose bank permits it. Prefix entries are row-ready and
-        // never candidates. The needed mask is computed on the first real
-        // candidate and stays exact through the scan: nothing mutates
-        // until a candidate passes, and then the loop ends.
-        let mut needed = None;
-        for i in self.ready_prefix..window {
-            if self.row_ready_idx(i, now) {
-                continue;
-            }
-            let mask = *needed.get_or_insert_with(|| self.window_needed(window));
-            if self.may_activate_with(self.qmeta[i].0, now, mask) {
-                self.activate(self.qmeta[i].0, now);
-                break;
-            }
-        }
-
-        // Data path (FR-FCFS): serve the oldest request whose row is open
-        // and activated. A non-empty prefix means the queue head is it.
-        let pick = if self.ready_prefix > 0 {
-            0
-        } else {
-            match (0..window).find(|&i| self.row_ready_idx(i, now)) {
-                Some(p) => p,
-                None => {
-                    self.note_quiet(now);
-                    return None;
-                }
-            }
+        let Serve::Now(pick) = serve else {
+            self.note_quiet(now);
+            return None;
         };
         let req = self.queue[pick];
 
-        // Rational rate pacing: next transfer at ceil(ready_units / cpw_den).
-        let den = u64::from(self.cfg.cpw_den);
-        let ready_cycle = self.ready_cycle();
-        if now < ready_cycle {
-            self.note_quiet(now);
-            return None;
-        }
         // If the channel has been idle past its scheduled slot (no work, or
         // a row stall), re-anchor pacing at `now`; within a paced stream
         // `now == ready_cycle` and the fractional remainder is preserved.
-        if now > ready_cycle {
+        let den = u64::from(self.cfg.cpw_den);
+        if now > self.ready_cycle() {
             self.ready_units = now * den;
         }
 
         // Serve the word.
         self.queue.remove(pick);
-        let (row_global, ..) = self
-            .qmeta
-            .remove(pick)
-            .expect("qmeta in lockstep with queue");
+        let row_global = req.addr >> self.row_shift;
         if pick < self.ready_prefix {
             self.ready_prefix -= 1;
         }
         self.busy_cycles += 1;
-        let bytes = u64::from(self.cfg.word_bits / 8);
         let data = match req.kind {
             RequestKind::Read => {
                 self.words_read += 1;
-                let raw = match self.cfg.word_bits {
-                    32 => u64::from(storage.read_u32(req.addr)),
-                    64 => {
-                        u64::from(storage.read_u32(req.addr))
-                            | (u64::from(storage.read_u32(req.addr + 4)) << 32)
+                // A 64-bit word crosses as two 32-bit halves, low first,
+                // each through the fault lens on its own.
+                let mut word = 0;
+                for half in 0..u64::from(self.cfg.word_bits / 32) {
+                    let addr = req.addr + 4 * half;
+                    let mut v = storage.read_u32(addr);
+                    if let Some(f) = &mut self.faults {
+                        v = f.filter_read(now, addr, v);
                     }
-                    16 => u64::from(storage.read_u16(req.addr)),
-                    other => panic!("unsupported word size {other}"),
-                };
-                match &mut self.faults {
-                    None => raw,
-                    Some(f) => match self.cfg.word_bits {
-                        64 => {
-                            u64::from(f.filter_read(now, req.addr, raw as u32))
-                                | (u64::from(f.filter_read(now, req.addr + 4, (raw >> 32) as u32))
-                                    << 32)
-                        }
-                        bits => {
-                            let mask = (1u64 << bits) - 1;
-                            u64::from(f.filter_read(now, req.addr, raw as u32)) & mask
-                        }
-                    },
+                    word |= u64::from(v) << (32 * half);
                 }
+                word
             }
             RequestKind::Write(v) => {
                 self.words_written += 1;
-                storage.write_bytes(req.addr, &v.to_le_bytes()[..bytes as usize]);
+                let bytes = (self.cfg.word_bits / 8) as usize;
+                storage.write_bytes(req.addr, &v.to_le_bytes()[..bytes]);
                 v
             }
             RequestKind::Write16(v) => {
@@ -784,8 +740,14 @@ impl Channel {
         // Activate-ahead for sequential streams: while row R streams, make
         // sure rows R+1 and R+2 are opening in their (interleaved) banks so
         // the stream never waits on tCL+tRCD in steady state.
-        let _ = self.try_activate(row_global + 1, now);
-        let _ = self.try_activate(row_global + 2, now);
+        let window = self.window();
+        let mut needed = None;
+        for ahead in [row_global + 1, row_global + 2] {
+            if self.may_activate(ahead, now, window, &mut needed) {
+                self.activate(ahead, now);
+                needed = None;
+            }
+        }
 
         Some(Completion {
             addr: req.addr,

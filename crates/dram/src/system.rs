@@ -72,6 +72,21 @@ impl MemoryConfig {
         }
     }
 
+    /// The first rule of the validated memory geometry this configuration
+    /// breaks, or `None`: nonzero regions, region bytes and channels, a
+    /// channel count that divides the region count (each channel serves
+    /// an equal block), and the channel rules [`ChannelConfig`] states.
+    /// [`MemorySystem::new`] asserts it, [`Channel::new`] its channel rules.
+    pub fn geometry_error(&self) -> Option<&'static str> {
+        if self.regions == 0 || self.region_bytes == 0 {
+            Some("regions and region_bytes must be nonzero")
+        } else if self.channels == 0 || !self.regions.is_multiple_of(self.channels) {
+            Some("channels must be nonzero and divide regions")
+        } else {
+            self.channel.geometry_error()
+        }
+    }
+
     /// The physical channel that serves `region`.
     pub fn channel_of_region(&self, region: u32) -> u32 {
         debug_assert!(region < self.regions);
@@ -122,7 +137,15 @@ pub struct MemorySystem {
 
 impl MemorySystem {
     /// Builds the subsystem described by `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` breaks the validated geometry (see
+    /// [`MemoryConfig::geometry_error`]).
     pub fn new(config: MemoryConfig) -> MemorySystem {
+        if let Some(rule) = config.geometry_error() {
+            panic!("invalid memory geometry: {rule}");
+        }
         let map = config.address_map();
         let channels = (0..config.channels)
             .map(|_| Channel::new(config.channel))
@@ -205,11 +228,6 @@ impl MemorySystem {
     /// Panics if `ch` is out of range.
     pub fn tick_channel(&mut self, ch: u32, now: u64) -> Option<Completion> {
         self.channels[ch as usize].tick(now, &mut self.storage)
-    }
-
-    /// Read-only view of physical channel `ch` (statistics).
-    pub fn channel(&self, ch: u32) -> &Channel {
-        &self.channels[ch as usize]
     }
 
     /// Attaches a fault lens to every physical channel (or detaches them

@@ -43,21 +43,22 @@ const OUT_QUEUE_CAP: usize = 32;
 /// Maximum write-backs buffered while waiting for channel write slots.
 const WRITE_QUEUE_CAP: usize = 32;
 
-/// What the prefetch-read loop would do on the next tick — the outcome of
-/// replaying [`Png::tick`]'s break chain without side effects.
+/// What the prefetch-read loop does next, decided without side effects by
+/// `Png::read_path_state`: [`Png::tick`] acts on it, and the event-horizon
+/// probe and skip read it, so the three cannot disagree.
 enum ReadPath {
     /// The tick issues a read or mutates stream state: not a null tick.
     Active,
-    /// Output FIFO at its high-water mark; `live` mirrors the condition
-    /// under which the naive loop charges `outq_stalls`.
+    /// Output FIFO at its high-water mark; `outq_stalls` is charged while
+    /// `live`.
     OutqStall {
         /// Whether the operand stream still has events to deliver.
         live: bool,
     },
-    /// No channel queue slot free: the naive loop charges `queue_stalls`.
+    /// No channel queue slot free: charges `queue_stalls`.
     QueueStall,
-    /// Every event of the held word batch is run-ahead gated: the naive
-    /// loop charges `gate_stalls`.
+    /// Every event of the held word batch is run-ahead gated: charges
+    /// `gate_stalls`.
     GateStall,
     /// Nothing to do and nothing charged.
     Idle,
@@ -65,22 +66,6 @@ enum ReadPath {
 
 /// Low 48 bits of a write request's tag (the high 16 carry the vault id).
 const WRITE_TAG: u64 = 0xFFFF_FFFF_FFFF;
-
-/// Credit-based run-ahead window: a PNG never issues an operand more than
-/// this many operations ahead of the destination PE's operation counter.
-///
-/// Two constraints pick the value. *Deadlock freedom*: in-flight packets
-/// must always fit the PE cache — 16 ops × ≤17 packets/op over 16 OP-ID
-/// residue classes bounds any sub-bank at 2 × 17 = 34 < 64 entries, so a PE
-/// can always accept every in-flight packet even when memory controllers
-/// with very different backlogs feed it (the DDR3 configuration).
-/// *Throughput*: the PE's full sub-bank search costs `max(16, occupancy)`
-/// cycles per operation (§V-B) and hides behind the 16-cycle MAC latency
-/// only while sub-banks stay at ≤16 entries — i.e. at most ~one op ahead
-/// per residue class, which a 16-op window guarantees. A 16-op window is
-/// still 256 cycles of buffering, ample to ride out burst gaps and row
-/// activations.
-pub(crate) const RUN_AHEAD_OPS: u64 = 16;
 
 /// How a PNG attaches to the physical fabric — identity for the HMC
 /// (each vault's PNG sits at its own mesh node), or a shared controller
@@ -96,8 +81,22 @@ pub struct PngHookup {
     /// Cap on outstanding read requests, so PNGs sharing one physical
     /// channel cannot starve each other.
     pub max_outstanding_reads: usize,
-    /// Credit-based run-ahead window in operations (see `RUN_AHEAD_OPS`
-    /// for the default and the sizing constraints).
+    /// Credit-based run-ahead window: the PNG never issues an operand
+    /// more than this many operations ahead of the destination PE's
+    /// operation counter.
+    ///
+    /// Two constraints pick the default of 16. *Deadlock freedom*:
+    /// in-flight packets must always fit the PE cache — 16 ops × ≤17
+    /// packets/op over 16 OP-ID residue classes bounds any sub-bank at
+    /// 2 × 17 = 34 < 64 entries, so a PE can always accept every
+    /// in-flight packet even when memory controllers with very different
+    /// backlogs feed it (the DDR3 configuration). *Throughput*: the PE's
+    /// full sub-bank search costs `max(16, occupancy)` cycles per
+    /// operation (§V-B) and hides behind the 16-cycle MAC latency only
+    /// while sub-banks stay at ≤16 entries — i.e. at most ~one op ahead
+    /// per residue class, which a 16-op window guarantees. A 16-op window
+    /// is still 256 cycles of buffering, ample to ride out burst gaps and
+    /// row activations.
     pub run_ahead_ops: u64,
 }
 
@@ -155,8 +154,8 @@ pub struct Png {
     /// "every event still gated" is per destination "the minimum
     /// `global_op` still gated", so the per-tick recheck walks these one
     /// or two entries instead of rescanning the whole batch. Non-empty
-    /// only while `pending_group` was stored fully gated (gating is
-    /// monotone: `progress` only advances, so a batch never re-gates).
+    /// exactly while `pending_group` is held: every held batch is stored
+    /// through `note_held`.
     pending_gate: Vec<(NodeId, u64)>,
     pending_event: Option<OperandEvent>,
     inflight: TagMap,
@@ -250,20 +249,6 @@ impl Png {
         if self.first_drop.is_none() {
             self.first_drop = Some(format!("{why} (channel completion, tag {tag:#x})"));
         }
-    }
-
-    /// The standard HMC hookup: PNG of vault `v` at mesh node `v`, 32-bit
-    /// words, a full private request queue.
-    pub fn hmc(vault: NodeId) -> Png {
-        Png::new(
-            vault,
-            PngHookup {
-                attach: vault,
-                word_bytes: 4,
-                max_outstanding_reads: 48,
-                run_ahead_ops: RUN_AHEAD_OPS,
-            },
-        )
     }
 
     /// The vault (region) this PNG controls.
@@ -515,36 +500,25 @@ impl Png {
         //    never deadlocks behind the operand stream).
         while !self.pending_writes.is_empty() && mem.free_slots(region) > 0 {
             let (addr, data) = self.pending_writes[0];
-            let (req, skip) = if addr & 1 == 1 {
+            let (kind, halves) = if addr & 1 == 1 {
                 let (a2, d2) = self.pending_writes[1];
                 debug_assert_eq!(a2 & !1, (addr & !1) + 2);
-                (
-                    Request {
-                        addr: addr & !1,
-                        tag: self.tag_base() | WRITE_TAG,
-                        kind: RequestKind::Write(u64::from(data) | (u64::from(d2) << 16)),
-                    },
-                    2,
-                )
+                let word = u64::from(data) | (u64::from(d2) << 16);
+                (RequestKind::Write(word), 2)
             } else {
-                (
-                    Request {
-                        addr,
-                        tag: self.tag_base() | WRITE_TAG,
-                        kind: RequestKind::Write16(data),
-                    },
-                    1,
-                )
+                (RequestKind::Write16(data), 1)
             };
-            if mem.try_enqueue(region, req) {
-                for _ in 0..skip {
-                    self.pending_writes.pop_front();
-                }
-                self.outstanding_writes += 1;
-                self.stats.writes_issued += 1;
-            } else {
-                break;
-            }
+            let req = Request {
+                addr: addr & !1,
+                tag: self.tag_base() | WRITE_TAG,
+                kind,
+            };
+            // The loop condition saw a free slot in this channel.
+            let queued = mem.try_enqueue(region, req);
+            assert!(queued, "PNG {}: write refused by a free queue", self.vault);
+            self.pending_writes.drain(..halves);
+            self.outstanding_writes += 1;
+            self.stats.writes_issued += 1;
         }
 
         // 2. Issue prefetch reads: group stream operands sharing one
@@ -552,29 +526,13 @@ impl Png {
         //    32 bit data and encapsulates that into two packets").
         let word_mask = !(self.hookup.word_bytes - 1);
         loop {
-            if self.out_queue.len() >= OUT_QUEUE_CAP / 2 {
-                if self.stream.as_ref().is_some_and(|st| !st.is_exhausted()) {
-                    self.stats.outq_stalls += 1;
-                }
-                break;
-            }
-            if self.outstanding_reads >= self.hookup.max_outstanding_reads {
-                break;
-            }
-            if mem.free_slots(region) == 0 {
-                self.stats.queue_stalls += 1;
+            let path = self.read_path_state(mem, progress);
+            if self.charge_stall(path, 1) {
                 break;
             }
             let group = match self.pending_group.take() {
+                // The verdict found the held batch releasable.
                 Some(g) => {
-                    // Held-batch fast recheck: the cached per-destination
-                    // minima decide "still fully gated" without touching
-                    // the batch itself.
-                    if !self.pending_gate.is_empty() && self.held_still_gated(progress) {
-                        self.pending_group = Some(g);
-                        self.stats.gate_stalls += 1;
-                        break;
-                    }
                     self.pending_gate.clear();
                     g
                 }
@@ -615,11 +573,11 @@ impl Png {
             // receiving PE's cache.
             let gated = group.1.iter().filter(|ev| self.gated(ev, progress)).count();
             if gated == group.1.len() {
-                // Nothing in the batch may fly yet; hold it (in order).
+                // Nothing in the batch may fly yet: hold it (in order); the
+                // next verdict charges the gate stall.
                 self.note_held(&group.1);
                 self.pending_group = Some(group);
-                self.stats.gate_stalls += 1;
-                break;
+                continue;
             }
             let group = if gated == 0 {
                 // Common case: the whole batch flies, nothing to allocate.
@@ -663,16 +621,14 @@ impl Png {
                 tag,
                 kind: RequestKind::Read,
             };
-            if mem.try_enqueue(region, req) {
-                self.next_seq += 1;
-                debug_assert!(self.next_seq & WRITE_TAG != WRITE_TAG);
-                self.inflight.insert(tag, group);
-                self.outstanding_reads += 1;
-                self.stats.reads_issued += 1;
-            } else {
-                self.pending_group = Some(group);
-                break;
-            }
+            // The verdict saw a free slot in this channel this iteration.
+            let queued = mem.try_enqueue(region, req);
+            assert!(queued, "PNG {}: read refused by a free queue", self.vault);
+            self.next_seq += 1;
+            debug_assert!(self.next_seq & WRITE_TAG != WRITE_TAG);
+            self.inflight.insert(tag, group);
+            self.outstanding_reads += 1;
+            self.stats.reads_issued += 1;
         }
     }
 
@@ -714,11 +670,12 @@ impl Png {
         })
     }
 
-    /// Classifies what [`tick`](Self::tick)'s prefetch-read loop would do
-    /// *right now*, mirroring its break chain exactly (same checks, same
-    /// order). Used by [`next_event`](Self::next_event) to decide whether a
-    /// tick is null and by [`skip`](Self::skip) to bulk-charge the stall
-    /// counter the naive loop would have incremented each cycle.
+    /// The prefetch-read loop's verdict *right now*: the one break chain.
+    /// [`tick`](Self::tick) acts on it each iteration, charging the stall
+    /// counter it names and stopping, or issuing a read on `Active`;
+    /// [`next_event`](Self::next_event) reads it to decide whether a tick
+    /// is null and [`skip`](Self::skip) to bulk-charge the counter the
+    /// naive loop would have incremented each cycle.
     fn read_path_state(&self, mem: &MemorySystem, progress: &[u64]) -> ReadPath {
         if self.out_queue.len() >= OUT_QUEUE_CAP / 2 {
             return ReadPath::OutqStall {
@@ -731,16 +688,14 @@ impl Png {
         if mem.free_slots(u32::from(self.vault)) == 0 {
             return ReadPath::QueueStall;
         }
-        if let Some((_, evs)) = &self.pending_group {
-            let all_gated = if self.pending_gate.is_empty() {
-                evs.iter().all(|ev| self.gated(ev, progress))
+        // Every held batch was stored through `note_held`.
+        debug_assert_eq!(self.pending_group.is_some(), !self.pending_gate.is_empty());
+        if self.pending_group.is_some() {
+            return if self.held_still_gated(progress) {
+                ReadPath::GateStall
             } else {
-                self.held_still_gated(progress)
+                ReadPath::Active
             };
-            if all_gated {
-                return ReadPath::GateStall;
-            }
-            return ReadPath::Active;
         }
         // With no held batch, any available event would be *taken* this
         // tick (group acquisition mutates the stream even if the result
@@ -790,14 +745,22 @@ impl Png {
         if self.prog.is_none() {
             return;
         }
-        let cycles = to - from;
-        match self.read_path_state(mem, progress) {
+        let path = self.read_path_state(mem, progress);
+        let stalled = self.charge_stall(path, to - from);
+        assert!(stalled, "skip() over a non-null PNG tick");
+    }
+
+    /// Charges `cycles` cycles of the stall counter `path` names, if any;
+    /// `false` when `path` is [`ReadPath::Active`] (nothing stalls).
+    fn charge_stall(&mut self, path: ReadPath, cycles: u64) -> bool {
+        match path {
+            ReadPath::Active => return false,
             ReadPath::OutqStall { live: true } => self.stats.outq_stalls += cycles,
             ReadPath::QueueStall => self.stats.queue_stalls += cycles,
             ReadPath::GateStall => self.stats.gate_stalls += cycles,
             ReadPath::OutqStall { live: false } | ReadPath::Idle => {}
-            ReadPath::Active => unreachable!("skip() over a non-null PNG tick"),
         }
+        true
     }
 
     /// Whether the next injection comes from the replication (copy) queue
@@ -868,6 +831,23 @@ mod tests {
     use neurocube_fixed::Activation;
     use neurocube_nn::{LayerSpec, NetworkSpec, Shape, Tensor};
     use neurocube_noc::{Network, Topology};
+
+    impl Png {
+        /// Test fixture: PNG of vault `v` at mesh node `v`, 32-bit words,
+        /// a 48-read cap. Not what `Neurocube::try_new` builds: it derives
+        /// 32 reads from the same channel's queue.
+        fn hmc(vault: NodeId) -> Png {
+            Png::new(
+                vault,
+                PngHookup {
+                    attach: vault,
+                    word_bytes: 4,
+                    max_outstanding_reads: 48,
+                    run_ahead_ops: 16,
+                },
+            )
+        }
+    }
 
     /// The one phase of single-layer `net`, compiled with duplication.
     fn compile_dup(net: &NetworkSpec, map_cfg: &MemoryConfig) -> Arc<LayerProgram> {

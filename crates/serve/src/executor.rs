@@ -41,6 +41,17 @@ pub enum ExecMode {
     Batched,
 }
 
+impl ExecMode {
+    /// Runs `job(c)` for every cube `c` in `0..cubes` in this mode and
+    /// returns the results in cube order.
+    pub(crate) fn run<T: Send>(self, cubes: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        match self {
+            ExecMode::Serial => (0..cubes).map(job).collect(),
+            ExecMode::Batched => BatchRunner::new().run(cubes, job),
+        }
+    }
+}
+
 /// Per-cube replay result, merged in cube order regardless of mode.
 struct CubeExec {
     batches: u64,
@@ -116,15 +127,9 @@ pub fn execute(
         .map(|c| records.iter().filter(|r| r.cube == c).collect())
         .collect();
 
-    let execs: Vec<CubeExec> = match mode {
-        ExecMode::Serial => per_cube
-            .iter()
-            .map(|recs| replay_cube(catalog, trace, recs))
-            .collect(),
-        ExecMode::Batched => BatchRunner::new().run(per_cube.len(), |c| {
-            replay_cube(catalog, trace, &per_cube[c])
-        }),
-    };
+    let execs = mode.run(per_cube.len(), |c| {
+        replay_cube(catalog, trace, &per_cube[c])
+    });
 
     let mut total = CubeExec {
         batches: 0,

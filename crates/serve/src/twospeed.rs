@@ -44,7 +44,7 @@ use crate::request::Request;
 use crate::scheduler::DispatchRecord;
 use neurocube_fault::{draw, Bernoulli};
 use neurocube_golden::{CycleEnvelope, GoldenGraph};
-use neurocube_sim::{BatchRunner, Histogram, StatsRegistry};
+use neurocube_sim::{Histogram, StatsRegistry};
 use std::fmt;
 
 /// PRNG domain for audit-selection draws, disjoint from the fault
@@ -486,15 +486,9 @@ pub fn execute_two_speed(
                 .collect()
         })
         .collect();
-    let cube_audits: Vec<CubeAudit> = match mode {
-        ExecMode::Serial => per_cube
-            .iter()
-            .map(|recs| audit_cube(catalog, &goldens, &models, trace, recs))
-            .collect(),
-        ExecMode::Batched => BatchRunner::new().run(per_cube.len(), |c| {
-            audit_cube(catalog, &goldens, &models, trace, &per_cube[c])
-        }),
-    };
+    let cube_audits = mode.run(per_cube.len(), |c| {
+        audit_cube(catalog, &goldens, &models, trace, &per_cube[c])
+    });
 
     let mut audits: Vec<AuditRecord> = Vec::with_capacity(audited.len());
     let mut violations = analytical_violations;

@@ -54,14 +54,6 @@ pub trait Clocked<B: ?Sized> {
     }
 }
 
-/// A boxed closure also works as a stage, which keeps simple systems from
-/// having to define one unit struct per pipeline step.
-impl<B: ?Sized, F: FnMut(u64, &mut B)> Clocked<B> for F {
-    fn tick(&mut self, now: u64, bus: &mut B) {
-        self(now, bus)
-    }
-}
-
 /// Deadlock watchdog configuration for a [`CycleLoop`].
 ///
 /// Completion and progress are sampled at check boundaries, the multiples
@@ -514,6 +506,14 @@ struct Pace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A closure works as a stage, so a test needs no unit struct per
+    /// pipeline step.
+    impl<B: ?Sized, F: FnMut(u64, &mut B)> Clocked<B> for F {
+        fn tick(&mut self, now: u64, bus: &mut B) {
+            self(now, bus)
+        }
+    }
 
     impl<B: ?Sized> CycleLoop<B> {
         /// Overrides the watchdog configuration.
