@@ -24,11 +24,6 @@ pub struct SystemConfig {
     pub duplicate: bool,
     /// MAC accumulator width.
     pub accumulator: AccumulatorWidth,
-    /// MACs per PE.
-    pub n_mac: u32,
-    /// Mesh node each memory region's PNG attaches to (identity for the
-    /// HMC; the shared controller node for low-channel-count memories).
-    pub attach: Vec<NodeId>,
     /// PE cache sub-bank capacity (the paper's design point is 64).
     pub cache_entries_per_bank: usize,
     /// PNG run-ahead credit window in operations (default 16; see
@@ -75,14 +70,11 @@ impl ProgrammingModel {
 impl SystemConfig {
     /// The paper's design point: 16-vault HMC, 4×4 mesh, 16 MACs/PE.
     pub fn paper(duplicate: bool) -> SystemConfig {
-        let memory = MemoryConfig::hmc_int();
         SystemConfig {
-            attach: (0..memory.regions as u8).collect(),
-            memory,
+            memory: MemoryConfig::hmc_int(),
             topology: Topology::mesh4x4(),
             duplicate,
             accumulator: AccumulatorWidth::Wide32,
-            n_mac: 16,
             cache_entries_per_bank: 64,
             run_ahead_ops: 16,
             programming: None,
@@ -97,45 +89,34 @@ impl SystemConfig {
         }
     }
 
-    /// DDR3 main memory: 2 channels shared by the 16 PEs, controllers at
-    /// opposite mesh corners (Fig. 15(a) baseline). Duplication is not
+    /// DDR3 main memory: 2 channels shared by the 16 PEs (Fig. 15(a)
+    /// baseline). Each controller sits at the first node of its channel's
+    /// block of eight regions ([`attach`](SystemConfig::attach)): nodes 0
+    /// and 8, rows 0 and 2 of the mesh's first column. Duplication is not
     /// supported on shared-controller memories (see `DESIGN.md`), so this
     /// configuration always runs without it.
     pub fn ddr3() -> SystemConfig {
-        let memory = MemoryConfig::ddr3();
-        let attach = region_attach(memory.regions, memory.channels);
         SystemConfig {
-            memory,
-            topology: Topology::mesh4x4(),
+            memory: MemoryConfig::ddr3(),
             duplicate: false,
-            accumulator: AccumulatorWidth::Wide32,
-            n_mac: 16,
-            attach,
-            cache_entries_per_bank: 64,
-            run_ahead_ops: 16,
-            programming: None,
+            ..SystemConfig::paper(false)
         }
     }
 
     /// HMC-style memory with `channels` physical channels (Fig. 15(a)
-    /// concurrency sweep). Controllers are spread evenly over the mesh.
+    /// concurrency sweep). Each controller sits at the first node of its
+    /// channel's block of regions, so they spread evenly over the mesh;
+    /// duplication is on only when every region has its own channel.
     ///
     /// # Panics
     ///
     /// Panics unless `channels` divides 16.
     pub fn hmc_with_channels(channels: u32) -> SystemConfig {
         let memory = MemoryConfig::hmc_with_channels(channels);
-        let attach = region_attach(memory.regions, memory.channels);
         SystemConfig {
             duplicate: channels == memory.regions,
             memory,
-            topology: Topology::mesh4x4(),
-            accumulator: AccumulatorWidth::Wide32,
-            n_mac: 16,
-            attach,
-            cache_entries_per_bank: 64,
-            run_ahead_ops: 16,
-            programming: None,
+            ..SystemConfig::paper(false)
         }
     }
 
@@ -163,16 +144,26 @@ impl SystemConfig {
             grid_w: gw,
             grid_h: gh,
             duplicate: self.duplicate,
-            n_mac: self.n_mac,
         }
+    }
+
+    /// The mesh node where `region`'s PNG attaches: the first node of its
+    /// channel's block of `regions / channels` regions. That is `region`
+    /// itself on the HMC, and a shared controller node on a memory with
+    /// fewer channels than regions.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `memory.channels` is zero, which
+    /// [`validate`](Self::validate) rejects.
+    pub fn attach(&self, region: NodeId) -> NodeId {
+        let m = &self.memory;
+        (m.channel_of_region(u32::from(region)) * (m.regions / m.channels)) as NodeId
     }
 
     /// `true` when every region's PNG sits at its own mesh node.
     pub(crate) fn identity_attach(&self) -> bool {
-        self.attach
-            .iter()
-            .enumerate()
-            .all(|(i, &n)| i == usize::from(n))
+        self.memory.channels == self.memory.regions
     }
 
     /// Validates internal consistency.
@@ -180,23 +171,16 @@ impl SystemConfig {
     /// # Errors
     ///
     /// Returns the first broken invariant: the region count does not match
-    /// the node count, `attach` does not hold one entry per region,
-    /// duplication is requested on a shared-controller memory (write-back
-    /// copies need per-node PNGs to demultiplex), or the PNG run-ahead
-    /// window can put more operands in flight than a PE cache sub-bank
-    /// holds, or the memory breaks the validated geometry
+    /// the node count, duplication is requested on a shared-controller
+    /// memory (write-back copies need per-node PNGs to demultiplex), the
+    /// PNG run-ahead window can put more operands in flight than a PE cache
+    /// sub-bank holds, or the memory breaks the validated geometry
     /// ([`MemoryConfig::geometry_error`]).
     pub fn validate(&self) -> Result<(), ConfigError> {
         let nodes = self.nodes();
         if self.memory.regions as usize != nodes {
             return Err(ConfigError::RegionCount {
                 regions: self.memory.regions as usize,
-                nodes,
-            });
-        }
-        if self.attach.len() != nodes {
-            return Err(ConfigError::AttachLength {
-                attach: self.attach.len(),
                 nodes,
             });
         }
@@ -230,13 +214,6 @@ pub enum ConfigError {
         /// PEs the topology wires.
         nodes: usize,
     },
-    /// `attach` does not hold one entry per memory region.
-    AttachLength {
-        /// Entries in `attach`.
-        attach: usize,
-        /// Regions (one per PE).
-        nodes: usize,
-    },
     /// Duplication was requested on a memory whose regions share
     /// controllers.
     DuplicationNeedsIdentityAttach,
@@ -261,10 +238,6 @@ impl fmt::Display for ConfigError {
             ConfigError::RegionCount { regions, nodes } => write!(
                 f,
                 "one memory region per PE: {regions} regions for {nodes} PEs"
-            ),
-            ConfigError::AttachLength { attach, nodes } => write!(
-                f,
-                "one attach entry per region: {attach} entries for {nodes} regions"
             ),
             ConfigError::DuplicationNeedsIdentityAttach => {
                 write!(f, "duplication requires per-node vault controllers")
@@ -298,16 +271,10 @@ impl From<NocError> for ConfigError {
     }
 }
 
-/// Evenly spreads `channels` controllers over `regions` mesh nodes:
-/// region `r` attaches at the first node of its channel's block.
-fn region_attach(regions: u32, channels: u32) -> Vec<NodeId> {
-    let per = regions / channels;
-    (0..regions).map(|r| ((r / per) * per) as NodeId).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neurocube_dram::RefreshModel;
 
     #[test]
     fn paper_config_is_identity_attached() {
@@ -324,10 +291,10 @@ mod tests {
         let cfg = SystemConfig::ddr3();
         cfg.validate().unwrap();
         assert!(!cfg.identity_attach());
-        assert_eq!(cfg.attach[0], 0);
-        assert_eq!(cfg.attach[7], 0);
-        assert_eq!(cfg.attach[8], 8);
-        assert_eq!(cfg.attach[15], 8);
+        assert_eq!(cfg.attach(0), 0);
+        assert_eq!(cfg.attach(7), 0);
+        assert_eq!(cfg.attach(8), 8);
+        assert_eq!(cfg.attach(15), 8);
         assert!(!cfg.duplicate);
     }
 
@@ -335,10 +302,10 @@ mod tests {
     fn channel_sweep_attach_points() {
         let cfg = SystemConfig::hmc_with_channels(4);
         cfg.validate().unwrap();
-        assert_eq!(cfg.attach[0], 0);
-        assert_eq!(cfg.attach[5], 4);
-        assert_eq!(cfg.attach[10], 8);
-        assert_eq!(cfg.attach[15], 12);
+        assert_eq!(cfg.attach(0), 0);
+        assert_eq!(cfg.attach(5), 4);
+        assert_eq!(cfg.attach(10), 8);
+        assert_eq!(cfg.attach(15), 12);
         // Full 16-channel sweep degenerates to the paper config.
         let full = SystemConfig::hmc_with_channels(16);
         assert!(full.identity_attach());
@@ -360,11 +327,6 @@ mod tests {
             cfg.memory.regions = 8;
             cfg
         };
-        let attach_length = {
-            let mut cfg = SystemConfig::paper(true);
-            cfg.attach.pop();
-            cfg
-        };
         let duplicated_ddr3 = SystemConfig {
             duplicate: true,
             ..SystemConfig::ddr3()
@@ -380,7 +342,6 @@ mod tests {
                 height: 12,
             };
             cfg.memory.regions = 144;
-            cfg.attach = (0..144).collect();
             cfg
         };
         let memory = |edit: fn(&mut MemoryConfig)| {
@@ -393,13 +354,6 @@ mod tests {
                 region_count,
                 ConfigError::RegionCount {
                     regions: 8,
-                    nodes: 16,
-                },
-            ),
-            (
-                attach_length,
-                ConfigError::AttachLength {
-                    attach: 15,
                     nodes: 16,
                 },
             ),
@@ -433,6 +387,15 @@ mod tests {
             (
                 memory(|m| m.channel.row_bytes = 384),
                 ConfigError::MemoryGeometry("row_bytes must be a power of two"),
+            ),
+            (
+                memory(|m| {
+                    m.channel.refresh = Some(RefreshModel {
+                        interval: 0,
+                        duration: 1_750,
+                    });
+                }),
+                ConfigError::MemoryGeometry("refresh interval must be nonzero"),
             ),
         ];
         for (cfg, want) in cases {

@@ -136,7 +136,7 @@ impl Neurocube {
                 Png::new(
                     v,
                     PngHookup {
-                        attach: cfg.attach[usize::from(v)],
+                        attach: cfg.attach(v),
                         word_bytes,
                         // Half the queue per sharing PNG stays available so
                         // write-backs can never be starved by reads.
@@ -152,7 +152,7 @@ impl Neurocube {
         let attach_groups = (0..cfg.nodes() as u8)
             .map(|node| {
                 (0..cfg.nodes() as u8)
-                    .filter(|&v| cfg.attach[usize::from(v)] == node)
+                    .filter(|&v| cfg.attach(v) == node)
                     .collect()
             })
             .collect();
@@ -1046,7 +1046,7 @@ impl Clocked<Neurocube> for MemPortEjection {
             } else {
                 src
             };
-            if cube.pngs[usize::from(handler)].can_take_result(src) {
+            if cube.pngs[usize::from(handler)].can_take_result() {
                 let pkt = cube
                     .net
                     .pop_for_mem(node, now)
@@ -1168,7 +1168,7 @@ impl Clocked<Neurocube> for PeTick {
                 // Physical routing: results travel to the mesh node of
                 // the region's controller.
                 let mut phys = r;
-                phys.dst = cube.cfg.attach[usize::from(r.dst)];
+                phys.dst = cube.pngs[usize::from(r.dst)].attach();
                 if cube.net.try_inject_from_pe(p, phys, now) {
                     pe.pop_result();
                 }

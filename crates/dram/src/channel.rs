@@ -20,6 +20,12 @@ use crate::storage::Storage;
 use neurocube_fault::DramFaults;
 use std::collections::VecDeque;
 
+/// FR-FCFS scheduling window: the controller may serve the oldest
+/// row-buffer *hit* among the first `SCHED_WINDOW` queued requests instead
+/// of strictly the head, avoiding pathological row thrash when two streams
+/// alternate.
+const SCHED_WINDOW: usize = 16;
+
 /// What a memory request does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RequestKind {
@@ -77,11 +83,6 @@ pub struct ChannelConfig {
     /// Banks per channel (open-row tracking granularity), a power of two
     /// from 1 to 64.
     pub banks: u32,
-    /// Scheduling window for FR-FCFS: the controller may serve the oldest
-    /// row-buffer *hit* among the first `sched_window` queued requests
-    /// instead of strictly the head, avoiding pathological row thrash when
-    /// two streams alternate. `1` = strict FIFO.
-    pub sched_window: u32,
     /// Bytes per DRAM row, a power of two.
     pub row_bytes: u32,
     /// Request queue depth; [`Channel::try_enqueue`] fails beyond this.
@@ -129,7 +130,6 @@ impl ChannelConfig {
             // 16 banks per vault (2 per DRAM die x 8 partitions' worth in
             // the 4-die stack).
             banks: 16,
-            sched_window: 16,
             row_bytes: 256,
             queue_capacity: 64,
             energy_pj_per_bit: 3.7,
@@ -148,7 +148,6 @@ impl ChannelConfig {
             inter_burst_gap: 0,
             row_miss_penalty: crate::ns_to_cycles(25.0) as u32,
             banks: 8,
-            sched_window: 16,
             row_bytes: 8192,
             queue_capacity: 64,
             energy_pj_per_bit: 70.0,
@@ -157,8 +156,9 @@ impl ChannelConfig {
     }
 
     /// The first validated-geometry rule this channel breaks, or `None`:
-    /// the rules make the address split and pacing shifts, and fit the
-    /// banks a window still needs in one `u64`.
+    /// the rules make the address split and pacing shifts, fit the banks a
+    /// window still needs in one `u64`, and keep the refresh schedule's
+    /// division defined.
     pub(crate) fn geometry_error(&self) -> Option<&'static str> {
         if !matches!(self.word_bits, 32 | 64) {
             Some("word_bits must be 32 or 64")
@@ -168,6 +168,8 @@ impl ChannelConfig {
             Some("banks must be a power of two from 1 to 64")
         } else if !self.cpw_den.is_power_of_two() {
             Some("cpw_den must be a power of two")
+        } else if self.refresh.is_some_and(|r| r.interval == 0) {
+            Some("refresh interval must be nonzero")
         } else {
             None
         }
@@ -390,12 +392,10 @@ impl Channel {
         )
     }
 
-    /// The FR-FCFS scheduling window: the first `sched_window` queued
-    /// requests (at least one).
+    /// The FR-FCFS scheduling window: the first [`SCHED_WINDOW`] queued
+    /// requests.
     fn window(&self) -> usize {
-        (self.cfg.sched_window as usize)
-            .max(1)
-            .min(self.queue.len())
+        SCHED_WINDOW.min(self.queue.len())
     }
 
     /// Opens `row_global`'s row (callers have checked

@@ -208,7 +208,7 @@ pub(crate) fn program_bound(
             }
         }
 
-        let node = usize::from(cfg.attach[usize::from(v)]);
+        let node = usize::from(cfg.attach(v));
         node_eject[node] += stored_out;
         let ch = cfg.memory.channel_of_region(u32::from(v)) as usize;
         channel_write_words[ch] += stored_out.div_ceil(items_per_word);
@@ -219,13 +219,13 @@ pub(crate) fn program_bound(
     // at least the even split of the exact total event count.
     let (inject_max, dram_words) = match &events {
         Some(ev) => {
-            // Exact per-vault sources: fold into nodes via the
-            // attach table, and add reads to each channel's
+            // Exact per-vault sources: fold into their attach
+            // nodes, and add reads to each channel's
             // write words (a channel serves both serially).
             let mut node_inject = vec![0u64; nodes];
             let mut ch_words = channel_write_words.clone();
             for (v, &e) in ev.iter().enumerate() {
-                node_inject[usize::from(cfg.attach[v])] += e;
+                node_inject[usize::from(cfg.attach(v as u8))] += e;
                 ch_words[cfg.memory.channel_of_region(v as u32) as usize] +=
                     e.div_ceil(items_per_word);
             }

@@ -1,6 +1,8 @@
 //! Per-layer PE configuration, loaded by the global controller before a
 //! layer starts (§IV-C).
 
+use crate::N_MAC;
+
 /// Where each operation's input states come from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StateMode {
@@ -34,8 +36,6 @@ pub enum WeightMode {
 /// The registers the host programs into a PE for one layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PeLayerConfig {
-    /// MAC units in this PE (the paper's design point is 16).
-    pub n_mac: u32,
     /// Connections per output neuron — operations per neuron group.
     pub conns_per_neuron: u32,
     /// Output neurons assigned to this PE, per output map.
@@ -56,7 +56,7 @@ impl PeLayerConfig {
 
     /// Neuron groups (MAC-array firings × connections) per output map.
     pub(crate) fn groups_per_map(&self) -> u64 {
-        self.neurons_per_map.div_ceil(u64::from(self.n_mac))
+        self.neurons_per_map.div_ceil(N_MAC)
     }
 
     /// Total neuron groups for the layer.
@@ -70,10 +70,10 @@ impl PeLayerConfig {
         debug_assert!(group < self.total_groups());
         let gpm = self.groups_per_map();
         if (group + 1).is_multiple_of(gpm) {
-            let rem = self.neurons_per_map - (gpm - 1) * u64::from(self.n_mac);
+            let rem = self.neurons_per_map - (gpm - 1) * N_MAC;
             rem as u32
         } else {
-            self.n_mac
+            N_MAC as u32
         }
     }
 
@@ -96,9 +96,8 @@ impl PeLayerConfig {
     ///
     /// # Panics
     ///
-    /// Panics on a zero MAC count, zero connections or zero neurons.
+    /// Panics on zero connections or zero neurons.
     pub fn validate(&self) {
-        assert!(self.n_mac > 0, "n_mac must be nonzero");
         assert!(self.conns_per_neuron > 0, "connections must be nonzero");
         assert!(self.total_neurons() > 0, "a configured PE must own neurons");
     }
@@ -110,7 +109,6 @@ mod tests {
 
     fn cfg(neurons_per_map: u64, maps: u32) -> PeLayerConfig {
         PeLayerConfig {
-            n_mac: 16,
             conns_per_neuron: 9,
             neurons_per_map,
             maps,

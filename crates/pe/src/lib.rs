@@ -1,7 +1,7 @@
 //! The Neurocube processing element (PE).
 //!
-//! One PE per HMC vault (§III-B): `n_MAC` multiply-accumulate units running
-//! at `f_PE / n_MAC`, a 512-bit *temporal buffer* holding exactly one
+//! One PE per HMC vault (§III-B): [`N_MAC`] = 16 multiply-accumulate units
+//! running at `f_PE / N_MAC`, a 512-bit *temporal buffer* holding exactly one
 //! operation's operands (16 weights + 16 states), a 2.5 KB SRAM cache split
 //! into 16 sub-banks for packets that arrive ahead of the operation counter,
 //! and a weight register file for layers whose (small) kernels are
@@ -33,3 +33,7 @@ mod unit;
 
 pub use config::{PeLayerConfig, StateMode, WeightMode};
 pub use unit::{PeStats, ProcessingElement};
+
+/// MAC units per PE: the 512-bit temporal buffer holds one operation's
+/// operands as 16 lanes of a 16-bit weight and a 16-bit state.
+pub const N_MAC: u64 = 16;

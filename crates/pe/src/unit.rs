@@ -22,6 +22,7 @@
 
 use crate::cache::PacketCache;
 use crate::config::{PeLayerConfig, StateMode, WeightMode};
+use crate::N_MAC;
 use neurocube_fault::{FaultConfig, PeFaultCounts, PeFaults};
 use neurocube_fixed::{
     accumulate_narrow_lanes, accumulate_wide_lanes, wide_result_bits, AccumulatorWidth, Q88,
@@ -69,19 +70,18 @@ pub struct ProcessingElement {
     cache: PacketCache,
     /// Temporal-buffer lanes: raw `Q1.7.8` bits, one per MAC, with fill
     /// bitmasks (bit `m` set ⟺ lane `m`'s slot holds an operand).
-    state_bits: Vec<i16>,
-    weight_bits: Vec<i16>,
+    state_bits: [i16; N_MAC as usize],
+    weight_bits: [i16; N_MAC as usize],
     state_mask: u64,
     weight_mask: u64,
     shared_state: Option<Q88>,
     /// MAC accumulator banks (one of the two is live, by configured
     /// [`AccumulatorWidth`]).
-    acc_wide: Vec<i32>,
-    acc_narrow: Vec<i16>,
-    /// Gather rows reused by every firing (keeps the fire path
-    /// allocation-free).
-    w_lanes: Vec<i16>,
-    x_lanes: Vec<i16>,
+    acc_wide: [i32; N_MAC as usize],
+    acc_narrow: [i16; N_MAC as usize],
+    /// Gather rows reused by every firing.
+    w_lanes: [i16; N_MAC as usize],
+    x_lanes: [i16; N_MAC as usize],
     hits_scratch: Vec<Packet>,
     group: u64,
     op: u32,
@@ -123,15 +123,15 @@ impl ProcessingElement {
             cfg: None,
             local_weights: Vec::new(),
             cache: PacketCache::with_capacity(cache_entries),
-            state_bits: Vec::new(),
-            weight_bits: Vec::new(),
+            state_bits: [0; N_MAC as usize],
+            weight_bits: [0; N_MAC as usize],
             state_mask: 0,
             weight_mask: 0,
             shared_state: None,
-            acc_wide: Vec::new(),
-            acc_narrow: Vec::new(),
-            w_lanes: Vec::new(),
-            x_lanes: Vec::new(),
+            acc_wide: [0; N_MAC as usize],
+            acc_narrow: [0; N_MAC as usize],
+            w_lanes: [0; N_MAC as usize],
+            x_lanes: [0; N_MAC as usize],
             hits_scratch: Vec::new(),
             group: 0,
             op: 0,
@@ -176,12 +176,10 @@ impl ProcessingElement {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent, `weights` is smaller
-    /// than the configured weight memory footprint, or `n_mac` exceeds the
-    /// 64 lanes the fill bitmasks carry.
+    /// Panics if the configuration is inconsistent or `weights` is smaller
+    /// than the configured weight memory footprint.
     pub fn configure(&mut self, cfg: PeLayerConfig, weights: Vec<Q88>) {
         cfg.validate();
-        assert!(cfg.n_mac <= 64, "lane bitmasks carry at most 64 MACs");
         if let WeightMode::Local {
             weights_per_neuron,
             rows,
@@ -192,18 +190,13 @@ impl ProcessingElement {
                 "weight memory image too small"
             );
         }
-        let n = cfg.n_mac as usize;
         self.local_weights = weights;
         self.cache = PacketCache::with_capacity(self.cache_entries);
-        self.state_bits = vec![0; n];
-        self.weight_bits = vec![0; n];
         self.state_mask = 0;
         self.weight_mask = 0;
         self.shared_state = None;
-        self.acc_wide = vec![0; n];
-        self.acc_narrow = vec![0; n];
-        self.w_lanes = vec![0; n];
-        self.x_lanes = vec![0; n];
+        self.acc_wide = [0; N_MAC as usize];
+        self.acc_narrow = [0; N_MAC as usize];
         self.group = 0;
         self.op = 0;
         self.global_op = 0;
@@ -320,13 +313,13 @@ impl ProcessingElement {
     /// PE, out-of-range MAC-ID, a misdelivered `Result`) is consumed and
     /// counted under [`fault_counts`](Self::fault_counts)`.dropped_packets`.
     pub fn try_accept(&mut self, pkt: Packet) -> bool {
-        let Some(cfg) = self.cfg else {
+        if self.cfg.is_none() {
             return self.drop_packet(pkt, "PE not configured");
-        };
+        }
         if self.done {
             return self.drop_packet(pkt, "layer already finished");
         }
-        if u32::from(pkt.mac_id) >= cfg.n_mac {
+        if u64::from(pkt.mac_id) >= N_MAC {
             return self.drop_packet(pkt, "MAC-ID out of range");
         }
         if pkt.kind == PacketKind::Result {
@@ -462,7 +455,7 @@ impl ProcessingElement {
         }
 
         // Pull any parked packets for the new current operation; the full
-        // sub-bank search overlaps the MAC array's n_mac-cycle latency.
+        // sub-bank search overlaps the MAC array's N_MAC-cycle latency.
         let mut hits = std::mem::take(&mut self.hits_scratch);
         hits.clear();
         let search_cost = self
@@ -477,7 +470,7 @@ impl ProcessingElement {
             );
         }
         self.hits_scratch = hits;
-        self.next_fire_at = now + u64::from(cfg.n_mac).max(search_cost);
+        self.next_fire_at = now + N_MAC.max(search_cost);
     }
 
     /// The earliest future cycle at which [`tick`](Self::tick) could do
@@ -534,15 +527,10 @@ impl ProcessingElement {
     }
 }
 
-/// Mask with the low `active` lane bits set.
+/// Mask with the low `active` lane bits set (`active` ≤ [`N_MAC`]).
 #[inline]
 fn lane_mask(active: u32) -> u64 {
-    debug_assert!(active <= 64);
-    if active >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << active) - 1
-    }
+    (1u64 << active) - 1
 }
 
 impl StatSource for ProcessingElement {
@@ -562,11 +550,8 @@ impl StatSource for ProcessingElement {
 mod tests {
     use super::*;
 
-    const N: u32 = 16;
-
     fn conv_cfg(neurons_per_map: u64, maps: u32, conns: u32) -> PeLayerConfig {
         PeLayerConfig {
-            n_mac: N,
             conns_per_neuron: conns,
             neurons_per_map,
             maps,
@@ -672,7 +657,6 @@ mod tests {
         let mut pe = ProcessingElement::new(7, AccumulatorWidth::Wide32);
         pe.configure(
             PeLayerConfig {
-                n_mac: N,
                 conns_per_neuron: 3,
                 neurons_per_map: 16,
                 maps: 1,

@@ -37,6 +37,7 @@ use neurocube_dram::{AddressMap, Storage};
 use neurocube_fixed::Q88;
 use neurocube_nn::{GraphOp, GraphSource, GraphSpec, Shape};
 use neurocube_noc::NodeId;
+use neurocube_pe::N_MAC;
 use std::sync::Arc;
 
 /// A view of a channel slice `[lo, hi)` of a stacked volume: same plane
@@ -289,14 +290,13 @@ fn span_free(spans: &mut Vec<(u64, u64)>, start: u64, bytes: u64) {
 ///
 /// # Panics
 ///
-/// Panics on caller bugs: a zero `n_mac` or a grid that does not match
-/// `map`'s channel count.
+/// Panics on a caller bug: a grid that does not match `map`'s channel
+/// count.
 pub fn compile_graph(
     graph: &GraphSpec,
     mapping: Mapping,
     map: &AddressMap,
 ) -> Result<MultiLayerProgram, CompileError> {
-    assert!(mapping.n_mac > 0, "n_mac must be nonzero");
     let vaults = mapping.vaults();
     assert_eq!(vaults as u32, map.channels(), "grid must match vault count");
     let (gw, gh) = (mapping.grid_w, mapping.grid_h);
@@ -595,8 +595,8 @@ pub fn compile_graph(
 
 /// DRAM address of the FC weight for (`local` output neuron, connection
 /// `k`) in `vault`, for one compiled phase — group-blocked transposed
-/// layout: full groups of `n_mac` neurons store sequential
-/// `[connection][mac]` blocks (`base + 2·((group·conns + k)·n_mac +
+/// layout: full groups of `N_MAC` neurons store sequential
+/// `[connection][mac]` blocks (`base + 2·((group·conns + k)·N_MAC +
 /// mac)`); the trailing partial group uses its exact width. One group's
 /// whole weight stream is therefore a single sequential DRAM run, and the
 /// region carries no padding.
@@ -609,12 +609,11 @@ pub(crate) fn phase_fc_weight_addr(prog: &LayerProgram, vault: NodeId, local: u6
         .weight_base
         .as_ref()
         .expect("phase weights do not stream from DRAM");
-    let n_mac = u64::from(prog.mapping.n_mac);
     let conns = prog.in_shape.len() as u64;
     let n = prog.out_vol.assigned_count(vault);
-    let (group, mac) = (local / n_mac, local % n_mac);
-    let width = n_mac.min(n - group * n_mac);
-    bases[usize::from(vault)] + 2 * (group * conns * n_mac + k * width + mac)
+    let (group, mac) = (local / N_MAC, local % N_MAC);
+    let width = N_MAC.min(n - group * N_MAC);
+    bases[usize::from(vault)] + 2 * (group * conns * N_MAC + k * width + mac)
 }
 
 #[cfg(test)]

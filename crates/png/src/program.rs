@@ -6,7 +6,7 @@
 use crate::error::CompileError;
 use neurocube_fixed::{Activation, Q88};
 use neurocube_nn::{ConvConnectivity, LayerSpec, Shape};
-use neurocube_pe::{PeLayerConfig, StateMode, WeightMode};
+use neurocube_pe::{PeLayerConfig, StateMode, WeightMode, N_MAC};
 
 /// The cube-wide mapping parameters the host chooses for a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -18,18 +18,15 @@ pub struct Mapping {
     /// Duplicate inputs (halos for conv layers, full vectors for FC layers,
     /// Fig. 10(c)/(d)) to eliminate lateral NoC traffic at a memory cost.
     pub duplicate: bool,
-    /// MACs per PE.
-    pub n_mac: u32,
 }
 
 impl Mapping {
-    /// The paper's design point: 4×4 grid, 16 MACs.
+    /// The paper's design point: 4×4 grid.
     pub fn paper(duplicate: bool) -> Mapping {
         Mapping {
             grid_w: 4,
             grid_h: 4,
             duplicate,
-            n_mac: 16,
         }
     }
 
@@ -76,7 +73,7 @@ impl LayerProgram {
     /// Groups (MAC-array firings per connection sweep) PE `p` executes.
     pub fn groups_of(&self, p: u8) -> u64 {
         let per_map = self.out_vol.assigned_per_map(p);
-        per_map.div_ceil(u64::from(self.mapping.n_mac)) * self.out_vol.maps()
+        per_map.div_ceil(N_MAC) * self.out_vol.maps()
     }
 
     /// The maximum group count over all PEs — the length of the global
@@ -130,7 +127,6 @@ impl LayerProgram {
             )
         };
         Some(PeLayerConfig {
-            n_mac: self.mapping.n_mac,
             conns_per_neuron: self.conns(),
             neurons_per_map: per_map,
             maps: self.out_vol.maps() as u32,

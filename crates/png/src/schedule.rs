@@ -11,6 +11,7 @@
 use crate::program::LayerProgram;
 use neurocube_nn::{connections, ConvConnectivity, LayerSpec};
 use neurocube_noc::{NodeId, PacketKind};
+use neurocube_pe::N_MAC;
 use std::sync::Arc;
 
 /// One operand the vault must fetch from DRAM and packetize.
@@ -44,7 +45,7 @@ struct ServeCursor {
     /// Output neurons per map assigned to this destination (layer
     /// constant, > 0 for every served PE).
     per_map: u64,
-    /// Groups per map, `per_map.div_ceil(n_mac)` (layer constant).
+    /// Groups per map, `per_map.div_ceil(N_MAC)` (layer constant).
     gpm: u64,
     /// Groups this destination participates in, `gpm * maps` (layer
     /// constant); the cursor is stale and unused once `g` passes it.
@@ -57,14 +58,14 @@ struct ServeCursor {
     /// for every stream, read only under that connectivity.
     icm: u64,
     /// Index (within the map) of the group's last neuron,
-    /// `gin * n_mac + active - 1` (spatial streams only).
+    /// `gin * N_MAC + active - 1` (spatial streams only).
     last_idx: u64,
     /// The destination's owned output rectangle (spatial streams only):
     /// `y0`, `x0`, `x1`.
     ry0: usize,
     rx0: usize,
     rx1: usize,
-    /// Coordinates of the group's first neuron, `rem0 = gin * n_mac`,
+    /// Coordinates of the group's first neuron, `rem0 = gin * N_MAC`,
     /// within the owned rectangle (spatial streams only).
     oy0: usize,
     ox0: usize,
@@ -75,7 +76,7 @@ struct ServeCursor {
 
 impl ServeCursor {
     /// Advances a row-major position inside the owned rectangle by `d`
-    /// neurons. `d` is at most `n_mac` (16), so the carry loop beats a
+    /// neurons. `d` is at most `N_MAC` (16), so the carry loop beats a
     /// division even for single-column rectangles.
     fn advance(&self, oy: &mut usize, ox: &mut usize, d: u64) {
         let rw = self.rx1 - self.rx0;
@@ -151,14 +152,13 @@ impl OperandStream {
             prog.max_groups()
         };
         let (spatial_ok, kernel, stride, ic_mode) = Self::spatial_admission(&prog);
-        let n_mac = u64::from(prog.mapping.n_mac);
         let maps = prog.out_vol.maps();
         let cursors = serves
             .iter()
             .map(|&p| {
                 use crate::layout::VolumeKind;
                 let per_map = prog.out_vol.assigned_per_map(p);
-                let gpm = per_map.div_ceil(n_mac);
+                let gpm = per_map.div_ceil(N_MAC);
                 let (ry0, rx0, rx1) = match &prog.out_vol.kind {
                     VolumeKind::Spatial { owned, .. } if spatial_ok => {
                         let r = owned[usize::from(p)];
@@ -173,7 +173,7 @@ impl OperandStream {
                     map: 0,
                     gin: 0,
                     icm: 0,
-                    last_idx: n_mac.min(per_map) - 1,
+                    last_idx: N_MAC.min(per_map) - 1,
                     ry0,
                     rx0,
                     rx1,
@@ -261,12 +261,11 @@ impl OperandStream {
             return;
         }
         let prog = &self.prog;
-        let n_mac = u64::from(prog.mapping.n_mac);
         let (gpm, gin, map) = (cur.gpm, cur.gin, cur.map);
         let active = if gin + 1 == gpm {
-            (cur.per_map - (gpm - 1) * n_mac) as u32
+            (cur.per_map - (gpm - 1) * N_MAC) as u32
         } else {
-            n_mac as u32
+            N_MAC as u32
         };
         // Cumulative operation counter mod 256 (§V-B). Counting across
         // neuron groups (not per group) is what keeps packets for the same
@@ -284,11 +283,11 @@ impl OperandStream {
                     .expect("FC layers have streamed weights");
                 for m in 0..active {
                     // Group-blocked transposed layout (full groups are
-                    // n_mac wide, the trailing partial group is `active`
+                    // N_MAC wide, the trailing partial group is `active`
                     // wide): one group's weight stream is a single
                     // sequential DRAM run.
                     let addr = bases[usize::from(p)]
-                        + 2 * (gin * u64::from(self.conns) * n_mac
+                        + 2 * (gin * u64::from(self.conns) * N_MAC
                             + u64::from(self.k) * u64::from(active)
                             + u64::from(m));
                     self.buf.push(OperandEvent {
@@ -329,7 +328,7 @@ impl OperandStream {
             // reached for volume layouts the spatial fast path declines.
             let prog = &self.prog;
             for m in 0..active {
-                let assigned = map * cur.per_map + gin * n_mac + u64::from(m);
+                let assigned = map * cur.per_map + gin * N_MAC + u64::from(m);
                 let neuron = prog.out_vol.assigned_neuron(p, assigned);
                 let conn =
                     connections::resolve(&prog.layer, prog.in_shape, neuron, self.k as usize);
@@ -364,7 +363,7 @@ impl OperandStream {
     /// Within one `(group, k)` batch the output channel is constant
     /// (`map`), so the kernel offset `(ky, kx)` and input channel are too,
     /// and the batch walks `p`'s owned output tile row-major from
-    /// `gin * n_mac`. The ownership filter collapses to rectangle tests:
+    /// `gin * N_MAC`. The ownership filter collapses to rectangle tests:
     /// `p` serves itself exactly when its stored rectangle covers the
     /// input pixel, and a remote vault supplies it exactly when `p` lacks
     /// a copy and the pixel lies in the vault's owned tile (owners are
@@ -453,7 +452,6 @@ impl OperandStream {
     fn advance_cursors(&mut self) {
         let g = self.g;
         let spatial_ok = self.spatial_ok;
-        let n_mac = u64::from(self.prog.mapping.n_mac);
         let in_channels = self.prog.in_shape.channels as u64;
         for cur in &mut self.cursors {
             if g >= cur.groups_p {
@@ -468,7 +466,7 @@ impl OperandStream {
                 if cur.icm == in_channels {
                     cur.icm = 0;
                 }
-                cur.last_idx = n_mac.min(cur.per_map) - 1;
+                cur.last_idx = N_MAC.min(cur.per_map) - 1;
                 if spatial_ok {
                     cur.oy0 = cur.ry0;
                     cur.ox0 = cur.rx0;
@@ -478,10 +476,10 @@ impl OperandStream {
                     cur.ox_hi = ox;
                 }
             } else {
-                let new_last = (cur.gin * n_mac + n_mac).min(cur.per_map) - 1;
+                let new_last = (cur.gin * N_MAC + N_MAC).min(cur.per_map) - 1;
                 if spatial_ok {
                     let (mut oy, mut ox) = (cur.oy0, cur.ox0);
-                    cur.advance(&mut oy, &mut ox, n_mac);
+                    cur.advance(&mut oy, &mut ox, N_MAC);
                     cur.oy0 = oy;
                     cur.ox0 = ox;
                     let (mut oy, mut ox) = (cur.oy_hi, cur.ox_hi);
@@ -706,7 +704,6 @@ mod tests {
     /// event-for-event.
     fn oracle_events(prog: &Arc<LayerProgram>, vault: u8) -> Vec<OperandEvent> {
         let s = OperandStream::new(Arc::clone(prog), vault);
-        let n_mac = u64::from(prog.mapping.n_mac);
         let mut out = Vec::new();
         for g in 0..s.max_groups {
             for k in 0..s.conns {
@@ -715,20 +712,20 @@ mod tests {
                     if per_map == 0 {
                         continue;
                     }
-                    let gpm = per_map.div_ceil(n_mac);
+                    let gpm = per_map.div_ceil(N_MAC);
                     if g >= gpm * prog.out_vol.maps() {
                         continue;
                     }
                     let (map, gin) = (g / gpm, g % gpm);
                     let active = if gin + 1 == gpm {
-                        (per_map - (gpm - 1) * n_mac) as u32
+                        (per_map - (gpm - 1) * N_MAC) as u32
                     } else {
-                        n_mac as u32
+                        N_MAC as u32
                     };
                     let global_op = g * u64::from(s.conns) + u64::from(k);
                     let op_id = (global_op % 256) as u8;
                     for m in 0..active {
-                        let assigned = map * per_map + gin * n_mac + u64::from(m);
+                        let assigned = map * per_map + gin * N_MAC + u64::from(m);
                         let neuron = prog.out_vol.assigned_neuron(p, assigned);
                         let conn =
                             connections::resolve(&prog.layer, prog.in_shape, neuron, k as usize);

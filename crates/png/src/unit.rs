@@ -64,6 +64,22 @@ enum ReadPath {
     Idle,
 }
 
+/// What the write step does next, decided without side effects by
+/// `Png::write_path_state`: [`Png::tick`] acts on it and the event-horizon
+/// probe maps it to a horizon, so the two cannot disagree.
+enum WritePath {
+    /// The held half of a write pair went stale: it moves to the queue.
+    FlushPair,
+    /// A queued write has a free channel slot: it issues.
+    Issue,
+    /// Nothing moves before cycle `until`, when a held half goes stale
+    /// (`u64::MAX`: only a result or a freed slot can wake the step).
+    Wait {
+        /// The first cycle the step can act.
+        until: u64,
+    },
+}
+
 /// Low 48 bits of a write request's tag (the high 16 carry the vault id).
 const WRITE_TAG: u64 = 0xFFFF_FFFF_FFFF;
 
@@ -348,27 +364,17 @@ impl Png {
         }
     }
 
-    fn flush_stale_pair(&mut self, now: u64) {
-        if let Some((a, d, at)) = self.write_pair {
-            if now > at {
-                self.pending_writes.push_back((a, d));
-                self.write_pair = None;
-            }
-        }
-    }
-
-    /// `true` when the PNG can absorb a mem-port packet from `src` this
-    /// cycle; when `false`, the caller leaves the packet in the router
-    /// (backpressure).
+    /// `true` when the PNG can absorb a mem-port packet this cycle: its
+    /// write queue has room for the two entries one packet can add (a
+    /// completed 32-bit pair). When `false`, the caller leaves the packet
+    /// in the router (backpressure).
     ///
-    /// Own-PE results may fan out into duplication copies, so they also
-    /// need injection-queue headroom; *foreign* copies only need a write
-    /// slot and are always drained while DRAM writes flow — the property
-    /// that keeps the all-to-all replication of a duplicated FC input from
-    /// deadlocking the fabric (receive readiness must never depend on send
-    /// readiness).
-    pub fn can_take_result(&self, src: NodeId) -> bool {
-        let _ = src;
+    /// The rule is the same for own-PE results and foreign copies, and it
+    /// reads only write slots, which drain while DRAM writes flow, never
+    /// the injection queues: receive readiness must not depend on send
+    /// readiness, or the all-to-all replication of a duplicated FC input
+    /// could deadlock the fabric.
+    pub fn can_take_result(&self) -> bool {
         self.pending_writes.len() + 2 <= WRITE_QUEUE_CAP
     }
 
@@ -494,31 +500,19 @@ impl Png {
             return;
         }
         let region = u32::from(self.vault);
-        self.flush_stale_pair(now);
 
-        // 1. Issue queued DRAM writes (priority over reads so write-back
-        //    never deadlocks behind the operand stream).
-        while !self.pending_writes.is_empty() && mem.free_slots(region) > 0 {
-            let (addr, data) = self.pending_writes[0];
-            let (kind, halves) = if addr & 1 == 1 {
-                let (a2, d2) = self.pending_writes[1];
-                debug_assert_eq!(a2 & !1, (addr & !1) + 2);
-                let word = u64::from(data) | (u64::from(d2) << 16);
-                (RequestKind::Write(word), 2)
-            } else {
-                (RequestKind::Write16(data), 1)
-            };
-            let req = Request {
-                addr: addr & !1,
-                tag: self.tag_base() | WRITE_TAG,
-                kind,
-            };
-            // The loop condition saw a free slot in this channel.
-            let queued = mem.try_enqueue(region, req);
-            assert!(queued, "PNG {}: write refused by a free queue", self.vault);
-            self.pending_writes.drain(..halves);
-            self.outstanding_writes += 1;
-            self.stats.writes_issued += 1;
+        // 1. Flush a stale half pair and issue queued DRAM writes (priority
+        //    over reads so write-back never deadlocks behind the operand
+        //    stream).
+        loop {
+            match self.write_path_state(now, mem) {
+                WritePath::FlushPair => {
+                    let (a, d, _) = self.write_pair.take().expect("verdict saw a pair");
+                    self.pending_writes.push_back((a, d));
+                }
+                WritePath::Issue => self.issue_write(mem),
+                WritePath::Wait { .. } => break,
+            }
         }
 
         // 2. Issue prefetch reads: group stream operands sharing one
@@ -670,6 +664,46 @@ impl Png {
         })
     }
 
+    /// Issues the head of the write queue as one DRAM write: a completed
+    /// 32-bit pair, or a lone 16-bit half.
+    fn issue_write(&mut self, mem: &mut MemorySystem) {
+        let (addr, data) = self.pending_writes[0];
+        let (kind, halves) = if addr & 1 == 1 {
+            let (a2, d2) = self.pending_writes[1];
+            debug_assert_eq!(a2 & !1, (addr & !1) + 2);
+            let word = u64::from(data) | (u64::from(d2) << 16);
+            (RequestKind::Write(word), 2)
+        } else {
+            (RequestKind::Write16(data), 1)
+        };
+        let req = Request {
+            addr: addr & !1,
+            tag: self.tag_base() | WRITE_TAG,
+            kind,
+        };
+        // The verdict saw a free slot in this channel.
+        let queued = mem.try_enqueue(u32::from(self.vault), req);
+        assert!(queued, "PNG {}: write refused by a free queue", self.vault);
+        self.pending_writes.drain(..halves);
+        self.outstanding_writes += 1;
+        self.stats.writes_issued += 1;
+    }
+
+    /// The write step's verdict *right now*: [`tick`](Self::tick) acts on
+    /// it until it says `Wait`, and [`next_event`](Self::next_event) maps
+    /// it to a horizon.
+    fn write_path_state(&self, now: u64, mem: &MemorySystem) -> WritePath {
+        match self.write_pair {
+            Some((_, _, at)) if now > at => WritePath::FlushPair,
+            _ if !self.pending_writes.is_empty() && mem.free_slots(u32::from(self.vault)) > 0 => {
+                WritePath::Issue
+            }
+            pair => WritePath::Wait {
+                until: pair.map_or(u64::MAX, |(_, _, at)| at + 1),
+            },
+        }
+    }
+
     /// The prefetch-read loop's verdict *right now*: the one break chain.
     /// [`tick`](Self::tick) acts on it each iteration, charging the stall
     /// counter it names and stopping, or issuing a read on `Active`;
@@ -720,17 +754,9 @@ impl Png {
         if self.prog.is_none() {
             return Some(u64::MAX);
         }
-        let mut horizon = u64::MAX;
-        if let Some((_, _, at)) = self.write_pair {
-            if now > at {
-                // flush_stale_pair moves the pair this very tick.
-                return None;
-            }
-            horizon = at + 1;
-        }
-        if !self.pending_writes.is_empty() && mem.free_slots(u32::from(self.vault)) > 0 {
+        let WritePath::Wait { until: horizon } = self.write_path_state(now, mem) else {
             return None;
-        }
+        };
         if matches!(self.read_path_state(mem, progress), ReadPath::Active) {
             return None;
         }
@@ -904,11 +930,11 @@ mod tests {
             }
             // Drain mem ports into owning PNGs.
             for node in 0..16u8 {
-                if let Some(&pkt) = net_fab.peek_for_mem(node, now) {
-                    if pngs[usize::from(node)].can_take_result(pkt.src) {
-                        let pkt = net_fab.pop_for_mem(node, now).unwrap();
-                        pngs[usize::from(node)].on_result(pkt, now);
-                    }
+                if net_fab.peek_for_mem(node, now).is_some()
+                    && pngs[usize::from(node)].can_take_result()
+                {
+                    let pkt = net_fab.pop_for_mem(node, now).unwrap();
+                    pngs[usize::from(node)].on_result(pkt, now);
                 }
             }
             net_fab.tick(now);
@@ -1082,11 +1108,11 @@ mod tests {
                 }
             }
             for node in 0..16u8 {
-                if let Some(&pkt) = net_fab.peek_for_mem(node, now) {
-                    if pngs[usize::from(node)].can_take_result(pkt.src) {
-                        let pkt = net_fab.pop_for_mem(node, now).unwrap();
-                        pngs[usize::from(node)].on_result(pkt, now);
-                    }
+                if net_fab.peek_for_mem(node, now).is_some()
+                    && pngs[usize::from(node)].can_take_result()
+                {
+                    let pkt = net_fab.pop_for_mem(node, now).unwrap();
+                    pngs[usize::from(node)].on_result(pkt, now);
                 }
             }
             net_fab.tick(now);

@@ -254,18 +254,6 @@ impl StatsRegistry {
         Self::default()
     }
 
-    /// Collects a fresh snapshot from a set of sources.
-    ///
-    /// Each `(prefix, source)` pair reports under `prefix.`; an empty
-    /// prefix reports at top level.
-    pub fn collect<'a>(sources: impl IntoIterator<Item = (&'a str, &'a dyn StatSource)>) -> Self {
-        let mut reg = StatsRegistry::new();
-        for (prefix, source) in sources {
-            source.report(&mut reg.scoped(prefix));
-        }
-        reg
-    }
-
     /// A recording view that prefixes every key with `prefix.`.
     pub fn scoped<'a>(&'a mut self, prefix: &'a str) -> ScopedStats<'a> {
         ScopedStats {
@@ -577,6 +565,18 @@ impl ScopedStats<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl StatsRegistry {
+        /// Test fixture: a fresh snapshot in which each `(prefix, source)`
+        /// pair reports under `prefix.`.
+        fn collect<'a>(sources: impl IntoIterator<Item = (&'a str, &'a dyn StatSource)>) -> Self {
+            let mut reg = StatsRegistry::new();
+            for (prefix, source) in sources {
+                source.report(&mut reg.scoped(prefix));
+            }
+            reg
+        }
+    }
 
     struct Fake {
         ops: u64,
